@@ -12,7 +12,7 @@ from bachkit import default_config, make_workbench
 from bachkit.masks import mask_from_slices, mask_iou, write_mask_pgms
 from bachkit.pipeline import capture_trace, mask_grid
 from bachkit.scene import IDENTITY
-from bachkit.select import select_mask_layers, select_tau_mask
+from bachkit.select import QUALITY, select_layers, select_tau_mask
 
 
 def run(out: str, scene_seed: int, sigma: float) -> None:
@@ -25,7 +25,7 @@ def run(out: str, scene_seed: int, sigma: float) -> None:
     trace = capture_trace(wb, IDENTITY, seed=cfg.seed, scene_sigma=sigma)
     grid = mask_grid(trace, wb.layout, mc.frames, mc.height, mc.width, planted)
 
-    layers = select_mask_layers(grid, 4)
+    layers = select_layers(grid, 4, QUALITY)
     tau = grid.steps[select_tau_mask(grid.step_curve(layers))]
     print(f"selected readout: step {tau}, layers {layers}")
 

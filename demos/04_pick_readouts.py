@@ -13,8 +13,9 @@ from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drop
 from bachkit.pipeline import capture_trace, mask_grid
 from bachkit.scene import IDENTITY
 from bachkit.select import (
-    select_mask_layers,
-    select_match_layers,
+    COST,
+    QUALITY,
+    select_layers,
     select_tau_mask,
     select_tau_match,
     select_vital,
@@ -23,13 +24,13 @@ from bachkit.select import (
 print("== 42-layer reference fixtures ==")
 ref = default_config("paper42")
 gm = paper_mask_grid()
-layers = select_mask_layers(gm, ref.vital_k)
+layers = select_layers(gm, ref.vital_k, QUALITY)
 tau = gm.steps[select_tau_mask(gm.step_curve(layers))]
 print(f"mask readout: step {tau}, layers {layers[0]}..{layers[-1]} "
       f"(configured: {ref.tau_mask}, {ref.mask_layers[0]}..{ref.mask_layers[-1]})")
 
 gc = paper_match_grid()
-layers = select_match_layers(gc, ref.vital_k)
+layers = select_layers(gc, ref.vital_k, COST)
 tau = gc.steps[select_tau_match(gc.step_curve(layers))]
 print(f"match readout: step {tau}, layers {layers[0]}..{layers[-1]} "
       f"(configured: {ref.tau_match}, {ref.match_layers[0]}..{ref.match_layers[-1]})")
@@ -44,7 +45,7 @@ wb = make_workbench(cfg, scene_seed=1)
 mc = wb.model.config
 trace = capture_trace(wb, IDENTITY, seed=cfg.seed)
 grid = mask_grid(trace, wb.layout, mc.frames, mc.height, mc.width, wb.scene.mask(IDENTITY))
-layers = select_mask_layers(grid, 4)
+layers = select_layers(grid, 4, QUALITY)
 tau = grid.steps[select_tau_mask(grid.step_curve(layers))]
 print(f"selected: step {tau}, layers {layers}")
 print(f"grid cell at the selection: IoU {grid.value(tau, layers[0]):.4f}")

@@ -10,7 +10,7 @@ baseline itself grades 1 and every drop is the similarity lost.
 
 import argparse
 
-from bachkit import default_config, make_workbench, select_vital_layers, sweep_layers, sweep_layers_embed
+from bachkit import default_config, make_workbench, select_vital, sweep_layers, sweep_layers_embed
 from bachkit.scene import IDENTITY
 from bachkit.vital import variance_scorer
 
@@ -37,7 +37,7 @@ def main() -> None:
     for s in report.scores:
         print(f"{s.layer:5d}  {s.score_skip:10.6f}  {s.drop:+.6f}")
 
-    vital = select_vital_layers(report, args.k)
+    vital = select_vital(report.drops(), args.k)
     print(f"\nvital {args.k}: {vital}")
 
 

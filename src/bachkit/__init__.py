@@ -22,7 +22,7 @@ from .dit import (
     embed_prompt,
     init_model,
 )
-from .inject import KvCache, cache_nbytes, injected_attention
+from .inject import KvCache, cache_nbytes
 from .masks import mask_from_slices, mask_iou
 from .matching import MatchMap, exact_fraction, match_foreground, match_mse, similarity
 from .pipeline import (
@@ -38,11 +38,10 @@ from .pipeline import (
 from .scene import FRAME, IDENTITY, Scene, make_scene
 from .select import (
     AnalysisGrid,
-    select_mask_layers,
-    select_match_layers,
+    select_layers,
     select_tau_mask,
     select_tau_match,
-    select_vital_layers,
+    select_vital,
 )
 from .tensorops import NEG, joint_attention, rope_encode, softmax_rows
 from .trace import AttentionTrace, CaptureFlags, TraceRecorder
@@ -86,7 +85,6 @@ __all__ = [
     "exact_fraction",
     "generate_skipped",
     "init_model",
-    "injected_attention",
     "joint_attention",
     "make_scene",
     "make_workbench",
@@ -100,11 +98,10 @@ __all__ = [
     "run_frame",
     "run_group",
     "run_identity",
-    "select_mask_layers",
-    "select_match_layers",
+    "select_layers",
     "select_tau_mask",
     "select_tau_match",
-    "select_vital_layers",
+    "select_vital",
     "similarity",
     "softmax_rows",
     "sweep_layers",

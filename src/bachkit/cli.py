@@ -62,8 +62,6 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         help="match across the whole grid, not per frame")
     arg("--recompute-mask-per-step", action="store_const", const=True,
         help="refresh mask and match after every step during injection")
-    arg("--ablate", action="store_const", const=True,
-        help="also run frames without injection for comparison")
     arg("--scene-seed", type=int, **({} if suppress else {"default": 1}),
         help="planted scene seed")
     arg("--scene-sigma", type=float, **({} if suppress else {"default": 0.05}),
@@ -94,6 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp, suppress=True)
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--frames", type=int, default=1, help="frame runs in the group")
+    sp.add_argument("--ablate", action="store_true",
+                    help="also run frames without injection for comparison")
 
     sp = sub.add_parser("analyze", help="sweep a per-(step, layer) analysis table")
     _add_global_flags(sp, suppress=True)
@@ -188,7 +188,7 @@ def _cmd_run_group(args) -> int:
         seed_identity=cfg.seed,
         frame_seeds=[cfg.seed + 1 + i for i in range(args.frames)],
         scene_sigma=args.scene_sigma,
-        ablate=bool(args.ablate),
+        ablate=args.ablate,
     )
     paths = write_group_outputs(report, args.out)
     print((Path(args.out) / "report.txt").read_text().rstrip())

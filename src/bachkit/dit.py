@@ -26,14 +26,13 @@ explicit Euler update.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .tensorops import (
     DTYPE,
-    GridPosition,
     cosine_normalize_rows,
     grid_positions,
     joint_attention,
@@ -120,20 +119,7 @@ class ModelConfig:
         return self.thw + self.text_len
 
     def fingerprint(self) -> str:
-        payload = ",".join(
-            str(v)
-            for v in (
-                self.depth,
-                self.channels,
-                self.heads,
-                self.frames,
-                self.height,
-                self.width,
-                self.text_len,
-                self.steps,
-                self.seed,
-            )
-        )
+        payload = ",".join(str(v) for v in astuple(self))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -362,18 +348,7 @@ class Model:
     def without_layer(self, layer: int) -> "Model":
         """A depth-(d-1) model keeping the remaining blocks' weights."""
         keep = tuple(lw for i, lw in enumerate(self.layers) if i != layer)
-        cfg = ModelConfig(
-            depth=self.config.depth - 1,
-            channels=self.config.channels,
-            heads=self.config.heads,
-            frames=self.config.frames,
-            height=self.config.height,
-            width=self.config.width,
-            text_len=self.config.text_len,
-            steps=self.config.steps,
-            seed=self.config.seed,
-        )
-        return Model(cfg, keep, self.positions, self.texture_bank)
+        return replace(self, config=replace(self.config, depth=self.config.depth - 1), layers=keep)
 
 
 def init_model(config: ModelConfig) -> Model:

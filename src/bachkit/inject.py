@@ -19,7 +19,7 @@ import numpy as np
 from .dit import Hooks, InjectionPlan
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
-from .tensorops import DTYPE, NEG, joint_attention, rope_encode
+from .tensorops import DTYPE, NEG, rope_encode
 from .trace import FIELD_NAMES, FIELD_PRE_K, FIELD_PRE_V, AttentionTrace, read_container, write_container
 
 
@@ -182,17 +182,6 @@ def build_plan(
     v = np.concatenate([pre_v, cached_v[regions.identity_rows], cached_v[regions.bg]], axis=0)
     mask = region_mask(joint_len, thw, regions.fg, len(regions.fg), len(regions.bg))
     return InjectionPlan(k=k, v=v, add_mask=mask)
-
-
-def injected_attention(q: np.ndarray, k_star: np.ndarray, v_star: np.ndarray,
-                       add_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention of frame queries against a fused key/value sequence.
-
-    `k_star`/`v_star` carry the frame's own rows followed by injected blocks,
-    `add_mask` the additive region restrictions from `region_mask`. Returns
-    the (weights, outputs) pair; rows whose keys are all forbidden raise.
-    """
-    return joint_attention(q, k_star, v_star, add_mask)
 
 
 class Injector(Hooks):

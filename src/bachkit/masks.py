@@ -82,14 +82,13 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame", "h", "w", "fg"])
-        for t in range(m.shape[0]):
-            for i in range(m.shape[1]):
-                for j in range(m.shape[2]):
-                    w.writerow([t, i, j, int(m[t, i, j])])
+        cells = np.indices(m.shape).reshape(3, -1)
+        w.writerows(np.vstack([cells, m.reshape(1, -1)]).T.tolist())
 
 
 def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
-    """Inverse of `write_mask_csv`; errors on an incomplete table."""
+    """Inverse of `write_mask_csv`; errors on an incomplete table or a cell
+    outside the (frames, height, width) grid."""
     out = np.zeros((frames, height, width), dtype=bool)
     seen = np.zeros((frames, height, width), dtype=bool)
     with open(path, newline="") as fh:
@@ -99,6 +98,8 @@ def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
             raise ValueError(f"unexpected mask table header {header}")
         for rec in reader:
             t, i, j, v = (int(x) for x in rec)
+            if not (0 <= t < frames and 0 <= i < height and 0 <= j < width):
+                raise ValueError(f"mask csv cell ({t}, {i}, {j}) lies outside the grid")
             out[t, i, j] = bool(v)
             seen[t, i, j] = True
     if not seen.all():

@@ -18,6 +18,12 @@ import numpy as np
 from .tensorops import cosine_normalize_rows
 
 
+def _flat(cells: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Flat grid index of each (t, h, w) row of `cells`."""
+    t, h, w = cells.T
+    return (t * height + h) * width + w
+
+
 @dataclass(frozen=True)
 class MatchMap:
     """Foreground pixel correspondences, one row per source pixel.
@@ -34,9 +40,7 @@ class MatchMap:
     def as_lookup(self) -> np.ndarray:
         """(frames, height, width) int64 of flat destination indices, -1 where unmatched."""
         out = np.full((self.frames, self.height, self.width), -1, dtype=np.int64)
-        hw = self.height * self.width
-        for f, sh, sw, dt, dh, dw in self.rows:
-            out[f, sh, sw] = dt * hw + dh * self.width + dw
+        out[tuple(self.rows[:, :3].T)] = _flat(self.rows[:, 3:], self.height, self.width)
         return out
 
     def write_csv(self, path) -> None:
@@ -50,7 +54,7 @@ class MatchMap:
     def read_csv(cls, path, frames: int, height: int, width: int) -> "MatchMap":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != ["frame", "src_h", "src_w", "dst_t", "dst_h", "dst_w"]:
                 raise ValueError(f"unexpected match table header {header}")
             rows = np.array([[int(v) for v in row] for row in reader], dtype=np.int64)
@@ -96,19 +100,24 @@ def match_foreground(
         raise ValueError(f"similarity shape {sim.shape} does not match the grid")
     if fg_mask.shape != (frames, height, width):
         raise ValueError("mask shape does not match the grid")
-    rows = []
-    for t in range(frames):
-        block = sim[t * hw : (t + 1) * hw]
-        if not global_match:
-            block = block[:, t * hw : (t + 1) * hw]
-        dst = np.argmax(block, axis=1)
-        for p in np.flatnonzero(fg_mask[t].reshape(-1)):
-            flat = int(dst[p]) if global_match else t * hw + int(dst[p])
-            dt, rem = divmod(flat, hw)
-            dh, dw = divmod(rem, width)
-            rows.append((t, p // width, p % width, dt, dh, dw))
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
-    return MatchMap(rows=arr, frames=frames, height=height, width=width)
+    t, sh, sw = np.nonzero(fg_mask)
+    p = sh * width + sw
+    if global_match:
+        dst = np.argmax(sim[t * hw + p], axis=1)
+    else:
+        dst = t * hw + np.argmax(sim.reshape(frames, hw, frames, hw)[t, p, t], axis=1)
+    dt, dh, dw = np.unravel_index(dst, (frames, height, width))
+    rows = np.stack([t, sh, sw, dt, dh, dw], axis=1).astype(np.int64)
+    return MatchMap(rows=rows, frames=frames, height=height, width=width)
+
+
+def _planted(found: MatchMap, true_lookup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `found` that have a planted counterpart, and that counterpart."""
+    want = true_lookup[tuple(found.rows[:, :3].T)]
+    keep = want >= 0
+    if not keep.any():
+        raise ValueError("no matched pixels overlap the planted foreground")
+    return found.rows[keep], want[keep]
 
 
 def exact_fraction(found: MatchMap, true_lookup: np.ndarray) -> float:
@@ -117,18 +126,9 @@ def exact_fraction(found: MatchMap, true_lookup: np.ndarray) -> float:
     `true_lookup` is (frames, height, width) flat destination indices with -1
     marking pixels that have no planted counterpart; those rows are skipped.
     """
-    got = 0
-    total = 0
-    for f, sh, sw, dt, dh, dw in found.rows:
-        want = true_lookup[f, sh, sw]
-        if want < 0:
-            continue
-        total += 1
-        if want == dt * found.height * found.width + dh * found.width + dw:
-            got += 1
-    if total == 0:
-        raise ValueError("no matched pixels overlap the planted foreground")
-    return got / total
+    rows, want = _planted(found, true_lookup)
+    got = want == _flat(rows[:, 3:], found.height, found.width)
+    return int(got.sum()) / len(want)
 
 
 def match_mse(found: MatchMap, true_lookup: np.ndarray) -> float:
@@ -139,16 +139,8 @@ def match_mse(found: MatchMap, true_lookup: np.ndarray) -> float:
     Pixels without a planted counterpart (-1 in `true_lookup`) are skipped;
     a fully exact map scores 0.
     """
-    hw = found.height * found.width
-    err = 0.0
-    total = 0
-    for f, sh, sw, dt, dh, dw in found.rows:
-        want = true_lookup[f, sh, sw]
-        if want < 0:
-            continue
-        total += 1
-        wh, ww = divmod(int(want) % hw, found.width)
-        err += ((dh - wh) / found.height) ** 2 + ((dw - ww) / found.width) ** 2
-    if total == 0:
-        raise ValueError("no matched pixels overlap the planted foreground")
-    return err / total
+    rows, want = _planted(found, true_lookup)
+    wh, ww = np.divmod(want % (found.height * found.width), found.width)
+    err = ((rows[:, 4] - wh) / found.height) ** 2 + ((rows[:, 5] - ww) / found.width) ** 2
+    # cumsum adds strictly left to right; np.sum blocks pairwise, which can move the last bit
+    return float(np.cumsum(err)[-1]) / len(want)

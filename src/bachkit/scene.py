@@ -100,6 +100,10 @@ class Scene:
             return self.origins_frame
         raise ValueError(f"unknown variant {variant!r}")
 
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frame, row offset, column offset) of every subject pixel, flat."""
+        return tuple(np.indices((self.frames, self.rect_h, self.rect_w)).reshape(3, -1))
+
     def mask(self, variant: str) -> np.ndarray:
         """Planted foreground mask, (frames, height, width) bool."""
         out = np.zeros((self.frames, self.height, self.width), dtype=bool)
@@ -135,11 +139,10 @@ class Scene:
         z += (coeff[:, None] * detail_direction(self.channels)[None, :]).reshape(z.shape)
         subject = texture_dictionary(*dims)
         fg_vec = (self.signature_amp * self.fg_signature).astype(DTYPE)
-        for t, (oh, ow) in enumerate(self._origins(variant)):
-            for dh in range(self.rect_h):
-                for dw in range(self.rect_w):
-                    rel_flat = (t * self.height + dh) * self.width + dw
-                    z[t, oh + dh, ow + dw] = fg_vec + self.texture_amp * subject[rel_flat]
+        t, dh, dw = self._offsets()
+        o = self._origins(variant)
+        rel_flat = (t * self.height + dh) * self.width + dw
+        z[t, o[t, 0] + dh, o[t, 1] + dw] = fg_vec + self.texture_amp * subject[rel_flat]
         return z
 
     def noisy_latent(self, variant: str, sigma: float, seed: int = 0) -> np.ndarray:
@@ -158,15 +161,11 @@ class Scene:
         background pixels of the frame variant.
         """
         out = np.full((self.frames, self.height, self.width), -1, dtype=np.int64)
-        hw = self.height * self.width
-        for t in range(self.frames):
-            oh_f, ow_f = self.origins_frame[t]
-            oh_i, ow_i = self.origins_identity[t]
-            for dh in range(self.rect_h):
-                for dw in range(self.rect_w):
-                    out[t, oh_f + dh, ow_f + dw] = (
-                        t * hw + (oh_i + dh) * self.width + (ow_i + dw)
-                    )
+        t, dh, dw = self._offsets()
+        of, oi = self.origins_frame[t], self.origins_identity[t]
+        out[t, of[:, 0] + dh, of[:, 1] + dw] = (
+            (t * self.height + oi[:, 0] + dh) * self.width + oi[:, 1] + dw
+        )
         return out
 
     def action_vector(self, seed: int = 0) -> np.ndarray:

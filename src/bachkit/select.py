@@ -107,40 +107,26 @@ def select_tau_match(curve) -> int:
     return int(hits[0]) if hits.size else int(np.argmin(c))
 
 
+def _top_k(labels, scores, k: int, descending: bool) -> tuple[int, ...]:
+    """The k labels with the best scores, ascending; ties go to the lower label."""
+    if not 1 <= k <= len(labels):
+        raise ValueError(f"k={k} out of range for {len(labels)} layers")
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.lexsort((labels, -scores if descending else scores))
+    return tuple(sorted(int(l) for l in labels[order[:k]]))
+
+
 def select_layers(grid: AnalysisGrid, k: int, kind: str = QUALITY) -> tuple[int, ...]:
     """Top-k layers by step-averaged score; ties go to the lower layer index.
 
     Quality grids rank descending, cost grids ascending.
     """
-    if not 1 <= k <= len(grid.layers):
-        raise ValueError(f"k={k} out of range for {len(grid.layers)} layers")
-    means = grid.values.mean(axis=0)
-    if kind == QUALITY:
-        order = np.lexsort((np.arange(len(means)), -means))
-    elif kind == COST:
-        order = np.lexsort((np.arange(len(means)), means))
-    else:
+    if kind not in (QUALITY, COST):
         raise ValueError(f"unknown grid kind {kind!r}")
-    return tuple(sorted(int(grid.layers[i]) for i in order[:k]))
-
-
-def select_mask_layers(grid: AnalysisGrid, k: int) -> tuple[int, ...]:
-    return select_layers(grid, k, QUALITY)
-
-
-def select_match_layers(grid: AnalysisGrid, k: int) -> tuple[int, ...]:
-    return select_layers(grid, k, COST)
+    return _top_k(grid.layers, grid.values.mean(axis=0), k, kind == QUALITY)
 
 
 def select_vital(drops: dict[int, float], k: int) -> tuple[int, ...]:
     """Layers whose removal hurts most: top-k by score drop, descending."""
-    if not 1 <= k <= len(drops):
-        raise ValueError(f"k={k} out of range for {len(drops)} scored layers")
-    ranked = sorted(drops.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(sorted(layer for layer, _ in ranked[:k]))
-
-
-def select_vital_layers(report, k: int) -> tuple[int, ...]:
-    """Top-k layers by skip-score drop, from a report or a plain mapping."""
-    drops = report.drops() if hasattr(report, "drops") else dict(report)
-    return select_vital(drops, k)
+    return _top_k(list(drops), list(drops.values()), k, True)

@@ -8,7 +8,6 @@ same numbers the model computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,15 +23,6 @@ NEG = DTYPE(-1e9)
 ROPE_BASE = 10000.0
 
 
-@dataclass(frozen=True)
-class GridPosition:
-    """Position of a video token on the (frame, row, column) latent grid."""
-
-    t: int
-    h: int
-    w: int
-
-
 def grid_positions(t: int, h: int, w: int) -> np.ndarray:
     """All grid positions in flat row-major order, as an (T*H*W, 3) int array.
 
@@ -42,28 +32,24 @@ def grid_positions(t: int, h: int, w: int) -> np.ndarray:
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.int64)
 
 
-def _as_position_array(positions) -> np.ndarray:
-    if isinstance(positions, np.ndarray):
-        pos = positions
-    else:
-        pos = np.array([[p.t, p.h, p.w] for p in positions], dtype=np.int64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-    return pos
-
-
-def softmax_rows(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray, forbidden: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
-    Raises ValueError on any NaN/inf input. The masking constant NEG is an
-    ordinary finite value here; flushing masked entries to exact zero is the
-    caller's job (see `joint_attention`).
+    Entries where the boolean `forbidden` is set get weight exactly zero,
+    assigned explicitly rather than left to `exp` underflow, and the rest of
+    the row renormalizes to sum 1.
+
+    Raises:
+        ValueError: on any NaN/inf input or a row with every entry forbidden.
     """
     x = np.asarray(x, dtype=DTYPE)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    if forbidden is not None:
+        if forbidden.all(axis=-1).any():
+            raise ValueError("fully masked query row")
+        e[forbidden] = DTYPE(0.0)
     return (e / np.sum(e, axis=-1, keepdims=True)).astype(DTYPE)
 
 
@@ -103,6 +89,7 @@ def joint_attention(
 
     scale = DTYPE(1.0 / np.sqrt(q.shape[1]))
     scores = (q @ k.T) * scale
+    forbidden = None
     if add_mask is not None:
         add_mask = np.asarray(add_mask, dtype=DTYPE)
         if add_mask.shape != scores.shape:
@@ -110,17 +97,9 @@ def joint_attention(
                 f"mask shape {add_mask.shape} does not match scores {scores.shape}"
             )
         scores = scores + add_mask
-
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite input")
-    shifted = scores - np.max(scores, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    if add_mask is not None:
         forbidden = add_mask == NEG
-        if forbidden.all(axis=1).any():
-            raise ValueError("fully masked query row")
-        e[forbidden] = DTYPE(0.0)
-    w = (e / np.sum(e, axis=1, keepdims=True)).astype(DTYPE)
+
+    w = softmax_rows(scores, forbidden)
     o = (w @ v).astype(DTYPE)
     return w, o
 
@@ -166,7 +145,7 @@ def rope_encode(
 
     Args:
         x: (N, C) rows to encode.
-        positions: (N, 3) int array or sequence of GridPosition.
+        positions: (N, 3) int array of (t, h, w) grid coordinates.
 
     Returns:
         (N, C) encoded rows.
@@ -174,7 +153,9 @@ def rope_encode(
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2:
         raise ValueError("x must be 2-D")
-    pos = _as_position_array(positions)
+    pos = np.asarray(positions)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
     if pos.shape[0] != x.shape[0]:
         raise ValueError(f"{pos.shape[0]} positions for {x.shape[0]} rows")
 

@@ -134,9 +134,6 @@ class AttentionTrace:
     def layers(self) -> list[int]:
         return sorted({k[1] for k in self.entries})
 
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.entries.values())
-
     def save(self, path) -> None:
         write_container(
             [(s, l, FIELD_TAGS[n], a) for (s, l, n), a in self.entries.items()], path

@@ -31,11 +31,6 @@ def frame_digest(frame: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(frame, dtype=DTYPE).tobytes()).hexdigest()
 
 
-def video_digest(video: np.ndarray) -> str:
-    """Content hash of a whole array, same convention as `frame_digest`."""
-    return hashlib.sha256(np.ascontiguousarray(video, dtype=DTYPE).tobytes()).hexdigest()
-
-
 def constant_scorer(value: float = 1.0):
     """Frame scorer that ignores its input. Bounded trivially: always `value`."""
 

@@ -37,7 +37,6 @@ from bachkit.inject import (
     KvCache,
     cache_nbytes,
     entry_nbytes,
-    injected_attention,
     region_mask,
 )
 from bachkit.masks import mask_from_slices, mask_iou
@@ -52,13 +51,13 @@ from bachkit.pipeline import (
 )
 from bachkit.scene import FRAME, IDENTITY
 from bachkit.select import (
+    COST,
+    QUALITY,
     AnalysisGrid,
-    select_mask_layers,
-    select_match_layers,
+    select_layers,
     select_tau_mask,
     select_tau_match,
     select_vital,
-    select_vital_layers,
 )
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
 from bachkit.trace import CaptureFlags, TraceRecorder
@@ -154,7 +153,7 @@ def test_ac03_mask_recovery_at_selected_readout():
         for sigma in (0.0, 0.05, 0.1):
             trace = capture_trace(wb, IDENTITY, seed=100 + scene_seed, scene_sigma=sigma)
             grid = mask_grid(trace, wb.layout, mc.frames, mc.height, mc.width, planted)
-            layers = select_mask_layers(grid, 4)
+            layers = select_layers(grid, 4, QUALITY)
             tau = grid.steps[select_tau_mask(grid.step_curve(layers))]
             got = mask_from_slices(
                 trace.layer_slices(tau, layers, "v2t"),
@@ -229,8 +228,8 @@ def test_ac05_selection_rules_agree_with_scans():
         assert select_tau_match(curve) == _scan_tau_match(curve)
         grid = random_grid(i)
         k = int(rng.integers(1, len(grid.layers) + 1))
-        assert select_mask_layers(grid, k) == _scan_layers(grid, k, True)
-        assert select_match_layers(grid, k) == _scan_layers(grid, k, False)
+        assert select_layers(grid, k, QUALITY) == _scan_layers(grid, k, True)
+        assert select_layers(grid, k, COST) == _scan_layers(grid, k, False)
         drops = random_drops(i)
         kd = int(rng.integers(1, 17))
         assert select_vital(drops, kd) == _scan_vital(drops, kd)
@@ -239,10 +238,10 @@ def test_ac05_selection_rules_agree_with_scans():
 
     run = default_config("paper42")
     gm = paper_mask_grid()
-    assert select_mask_layers(gm, run.vital_k) == run.mask_layers
+    assert select_layers(gm, run.vital_k, QUALITY) == run.mask_layers
     assert gm.steps[select_tau_mask(gm.step_curve(run.mask_layers))] == run.tau_mask
     gc = paper_match_grid()
-    assert select_match_layers(gc, run.vital_k) == run.match_layers
+    assert select_layers(gc, run.vital_k, COST) == run.match_layers
     assert gc.steps[select_tau_match(gc.step_curve(run.match_layers))] == run.tau_match
     assert select_vital(paper_vital_drops(), run.vital_k) == run.kv_layers
 
@@ -260,7 +259,7 @@ def test_ac06_region_weights_zero_and_normalized():
         q = rng.standard_normal((joint, c)).astype(DTYPE)
         k = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
         v = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
-        w, _ = injected_attention(q, k, v, mask)
+        w, _ = joint_attention(q, k, v, mask)
         assert (w[mask == NEG] == 0.0).all()
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
@@ -309,7 +308,7 @@ def test_ac08_rigged_scorer_recovers_planted_layers():
         report = report_from_runs(
             runs, lambda v: aesthetic_score(v, planted_scorer(table, default=1.0))
         )
-        assert select_vital_layers(report, k) == planted
+        assert select_vital(report.drops(), k) == planted
 
 
 def test_ac09_injection_raises_background_psnr(bench, desk_cfg, identity):

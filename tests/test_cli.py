@@ -41,9 +41,11 @@ def test_identity_then_frame_flow(tmp_path, capsys):
 
 def test_run_group_then_report(tmp_path, capsys):
     d = tmp_path / "group"
-    assert main(["run-group", "--out", str(d), "--frames", "1", "--seed", "11"]) == 0
+    assert main(["run-group", "--out", str(d), "--frames", "1", "--seed", "11", "--ablate"]) == 0
     out = capsys.readouterr().out
     assert "psnr_bg injected" in out and "artifacts" in out
+    assert (d / "frame0_vanilla.pgm").stat().st_size > 0
+    assert "gain" in next(line for line in out.splitlines() if line.startswith("frame 0:"))
 
     assert main(["report", "--dir", str(d)]) == 0
     out = capsys.readouterr().out

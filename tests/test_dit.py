@@ -47,6 +47,11 @@ def test_profiles():
         assert cfg.joint_len == cfg.thw + cfg.text_len
 
 
+def test_fingerprints_pinned():
+    assert PROFILES["desk8"].fingerprint() == "26022edfbb13c3aa"
+    assert PROFILES["paper42"].fingerprint() == "3c756cbf4a7b037b"
+
+
 def test_channel_plan_partitions():
     plan = channel_plan(48)
     bands = np.concatenate([plan.signature, plan.texture, plan.spare])

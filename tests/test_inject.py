@@ -14,7 +14,6 @@ from bachkit.inject import (
     build_plan,
     cache_nbytes,
     entry_nbytes,
-    injected_attention,
     region_mask,
 )
 from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
@@ -126,18 +125,18 @@ def test_region_mask_layout():
     assert (m[4:, joint_len:] == NEG).all()  # text queries see no injected keys
 
 
-def test_injected_attention_empty_injection_is_vanilla():
+def test_fused_attention_empty_injection_is_vanilla():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((5, 4)).astype(DTYPE)
     k = rng.standard_normal((5, 4)).astype(DTYPE)
     v = rng.standard_normal((5, 4)).astype(DTYPE)
     w0, o0 = joint_attention(q, k, v)
-    w1, o1 = injected_attention(q, k, v, np.zeros((5, 5), dtype=DTYPE))
+    w1, o1 = joint_attention(q, k, v, np.zeros((5, 5), dtype=DTYPE))
     np.testing.assert_array_equal(w1, w0)
     np.testing.assert_array_equal(o1, o0)
 
 
-def test_injected_attention_restricted_oracle():
+def test_fused_attention_restricted_oracle():
     rng = np.random.default_rng(3)
     thw, text, c = 6, 2, 4
     joint_len = thw + text
@@ -147,7 +146,7 @@ def test_injected_attention_restricted_oracle():
     k_star = rng.standard_normal((joint_len + n_fg + n_bg, c)).astype(DTYPE)
     v_star = rng.standard_normal((joint_len + n_fg + n_bg, c)).astype(DTYPE)
     mask = region_mask(joint_len, thw, fg, n_fg, n_bg)
-    w, o = injected_attention(q, k_star, v_star, mask)
+    w, o = joint_attention(q, k_star, v_star, mask)
     for i in range(joint_len):
         cols = np.flatnonzero(mask[i] != NEG)
         scores = (q[i] @ k_star[cols].T) / np.sqrt(c)

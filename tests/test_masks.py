@@ -104,6 +104,23 @@ def test_mask_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_mask_csv(p, 2, 3, 4), mask)
 
 
+def test_mask_csv_rows_in_row_major_order(tmp_path):
+    mask = np.random.default_rng(4).random((3, 2, 5)) < 0.5
+    p = tmp_path / "mask.csv"
+    write_mask_csv(mask, p)
+    want = [f"{t},{i},{j},{int(mask[t, i, j])}"
+            for t in range(3) for i in range(2) for j in range(5)]
+    assert p.read_text().splitlines()[1:] == want
+
+
+def test_mask_csv_rejects_cells_outside_grid(tmp_path):
+    p = tmp_path / "outside.csv"
+    for row in ("-1,0,0,1", "0,-1,0,1", "0,0,-1,1", "1,0,0,1", "0,0,1,1"):
+        p.write_text(f"frame,h,w,fg\n{row}\n")
+        with pytest.raises(ValueError, match="outside the grid"):
+            read_mask_csv(p, 1, 1, 1)
+
+
 def test_mask_csv_rejects_incomplete(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("frame,h,w,fg\n0,0,0,1\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bachkit.matching import (
     MatchMap,
@@ -141,3 +143,113 @@ def test_match_map_empty_csv(tmp_path):
     _map_of([], frames=1, h=2, w=2).write_csv(p)
     back = MatchMap.read_csv(p, frames=1, height=2, width=2)
     assert back.rows.shape == (0, 6)
+
+
+def test_match_map_read_csv_rejects_empty_file(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        MatchMap.read_csv(p, frames=1, height=2, width=2)
+
+
+# Brute-force per-row references for the vectorized matching code.
+
+def _loop_match_foreground(sim, fg_mask, frames, height, width, global_match):
+    hw = height * width
+    rows = []
+    for t in range(frames):
+        block = sim[t * hw : (t + 1) * hw]
+        if not global_match:
+            block = block[:, t * hw : (t + 1) * hw]
+        dst = np.argmax(block, axis=1)
+        for p in np.flatnonzero(fg_mask[t].reshape(-1)):
+            flat = int(dst[p]) if global_match else t * hw + int(dst[p])
+            dt, rem = divmod(flat, hw)
+            dh, dw = divmod(rem, width)
+            rows.append((t, p // width, p % width, dt, dh, dw))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+
+
+def _loop_lookup(found):
+    out = np.full((found.frames, found.height, found.width), -1, dtype=np.int64)
+    hw = found.height * found.width
+    for f, sh, sw, dt, dh, dw in found.rows:
+        out[f, sh, sw] = dt * hw + dh * found.width + dw
+    return out
+
+
+def _loop_exact_fraction(found, true_lookup):
+    got = 0
+    total = 0
+    for f, sh, sw, dt, dh, dw in found.rows:
+        want = true_lookup[f, sh, sw]
+        if want < 0:
+            continue
+        total += 1
+        if want == dt * found.height * found.width + dh * found.width + dw:
+            got += 1
+    if total == 0:
+        raise ValueError("no matched pixels overlap the planted foreground")
+    return got / total
+
+
+def _loop_match_mse(found, true_lookup):
+    hw = found.height * found.width
+    err = 0.0
+    total = 0
+    for f, sh, sw, dt, dh, dw in found.rows:
+        want = true_lookup[f, sh, sw]
+        if want < 0:
+            continue
+        total += 1
+        wh, ww = divmod(int(want) % hw, found.width)
+        err += ((dh - wh) / found.height) ** 2 + ((dw - ww) / found.width) ** 2
+    if total == 0:
+        raise ValueError("no matched pixels overlap the planted foreground")
+    return err / total
+
+
+def _same_result(fn, oracle, *args):
+    try:
+        want = oracle(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return
+    assert fn(*args) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.integers(1, 4),
+    height=st.integers(1, 6),
+    width=st.integers(1, 6),
+    mask_kind=st.sampled_from(["random", "empty", "full"]),
+    global_match=st.booleans(),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vectorized_matching_equals_row_loops(
+    frames, height, width, mask_kind, global_match, tied, seed
+):
+    rng = np.random.default_rng(seed)
+    n = frames * height * width
+    # small integer similarities make argmax ties common
+    sim = rng.integers(0, 3, size=(n, n)).astype(np.float64) if tied else rng.random((n, n))
+    fg = {
+        "random": rng.random((frames, height, width)) < 0.5,
+        "empty": np.zeros((frames, height, width), dtype=bool),
+        "full": np.ones((frames, height, width), dtype=bool),
+    }[mask_kind]
+    found = match_foreground(sim, fg, frames, height, width, global_match=global_match)
+    want = _loop_match_foreground(sim, fg, frames, height, width, global_match)
+    assert found.rows.dtype == np.int64
+    np.testing.assert_array_equal(found.rows, want)
+    np.testing.assert_array_equal(found.as_lookup(), _loop_lookup(found))
+
+    # planted truth: the found destination, another pixel, or no counterpart
+    pick = rng.integers(0, 3, size=(frames, height, width))
+    truth = np.where(pick == 0, _loop_lookup(found), rng.integers(0, n, size=pick.shape))
+    truth[pick == 2] = -1
+    _same_result(exact_fraction, _loop_exact_fraction, found, truth)
+    _same_result(match_mse, _loop_match_mse, found, truth)

@@ -7,6 +7,7 @@ import pytest
 
 from bachkit.dit import PromptLayout
 from bachkit.inject import CacheBudgetError, entry_nbytes
+from bachkit.masks import mask_iou
 from bachkit.pipeline import (
     mask_grid,
     match_grid,
@@ -17,6 +18,7 @@ from bachkit.pipeline import (
     upsample_mask,
     write_group_outputs,
 )
+from bachkit.scene import FRAME
 from bachkit.trace import AttentionTrace
 
 
@@ -82,6 +84,15 @@ def test_run_frame_deterministic(bench, desk_cfg, identity):
     np.testing.assert_array_equal(z_a, z_b)
     np.testing.assert_array_equal(inj_a.mask_frame, inj_b.mask_frame)
     np.testing.assert_array_equal(inj_a.match.as_lookup(), inj_b.match.as_lookup())
+
+
+def test_run_frame_recomputes_mask_every_step(bench, desk_cfg, identity):
+    cfg = dataclasses.replace(desk_cfg, recompute_mask=True)
+    _, injector = run_frame(bench, cfg, identity, seed=12)
+    for step in range(cfg.tau_inject - 1, bench.model.config.steps):
+        for layer in cfg.mask_layers:
+            assert injector.own.has(step, layer, "v2t"), (step, layer)
+    assert mask_iou(injector.mask_frame, bench.scene.mask(FRAME)) >= 0.95
 
 
 def test_group_outputs_inventory(bench, desk_cfg, identity, tmp_path):

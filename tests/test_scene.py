@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bachkit.dit import detail_direction, texture_dictionary
 from bachkit.scene import FRAME, IDENTITY, make_scene
 
 
@@ -75,3 +78,53 @@ def test_scene_determinism():
     np.testing.assert_array_equal(a.origins_frame, b.origins_frame)
     c = make_scene(2, 6, 6, 24, rect_h=2, rect_w=2, seed=10)
     assert not np.array_equal(a.clean_latent(IDENTITY), c.clean_latent(IDENTITY))
+
+
+# Brute-force per-pixel references for the vectorized scene construction.
+
+def _loop_correspondence(sc):
+    out = np.full((sc.frames, sc.height, sc.width), -1, dtype=np.int64)
+    hw = sc.height * sc.width
+    for t in range(sc.frames):
+        oh_f, ow_f = sc.origins_frame[t]
+        oh_i, ow_i = sc.origins_identity[t]
+        for dh in range(sc.rect_h):
+            for dw in range(sc.rect_w):
+                out[t, oh_f + dh, ow_f + dw] = t * hw + (oh_i + dh) * sc.width + (ow_i + dw)
+    return out
+
+
+def _loop_clean_latent(sc, variant):
+    dims = (sc.frames, sc.height, sc.width, sc.channels)
+    z = np.tile((sc.signature_amp * sc.bg_signature).astype(np.float32), dims[:3] + (1,))
+    coeff = sc.detail_field(variant) * (~sc.mask(variant)).reshape(-1)
+    z += (coeff[:, None] * detail_direction(sc.channels)[None, :]).reshape(z.shape)
+    subject = texture_dictionary(*dims)
+    fg_vec = (sc.signature_amp * sc.fg_signature).astype(np.float32)
+    origins = sc.origins_identity if variant == IDENTITY else sc.origins_frame
+    for t, (oh, ow) in enumerate(origins):
+        for dh in range(sc.rect_h):
+            for dw in range(sc.rect_w):
+                rel_flat = (t * sc.height + dh) * sc.width + dw
+                z[t, oh + dh, ow + dw] = fg_vec + sc.texture_amp * subject[rel_flat]
+    return z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.integers(1, 4),
+    height=st.integers(1, 8),
+    width=st.integers(1, 8),
+    rect=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    channels=st.sampled_from([24, 48]),
+    seed=st.integers(0, 10_000),
+)
+def test_vectorized_scene_equals_pixel_loops(frames, height, width, rect, channels, seed):
+    rect_h = 1 + int(rect[0] * (height - 1))
+    rect_w = 1 + int(rect[1] * (width - 1))
+    sc = make_scene(frames, height, width, channels, rect_h=rect_h, rect_w=rect_w, seed=seed)
+    np.testing.assert_array_equal(sc.correspondence(), _loop_correspondence(sc))
+    for variant in (IDENTITY, FRAME):
+        got = sc.clean_latent(variant)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, _loop_clean_latent(sc, variant))

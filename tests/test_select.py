@@ -15,12 +15,9 @@ from bachkit.select import (
     COST,
     QUALITY,
     select_layers,
-    select_mask_layers,
-    select_match_layers,
     select_tau_mask,
     select_tau_match,
     select_vital,
-    select_vital_layers,
 )
 from bachkit.vital import LayerReport, LayerScore
 
@@ -93,8 +90,8 @@ def test_select_layers_tie_to_lower_index():
     grid = AnalysisGrid(
         steps=(0,), layers=(2, 5, 8), values=np.array([[0.5, 0.5, 0.5]])
     )
-    assert select_mask_layers(grid, 2) == (2, 5)
-    assert select_match_layers(grid, 2) == (2, 5)
+    assert select_layers(grid, 2, QUALITY) == (2, 5)
+    assert select_layers(grid, 2, COST) == (2, 5)
 
 
 def test_select_vital_ranks_by_drop():
@@ -105,7 +102,7 @@ def test_select_vital_ranks_by_drop():
         select_vital(drops, 5)
 
 
-def test_select_vital_layers_accepts_report_or_mapping():
+def test_select_vital_accepts_report_drops_or_mapping():
     report = LayerReport(
         baseline=1.0,
         scores=(
@@ -113,8 +110,8 @@ def test_select_vital_layers_accepts_report_or_mapping():
             LayerScore(layer=1, score_skip=0.9, drop=0.1),
         ),
     )
-    assert select_vital_layers(report, 1) == (0,)
-    assert select_vital_layers({0: 0.8, 1: 0.1}, 1) == (0,)
+    assert select_vital(report.drops(), 1) == (0,)
+    assert select_vital({0: 0.8, 1: 0.1}, 1) == (0,)
 
 
 def test_select_vital_shift_invariant():
@@ -165,14 +162,14 @@ def test_grid_csv_rejects_holes(tmp_path):
 
 def test_paper_fixture_selections():
     gm = paper_mask_grid()
-    layers = select_mask_layers(gm, 15)
+    layers = select_layers(gm, 15, QUALITY)
     assert layers == tuple(range(5, 20))
     assert gm.steps[select_tau_mask(gm.step_curve(layers))] == 10
     gq = paper_match_grid()
-    layers = select_match_layers(gq, 15)
+    layers = select_layers(gq, 15, COST)
     assert layers == tuple(range(1, 16))
     assert gq.steps[select_tau_match(gq.step_curve(layers))] == 10
-    assert select_vital_layers(paper_vital_drops(), 15) == (
+    assert select_vital(paper_vital_drops(), 15) == (
         0, 1, 11, 12, 13, 14, 15, 17, 19, 20, 21, 23, 29, 34, 41,
     )
 

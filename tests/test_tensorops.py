@@ -68,6 +68,18 @@ def test_softmax_rejects_non_finite(bad):
         softmax_rows(np.array([[0.0, bad]]))
 
 
+def test_softmax_zeroes_forbidden_entries_explicitly():
+    # forbidden entries hold the row maximum, so exp would not flush them
+    x = np.array([[5.0, 1.0, 2.0], [0.0, 30.0, 30.0]], dtype=DTYPE)
+    forbidden = np.array([[True, False, False], [False, True, False]])
+    w = softmax_rows(x, forbidden)
+    assert w[0, 0] == 0.0 and w[1, 1] == 0.0
+    np.testing.assert_allclose(w[0, 1:], brute_softmax(x[0, 1:]), atol=1e-6)
+    np.testing.assert_allclose(w[1], [0.0, 0.0, 1.0], atol=1e-6)
+    with pytest.raises(ValueError, match="fully masked"):
+        softmax_rows(x, np.ones_like(forbidden))
+
+
 def test_attention_matches_brute_force():
     rng = np.random.default_rng(7)
     q = rng.standard_normal((9, 6)).astype(DTYPE)

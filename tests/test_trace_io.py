@@ -102,7 +102,7 @@ def test_trace_accessors():
     assert tr.steps() == [3] and tr.layers() == [0, 1]
     assert tr.has(3, 1, "v2t") and not tr.has(3, 1, "pre_k")
     assert len(tr.layer_slices(3, [0, 1], "v2t")) == 2
-    assert tr.nbytes() == 2 * 4 * 4
+    assert sum(a.nbytes for a in tr.entries.values()) == 2 * 4 * 4
     with pytest.raises(ValueError):
         tr.put(0, 0, "nope", np.ones((1, 1)))
     with pytest.raises(KeyError):
