@@ -43,7 +43,7 @@ from .select import (
     select_tau_match,
     select_vital,
 )
-from .tensorops import NEG, joint_attention, rope_encode, softmax_rows
+from .tensorops import NEG, RotaryTable, joint_attention, rope_encode, softmax_rows
 from .trace import AttentionTrace, CaptureFlags, TraceRecorder
 from .vital import (
     FrameEmbedder,
@@ -70,6 +70,7 @@ __all__ = [
     "NEG",
     "PROFILES",
     "PromptLayout",
+    "RotaryTable",
     "RunConfig",
     "Scene",
     "StepSchedule",

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, default_config, format_layer_set, parse_layer_set, read_ini
-from .dit import decode_video, denoise
+from .dit import decode_video
 from .inject import KvCache
-from .matching import MatchMap
 from .masks import write_mask_csv, write_mask_pgms
 from .pgm import video_sheet, write_pgm
 from .pipeline import (

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .tensorops import (
     DTYPE,
+    RotaryTable,
     cosine_normalize_rows,
     grid_positions,
     joint_attention,
@@ -337,6 +337,7 @@ class Model:
     layers: tuple[LayerWeights, ...]
     positions: np.ndarray = field(repr=False)  # (THW, 3)
     texture_bank: np.ndarray = field(repr=False)  # (THW, C)
+    rotary: RotaryTable = field(repr=False)  # cos/sin at `positions`, (THW, C/2) each
 
     def weights_checksum(self) -> str:
         h = hashlib.sha256()
@@ -378,11 +379,13 @@ def init_model(config: ModelConfig) -> Model:
             / np.sqrt(2 * c)
         ).astype(DTYPE)
         layers.append(LayerWeights(gain, w_value, w_out, w_mlp1, w_mlp2))
+    positions = grid_positions(config.frames, config.height, config.width)
     return Model(
         config=config,
         layers=tuple(layers),
-        positions=grid_positions(config.frames, config.height, config.width),
+        positions=positions,
         texture_bank=texture_bank(config.frames, config.height, config.width, config.channels),
+        rotary=RotaryTable.at(positions, c),
     )
 
 
@@ -402,11 +405,6 @@ def predict_clean(model: Model, hidden_video: np.ndarray, z_text: np.ndarray) ->
     direction = cosine_normalize_rows(blend)
     coeff = np.maximum(np.sum(hidden_video * direction, axis=1), 0.0).astype(DTYPE)
     return (x_text + coeff[:, None] * direction).astype(DTYPE)
-
-
-def _head_slices(config: ModelConfig) -> list[slice]:
-    hd = config.channels // config.heads
-    return [slice(h * hd, (h + 1) * hd) for h in range(config.heads)]
 
 
 def forward(
@@ -439,7 +437,6 @@ def forward(
     thw = cfg.thw
     z_flat = z_video.reshape(thw, cfg.channels).astype(DTYPE)
     x = np.concatenate([z_flat, z_text.astype(DTYPE)], axis=0)
-    heads = _head_slices(cfg)
 
     for layer in range(cfg.depth):
         if layer == skip:
@@ -448,7 +445,7 @@ def forward(
         pre_k = x * lw.qk_gain[None, :]  # tied query/key projection
         pre_v = x @ lw.w_value
         roped_k = pre_k.copy()
-        roped_k[:thw] = rope_encode(pre_k[:thw], model.positions)
+        roped_k[:thw] = rope_encode(pre_k[:thw], model.rotary)
 
         plan = hooks.inject(t, layer, pre_k, pre_v, roped_k) if hooks is not None else None
         if plan is None:
@@ -464,19 +461,16 @@ def forward(
                 )
             k_eff, v_eff, mask = plan.k, plan.v, plan.add_mask
 
-        attn = np.empty_like(x)
-        v2t_sum = None
-        for hs in heads:
-            w_h, o_h = joint_attention(roped_k[:, hs], k_eff[:, hs], v_eff[:, hs], mask)
-            attn[:, hs] = o_h
-            if hooks is not None:
-                sl = w_h[:thw, thw : thw + cfg.text_len]
-                v2t_sum = sl.copy() if v2t_sum is None else v2t_sum + sl
+        w, attn = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)
         if hooks is not None:
+            # head average; a fixed head order fixes the float sum's bits
+            v2t_sum = w[0, :thw, thw : thw + cfg.text_len]
+            for w_h in w[1:, :thw, thw : thw + cfg.text_len]:
+                v2t_sum = v2t_sum + w_h
             hooks.observe(
                 t,
                 layer,
-                v2t=(v2t_sum / DTYPE(cfg.heads)).astype(DTYPE),
+                v2t=v2t_sum / DTYPE(cfg.heads),
                 attn_out=attn[:thw],
                 pre_k=pre_k,
                 pre_v=pre_v,

@@ -165,7 +165,8 @@ def build_plan(
     cached_k: np.ndarray,
     cached_v: np.ndarray,
     regions: InjectionRegions,
-    positions: np.ndarray,
+    positions,
+    add_mask: np.ndarray | None = None,
 ) -> InjectionPlan:
     """Fuse natural frame keys/values with re-encoded identity rows.
 
@@ -173,15 +174,20 @@ def build_plan(
     at the frame pixel's grid position so they align with the queries that
     should pull them, background rows at their own (shared) positions.
     Values are position-free and enter unchanged.
+
+    `positions` are the video tokens' (THW, 3) grid positions or their
+    `RotaryTable`. `add_mask` is the `region_mask` of `regions`; it is built
+    here when not given.
     """
-    thw = positions.shape[0]
-    joint_len = roped_k.shape[0]
     k_fg = rope_encode(cached_k[regions.identity_rows], positions[regions.fg])
     k_bg = rope_encode(cached_k[regions.bg], positions[regions.bg])
     k = np.concatenate([roped_k, k_fg, k_bg], axis=0)
     v = np.concatenate([pre_v, cached_v[regions.identity_rows], cached_v[regions.bg]], axis=0)
-    mask = region_mask(joint_len, thw, regions.fg, len(regions.fg), len(regions.bg))
-    return InjectionPlan(k=k, v=v, add_mask=mask)
+    if add_mask is None:
+        add_mask = region_mask(
+            roped_k.shape[0], len(positions), regions.fg, len(regions.fg), len(regions.bg)
+        )
+    return InjectionPlan(k=k, v=v, add_mask=add_mask)
 
 
 class Injector(Hooks):
@@ -193,7 +199,11 @@ class Injector(Hooks):
     cross-generation match map one step before injection begins, then
     substitutes fused key/value rows at the chosen layers for every later
     step. With `recompute_mask` the mask and match are refreshed after each
-    step from that step's captures.
+    step from that step's captures. The region mask is built with them, once
+    per refresh, and shared by every injected layer.
+
+    `positions` are the video tokens' (THW, 3) grid positions or their
+    `RotaryTable`.
     """
 
     def __init__(
@@ -203,7 +213,7 @@ class Injector(Hooks):
         frames: int,
         height: int,
         width: int,
-        positions: np.ndarray,
+        positions,
         identity_cache: KvCache,
         identity_trace: AttentionTrace,
         tau_mask: int,
@@ -232,6 +242,7 @@ class Injector(Hooks):
         self.recompute_mask = recompute_mask
         self.own = AttentionTrace()
         self.regions: InjectionRegions | None = None
+        self.add_mask: np.ndarray | None = None
         self.match: MatchMap | None = None
         self.mask_frame: np.ndarray | None = None
         self.mask_identity: np.ndarray | None = None
@@ -282,6 +293,11 @@ class Injector(Hooks):
         self.regions = InjectionRegions.from_masks(
             self.mask_frame, self.mask_identity, self.match.as_lookup()
         )
+        fg, bg = self.regions.fg, self.regions.bg
+        self.add_mask = region_mask(
+            self.identity_cache.joint_len, len(self.positions), fg, len(fg), len(bg)
+        )
+        self.add_mask.flags.writeable = False  # shared by every injected layer
 
     def step_end(self, step: int) -> None:
         if step == self.tau_inject - 1:
@@ -293,4 +309,6 @@ class Injector(Hooks):
         if step < self.tau_inject or layer not in self.kv_layers or self.regions is None:
             return None
         cached_k, cached_v = self.identity_cache.get(step, layer)
-        return build_plan(roped_k, pre_v, cached_k, cached_v, self.regions, self.positions)
+        return build_plan(
+            roped_k, pre_v, cached_k, cached_v, self.regions, self.positions, self.add_mask
+        )

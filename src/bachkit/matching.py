@@ -60,6 +60,13 @@ class MatchMap:
             rows = np.array([[int(v) for v in row] for row in reader], dtype=np.int64)
         if len(rows) == 0:
             rows = rows.reshape(0, 6)
+        if rows.ndim != 2 or rows.shape[1] != 6:
+            raise ValueError("match csv rows need six fields")
+        cells = rows.reshape(-1, 3)  # source and destination cell of each row, in turn
+        outside = ((cells < 0) | (cells >= (frames, height, width))).any(axis=1)
+        if outside.any():
+            cell = tuple(cells[outside][0].tolist())
+            raise ValueError(f"match csv cell {cell} lies outside the grid")
         return cls(rows=rows, frames=frames, height=height, width=width)
 
 

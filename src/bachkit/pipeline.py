@@ -30,7 +30,7 @@ from .dit import (
 )
 from .inject import CacheBudgetError, CacheRecorder, Injector, KvCache, cache_nbytes
 from .masks import mask_from_slices, mask_iou, write_mask_csv, write_mask_pgms
-from .matching import MatchMap, exact_fraction, match_foreground, match_mse, similarity
+from .matching import MatchMap, match_foreground, match_mse, similarity
 from .pgm import video_sheet, write_pgm
 from .scene import FRAME, IDENTITY, Scene, make_scene
 from .select import AnalysisGrid
@@ -122,13 +122,33 @@ def run_identity(
 
 
 def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle) -> Injector:
+    """The injection hook of one frame run.
+
+    Raises:
+        ValueError: naming the first entry the run would read that the
+            identity lacks: cached K/V rows at every step from `tau_inject`
+            on and every kv layer, then traced `v2t` at `tau_mask` and
+            `attn_out` at `tau_match` for the mask and match layers. The
+            check runs before any compute.
+    """
     cfg = bench.model.config
+    for step in range(run_cfg.tau_inject, cfg.steps):
+        for layer in run_cfg.kv_layers:
+            if (step, layer) not in identity.cache.entries:
+                raise ValueError(f"identity cache holds no K/V rows at step {step} layer {layer}")
+    for step, layers, name in (
+        (run_cfg.tau_mask, run_cfg.mask_layers, "v2t"),
+        (run_cfg.tau_match, run_cfg.match_layers, "attn_out"),
+    ):
+        for layer in layers:
+            if not identity.trace.has(step, layer, name):
+                raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
     return Injector(
         layout=bench.layout,
         frames=cfg.frames,
         height=cfg.height,
         width=cfg.width,
-        positions=bench.model.positions,
+        positions=bench.model.rotary,
         identity_cache=identity.cache,
         identity_trace=identity.trace,
         tau_mask=run_cfg.tau_mask,

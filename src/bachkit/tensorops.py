@@ -3,11 +3,19 @@
 All arrays are float32, row-major. There is exactly one attention
 implementation in the package (`joint_attention`); everything that needs to
 observe or perturb attention goes through it, so instrumentation sees the
-same numbers the model computes.
+same numbers the model computes. It computes every head in one call: the
+(N, C) inputs are viewed as `heads` stacks of C/heads channels, and it
+returns the (heads, N, M) weights alongside the (N, C) output.
+
+Rotary encoding is split in two: `RotaryTable` holds the cos/sin of every
+rotary pair's angle at a set of grid positions, and `rope_encode` applies
+the rotation. A model computes its table once; rows of it encode any subset
+of positions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +40,16 @@ def grid_positions(t: int, h: int, w: int) -> np.ndarray:
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.int64)
 
 
-def softmax_rows(x: np.ndarray, forbidden: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction.
+def softmax_rows(
+    x: np.ndarray, forbidden: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax over the last axis with per-row max subtraction.
 
-    Entries where the boolean `forbidden` is set get weight exactly zero,
-    assigned explicitly rather than left to `exp` underflow, and the rest of
-    the row renormalizes to sum 1.
+    `x` is (..., N, M). Entries where the boolean (N, M) `forbidden` is set,
+    in every leading slice, get weight exactly zero, assigned explicitly
+    rather than left to `exp` underflow, and the rest of the row
+    renormalizes to sum 1. The result is written to `out` when given (which
+    may be `x` itself), else to a new array.
 
     Raises:
         ValueError: on any NaN/inf input or a row with every entry forbidden.
@@ -45,12 +57,14 @@ def softmax_rows(x: np.ndarray, forbidden: np.ndarray | None = None) -> np.ndarr
     x = np.asarray(x, dtype=DTYPE)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
     if forbidden is not None:
         if forbidden.all(axis=-1).any():
             raise ValueError("fully masked query row")
-        e[forbidden] = DTYPE(0.0)
-    return (e / np.sum(e, axis=-1, keepdims=True)).astype(DTYPE)
+        np.copyto(e, DTYPE(0.0), where=forbidden)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def joint_attention(
@@ -58,21 +72,25 @@ def joint_attention(
     k: np.ndarray,
     v: np.ndarray,
     add_mask: np.ndarray | None = None,
+    heads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product attention over a joint token sequence.
+    """Multi-head scaled dot-product attention over a joint token sequence.
 
-    W = softmax(q k^T / sqrt(C) + add_mask), O = W v. The additive mask uses
-    entries in {0, NEG}; rows of W are exactly zero at NEG positions and the
-    remaining entries renormalize to sum 1.
+    Channels split into `heads` contiguous groups of d = C/heads. For each
+    head h, W[h] = softmax(q_h k_h^T / sqrt(d) + add_mask) and its output
+    W[h] v_h fills that head's channels of O. The additive mask is shared
+    by every head and uses entries in {0, NEG}; rows of W are exactly zero
+    at NEG positions and the remaining entries renormalize to sum 1.
 
     Args:
         q: (N, C) queries.
         k: (M, C) keys.
         v: (M, C) values.
         add_mask: optional (N, M) additive mask with entries in {0, NEG}.
+        heads: number of attention heads; must divide C.
 
     Returns:
-        (W, O) with W of shape (N, M) and O of shape (N, C).
+        (W, O) with W of shape (heads, N, M) and O of shape (N, C).
 
     Raises:
         ValueError: on dimension mismatch or a fully-masked query row.
@@ -86,21 +104,26 @@ def joint_attention(
         raise ValueError(f"channel mismatch: q has {q.shape[1]}, k has {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"row mismatch: k has {k.shape[0]}, v has {v.shape[0]}")
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ValueError(f"{heads} heads do not divide {q.shape[1]} channels")
+    n, m = q.shape[0], k.shape[0]
 
-    scale = DTYPE(1.0 / np.sqrt(q.shape[1]))
-    scores = (q @ k.T) * scale
+    def split(a):  # (rows, C) -> (heads, rows, C/heads) view
+        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+    scale = DTYPE(1.0 / np.sqrt(q.shape[1] // heads))
+    scores = split(q) @ split(k).transpose(0, 2, 1)
+    scores *= scale
     forbidden = None
     if add_mask is not None:
         add_mask = np.asarray(add_mask, dtype=DTYPE)
-        if add_mask.shape != scores.shape:
-            raise ValueError(
-                f"mask shape {add_mask.shape} does not match scores {scores.shape}"
-            )
-        scores = scores + add_mask
+        if add_mask.shape != (n, m):
+            raise ValueError(f"mask shape {add_mask.shape} does not match scores {(n, m)}")
+        scores += add_mask
         forbidden = add_mask == NEG
 
-    w = softmax_rows(scores, forbidden)
-    o = (w @ v).astype(DTYPE)
+    w = softmax_rows(scores, forbidden, out=scores)
+    o = (w @ split(v)).transpose(1, 0, 2).reshape(n, v.shape[1])
     return w, o
 
 
@@ -130,6 +153,46 @@ def rope_pair_angles(group_width: int, base: float = ROPE_BASE) -> np.ndarray:
     return (base ** (-2.0 * j / group_width)).astype(DTYPE)
 
 
+@dataclass(frozen=True)
+class RotaryTable:
+    """cos/sin of every rotary pair's angle at N grid positions, (N, C/2) each.
+
+    Pair j covers channels (2j, 2j+1). Indexing with rows selects the table
+    of those positions, so one table computed for a whole grid serves every
+    subset of it.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @classmethod
+    def at(
+        cls,
+        positions,
+        channels: int,
+        ratio: Sequence[int] = (1, 1, 1),
+        base: float = ROPE_BASE,
+    ) -> "RotaryTable":
+        """Table of (N, 3) int (t, h, w) grid coordinates for `channels`-wide rows."""
+        pos = np.asarray(positions)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(f"positions must be (N, 3), got {pos.shape}")
+        ang = np.concatenate(
+            [
+                pos[:, axis : axis + 1].astype(DTYPE) * rope_pair_angles(sl.stop - sl.start, base)
+                for axis, sl in enumerate(rope_group_slices(channels, ratio))
+            ],
+            axis=1,
+        )
+        return cls(cos=np.cos(ang), sin=np.sin(ang))
+
+    def __len__(self) -> int:
+        return self.cos.shape[0]
+
+    def __getitem__(self, rows) -> "RotaryTable":
+        return RotaryTable(cos=self.cos[rows], sin=self.sin[rows])
+
+
 def rope_encode(
     x: np.ndarray,
     positions,
@@ -145,7 +208,9 @@ def rope_encode(
 
     Args:
         x: (N, C) rows to encode.
-        positions: (N, 3) int array of (t, h, w) grid coordinates.
+        positions: (N, 3) int array of (t, h, w) grid coordinates, or the
+            `RotaryTable` of those positions (`ratio` and `base` then went
+            into the table and are not used here).
 
     Returns:
         (N, C) encoded rows.
@@ -153,24 +218,20 @@ def rope_encode(
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2:
         raise ValueError("x must be 2-D")
-    pos = np.asarray(positions)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-    if pos.shape[0] != x.shape[0]:
-        raise ValueError(f"{pos.shape[0]} positions for {x.shape[0]} rows")
+    table = positions
+    if not isinstance(table, RotaryTable):
+        table = RotaryTable.at(positions, x.shape[1], ratio, base)
+    if len(table) != x.shape[0]:
+        raise ValueError(f"{len(table)} positions for {x.shape[0]} rows")
+    if 2 * table.cos.shape[1] != x.shape[1]:
+        raise ValueError(
+            f"rotary table covers {2 * table.cos.shape[1]} channels, rows have {x.shape[1]}"
+        )
 
-    out = x.copy()
-    for axis, sl in enumerate(rope_group_slices(x.shape[1], ratio)):
-        g = out[:, sl]
-        width = g.shape[1]
-        theta = rope_pair_angles(width, base)
-        ang = pos[:, axis : axis + 1].astype(DTYPE) * theta[None, :]
-        cos = np.cos(ang)
-        sin = np.sin(ang)
-        even = g[:, 0::2].copy()
-        odd = g[:, 1::2].copy()
-        g[:, 0::2] = even * cos - odd * sin
-        g[:, 1::2] = even * sin + odd * cos
+    even, odd = x[:, 0::2], x[:, 1::2]
+    out = np.empty_like(x)
+    out[:, 0::2] = even * table.cos - odd * table.sin
+    out[:, 1::2] = even * table.sin + odd * table.cos
     return out
 
 

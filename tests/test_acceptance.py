@@ -109,9 +109,39 @@ def test_ac01_attention_matches_brute_force():
             mask[np.arange(n), rng.integers(0, m, size=n)] = 0.0  # keep rows alive
         got_w, got_o = joint_attention(q, k, v, mask)
         want_w, want_o = _brute_attention(q, k, v, mask)
-        np.testing.assert_allclose(got_w, want_w, atol=1e-5)
+        np.testing.assert_allclose(got_w[0], want_w, atol=1e-5)
         np.testing.assert_allclose(got_o, want_o, atol=1e-5)
     assert time.perf_counter() - start < 10.0
+
+
+def _per_head(q, k, v, mask, heads):
+    """`_brute_attention` on each head's channel slice: (heads, N, M) weights, (N, C) outputs."""
+    d = q.shape[1] // heads
+    parts = [
+        _brute_attention(q[:, h * d : (h + 1) * d], k[:, h * d : (h + 1) * d],
+                         v[:, h * d : (h + 1) * d], mask)
+        for h in range(heads)
+    ]
+    return np.stack([w for w, _ in parts]), np.concatenate([o for _, o in parts], axis=1)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_ac01_multihead_attention_matches_brute_force_per_head(heads):
+    rng = np.random.default_rng(100 + heads)
+    for case in range(25):
+        n, m, d = (int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        q = rng.standard_normal((n, heads * d)).astype(DTYPE)
+        k = rng.standard_normal((m, heads * d)).astype(DTYPE)
+        v = rng.standard_normal((m, heads * d)).astype(DTYPE)
+        mask = None
+        if case % 2:
+            mask = np.where(rng.random((n, m)) < 0.4, NEG, DTYPE(0.0)).astype(DTYPE)
+            mask[np.arange(n), rng.integers(0, m, size=n)] = 0.0  # keep rows alive
+        got_w, got_o = joint_attention(q, k, v, mask, heads=heads)
+        assert got_w.shape == (heads, n, m) and got_o.shape == (n, heads * d)
+        want_w, want_o = _per_head(q, k, v, mask, heads)
+        np.testing.assert_allclose(got_w, want_w, atol=1e-5)
+        np.testing.assert_allclose(got_o, want_o, atol=1e-5)
 
 
 def test_ac02_rotary_encoding_laws():
@@ -260,8 +290,29 @@ def test_ac06_region_weights_zero_and_normalized():
         k = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
         v = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
         w, _ = joint_attention(q, k, v, mask)
-        assert (w[mask == NEG] == 0.0).all()
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
+        assert (w[0][mask == NEG] == 0.0).all()
+        np.testing.assert_allclose(w[0].sum(axis=1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_ac06_region_weights_zero_and_normalized_every_head(heads):
+    rng = np.random.default_rng(600 + heads)
+    for _ in range(25):
+        thw = int(rng.integers(2, 12))
+        text = int(rng.integers(1, 5))
+        joint = thw + text
+        fg = np.flatnonzero(rng.random(thw) < 0.4)
+        n_fg, n_bg = len(fg), int(rng.integers(0, 5))
+        c = heads * int(rng.integers(1, 5))
+        mask = region_mask(joint, thw, fg, n_fg, n_bg)
+        q = rng.standard_normal((joint, c)).astype(DTYPE)
+        k = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
+        v = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
+        w, _ = joint_attention(q, k, v, mask, heads=heads)
+        for w_h in w:
+            assert (w_h[mask == NEG] == 0.0).all()
+            np.testing.assert_allclose(w_h.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(w, _per_head(q, k, v, mask, heads)[0], atol=1e-5)
 
 
 def test_ac07_cache_accounting_and_budget(bench, desk_cfg):

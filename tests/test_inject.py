@@ -147,6 +147,7 @@ def test_fused_attention_restricted_oracle():
     v_star = rng.standard_normal((joint_len + n_fg + n_bg, c)).astype(DTYPE)
     mask = region_mask(joint_len, thw, fg, n_fg, n_bg)
     w, o = joint_attention(q, k_star, v_star, mask)
+    w = w[0]
     for i in range(joint_len):
         cols = np.flatnonzero(mask[i] != NEG)
         scores = (q[i] @ k_star[cols].T) / np.sqrt(c)

@@ -152,6 +152,24 @@ def test_match_map_read_csv_rejects_empty_file(tmp_path):
         MatchMap.read_csv(p, frames=1, height=2, width=2)
 
 
+@pytest.mark.parametrize("row", ["0,-1,0,0,9,9", "0,0,0,0,2,0", "1,0,0,0,0,0", "0,0,2,0,0,0",
+                                 "0,0,0,-1,0,0", "0,0,0,0,0,-1"])
+def test_match_map_read_csv_rejects_cells_outside_grid(tmp_path, row):
+    # a 1x2x2 grid; negative indices used to wrap around and large ones to
+    # produce destinations past the grid
+    p = tmp_path / "match.csv"
+    p.write_text(f"frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0,0,1,1\n{row}\n")
+    with pytest.raises(ValueError, match="outside the grid"):
+        MatchMap.read_csv(p, frames=1, height=2, width=2)
+
+
+def test_match_map_read_csv_rejects_short_rows(tmp_path):
+    p = tmp_path / "match.csv"
+    p.write_text("frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0\n")
+    with pytest.raises(ValueError, match="six fields"):
+        MatchMap.read_csv(p, frames=1, height=2, width=2)
+
+
 # Brute-force per-row references for the vectorized matching code.
 
 def _loop_match_foreground(sim, fg_mask, frames, height, width, global_match):

@@ -8,7 +8,9 @@ import pytest
 from bachkit.dit import PromptLayout
 from bachkit.inject import CacheBudgetError, entry_nbytes
 from bachkit.masks import mask_iou
+import bachkit.pipeline as pipeline
 from bachkit.pipeline import (
+    make_injector,
     mask_grid,
     match_grid,
     psnr_bg,
@@ -84,6 +86,28 @@ def test_run_frame_deterministic(bench, desk_cfg, identity):
     np.testing.assert_array_equal(z_a, z_b)
     np.testing.assert_array_equal(inj_a.mask_frame, inj_b.mask_frame)
     np.testing.assert_array_equal(inj_a.match.as_lookup(), inj_b.match.as_lookup())
+
+
+def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, identity, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("denoising started before the coverage check")
+
+    monkeypatch.setattr(pipeline, "denoise", no_compute)
+    uncached = next(l for l in range(bench.model.config.depth) if l not in desk_cfg.kv_layers)
+    early_mask, early_match = desk_cfg.tau_mask - 1, desk_cfg.tau_match - 1
+    cases = [
+        (dict(kv_layers=tuple(sorted(desk_cfg.kv_layers + (uncached,)))),
+         f"cache holds no K/V rows at step {desk_cfg.tau_inject} layer {uncached}"),
+        (dict(tau_mask=early_mask),
+         f"trace holds no 'v2t' at step {early_mask} layer {desk_cfg.mask_layers[0]}"),
+        (dict(tau_match=early_match),
+         f"trace holds no 'attn_out' at step {early_match} layer {desk_cfg.match_layers[0]}"),
+    ]
+    for change, message in cases:
+        cfg = dataclasses.replace(desk_cfg, **change)
+        with pytest.raises(ValueError, match=message):
+            run_frame(bench, cfg, identity, seed=31)
+    assert make_injector(bench, desk_cfg, identity).kv_layers == frozenset(desk_cfg.kv_layers)
 
 
 def test_run_frame_recomputes_mask_every_step(bench, desk_cfg, identity):

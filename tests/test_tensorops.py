@@ -87,7 +87,7 @@ def test_attention_matches_brute_force():
     v = rng.standard_normal((11, 6)).astype(DTYPE)
     w, o = joint_attention(q, k, v)
     bw, bo = brute_attention(q, k, v)
-    np.testing.assert_allclose(w, bw, atol=1e-5)
+    np.testing.assert_allclose(w[0], bw, atol=1e-5)
     np.testing.assert_allclose(o, bo, atol=1e-5)
 
 
@@ -108,12 +108,38 @@ def test_masked_attention_zeroes_and_renormalizes():
     mask[0, 1:] = NEG  # row 0: single permitted key
     mask[2, ::2] = NEG
     w, o = joint_attention(q, k, v, mask)
+    w = w[0]
     assert (w[mask == NEG] == 0.0).all()
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
     assert w[0, 0] == 1.0
     np.testing.assert_allclose(o[0], v[0], atol=1e-6)
     bw, _ = brute_attention(q, k, v, forbidden=(mask == NEG))
     np.testing.assert_allclose(w, bw, atol=1e-5)
+
+
+def test_softmax_batched_equals_each_slice():
+    # one (N, M) forbidden pattern serves every leading slice, bit for bit
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 5, 7)).astype(DTYPE)
+    forbidden = rng.random((5, 7)) < 0.3
+    forbidden[:, 0] = False
+    got = softmax_rows(x, forbidden)
+    for h in range(3):
+        np.testing.assert_array_equal(got[h], softmax_rows(x[h], forbidden))
+    assert (got[:, forbidden] == 0.0).all()
+    out = x.copy()
+    assert softmax_rows(out, forbidden, out=out) is out  # in place, same bits
+    np.testing.assert_array_equal(out, got)
+
+
+def test_attention_heads_must_divide_channels():
+    a = np.ones((2, 6), dtype=DTYPE)
+    with pytest.raises(ValueError, match="heads"):
+        joint_attention(a, a, a, heads=4)
+    with pytest.raises(ValueError, match="heads"):
+        joint_attention(a, a, a, heads=0)
+    w, o = joint_attention(a, a, a, heads=3)
+    assert w.shape == (3, 2, 2) and o.shape == (2, 6)
 
 
 def test_fully_masked_row_raises():
