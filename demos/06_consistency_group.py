@@ -1,7 +1,7 @@
 """One consistency group end to end: identity run, injected frames, ablation.
 
-The identity run caches its pre-rotary key/value rows at the injection
-layers while its readout trace is recorded. Each frame run then derives
+The identity run caches the video rows of its injection layers' inputs
+while its readout trace is recorded. Each frame run then derives
 its own foreground mask, matches its subject pixels to identity tokens,
 and from the injection step onward attends to fused key/value sequences:
 matched identity foreground rows re-encoded at the frame pixels' grid

@@ -3,9 +3,9 @@
 A miniature joint-sequence diffusion transformer whose denoising loop is
 instrumented end to end: video-to-text attention yields foreground masks,
 attention outputs yield cross-generation point matches, layer skipping
-ranks layer importance, and cached key/value rows from an identity run are
-re-positioned and injected into later runs under a region-restricted
-attention mask. Planted synthetic scenes supply exact ground truth for all
+ranks layer importance, and key/value rows derived from an identity run's
+cached layer inputs are re-positioned and injected into later runs under a
+region-restricted attention mask. Planted synthetic scenes supply exact ground truth for all
 of it.
 """
 

@@ -1,14 +1,17 @@
 """Command line interface.
 
 Commands drive planted-scene runs end to end: generate an identity with its
-trace and key/value cache, generate frames with injection, sweep analysis
+trace and layer-input cache, generate frames with injection, sweep analysis
 grids, apply the selection rules, and inspect stored artifacts. Global flags
 choose the profile or config file; command flags point at inputs/outputs.
+Library errors end the command with a one-line `bachkit: error: ...` on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, default_config, format_layer_set, parse_layer_set, read_ini
 from .dit import decode_video
-from .inject import KvCache
+from .inject import CacheBudgetError, KvCache
 from .masks import write_mask_csv, write_mask_pgms
 from .pgm import video_sheet, write_pgm
 from .pipeline import (
@@ -56,7 +59,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     arg("--config", help="INI run configuration (exclusive with --profile)")
     arg("--profile", choices=["desk8", "paper42"], help="built-in defaults")
     arg("--seed", type=int, help="base run seed")
-    arg("--kv-budget-bytes", type=int, help="key/value cache byte budget")
+    arg("--kv-budget-bytes", type=int, help="identity cache byte budget")
     arg("--global-match", action="store_const", const=True,
         help="match across the whole grid, not per frame")
     arg("--recompute-mask-per-step", action="store_const", const=True,
@@ -290,7 +293,19 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (`bachkit report | head`): send what is
+        # still buffered to devnull, so the exit-time flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, KeyError, CacheBudgetError, OSError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"bachkit: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

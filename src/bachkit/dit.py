@@ -287,14 +287,16 @@ class InjectionPlan:
 class Hooks:
     """Observation / injection callbacks for `forward` and `denoise`.
 
-    `observe` sees per-layer attention internals (views; copy to retain).
-    `inject` may return an InjectionPlan to substitute fused key/value rows
-    before attention; returning None leaves the layer untouched. `step_end`
-    fires after each Euler update. The base class is a no-op, and pure
+    `observe` sees per-layer attention internals and `x`, the layer's
+    (joint_len, C) input, from which its pre-rotary keys (`x * qk_gain`) and
+    values (`x @ w_value`) follow (views; copy to retain). `inject` may
+    return an InjectionPlan to substitute fused key/value rows before
+    attention; returning None leaves the layer untouched. `step_end` fires
+    after each Euler update. The base class is a no-op, and pure
     observation must never change generated values.
     """
 
-    def observe(self, step: int, layer: int, *, v2t, attn_out, pre_k, pre_v) -> None:
+    def observe(self, step: int, layer: int, *, v2t, attn_out, x) -> None:
         pass
 
     def inject(self, step: int, layer: int, pre_k, pre_v, roped_k) -> InjectionPlan | None:
@@ -336,7 +338,7 @@ class Model:
     config: ModelConfig
     layers: tuple[LayerWeights, ...]
     positions: np.ndarray = field(repr=False)  # (THW, 3)
-    texture_bank: np.ndarray = field(repr=False)  # (THW, C)
+    texture_bank: np.ndarray = field(repr=False)  # (THW + 1, C): detail direction last
     rotary: RotaryTable = field(repr=False)  # cos/sin at `positions`, (THW, C/2) each
 
     def weights_checksum(self) -> str:
@@ -420,7 +422,7 @@ def forward(
 
     Runs `depth` residual blocks (block `skip` replaced by identity), lets
     hooks observe per-layer (head-averaged video-to-text weights, attention
-    output, pre-rotary K/V) and substitute fused key/value rows, then converts
+    output, layer input) and substitute fused key/value rows, then converts
     the clean-latent snap into a noise prediction at noise level `sigma`.
 
     Returns:
@@ -472,8 +474,7 @@ def forward(
                 layer,
                 v2t=v2t_sum / DTYPE(cfg.heads),
                 attn_out=attn[:thw],
-                pre_k=pre_k,
-                pre_v=pre_v,
+                x=x,
             )
 
         x = x + attn @ lw.w_out

@@ -1,13 +1,15 @@
-"""Key/value caching and identity injection.
+"""Layer-input caching and identity injection.
 
-An identity run is generated once while its pre-rotary key/value rows are
-cached at the injection layers. A later frame run then substitutes fused
+An identity run is generated once while the video rows of each injection
+layer's input are cached. A later frame run then substitutes fused
 key/value sequences: its own joint rows, plus matched identity foreground
 rows re-encoded at the frame pixels' grid positions, plus identity
-background rows at their original positions. An additive region mask keeps
-foreground queries on frame and identity-foreground keys, background
-queries on frame and identity-background keys, and text queries on frame
-keys only.
+background rows at their original positions. The identity keys and values
+are derived from the cached input with the layer's own projections, so they
+equal, bit for bit, the rows the identity run attended with. An additive
+region mask keeps foreground queries on frame and identity-foreground keys,
+background queries on frame and identity-background keys, and text queries
+on frame keys only.
 """
 
 from __future__ import annotations
@@ -16,106 +18,133 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dit import Hooks, InjectionPlan
+from .dit import Hooks, InjectionPlan, LayerWeights, Model
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
-from .trace import FIELD_NAMES, FIELD_PRE_K, FIELD_PRE_V, AttentionTrace, read_container, write_container
+from .trace import (
+    FIELD_PRE_K,
+    FIELD_PRE_V,
+    FIELD_X,
+    AttentionTrace,
+    read_container,
+    write_container,
+)
 
 
-def entry_nbytes(joint_len: int, channels: int) -> int:
-    """Bytes one cached (step, layer) pair occupies: K and V, float32."""
-    return 2 * joint_len * channels * 4
+def entry_nbytes(rows: int, channels: int) -> int:
+    """Bytes one cached (step, layer) entry occupies: its input rows, float32."""
+    return rows * channels * 4
 
 
-def cache_nbytes(n_steps: int, n_layers: int, joint_len: int, channels: int) -> int:
+def cache_nbytes(n_steps: int, n_layers: int, rows: int, channels: int) -> int:
     """Total bytes a full cache plan occupies."""
-    return n_steps * n_layers * entry_nbytes(joint_len, channels)
+    return n_steps * n_layers * entry_nbytes(rows, channels)
 
 
 class CacheBudgetError(RuntimeError):
-    """Raised when admitting a key/value pair would exceed the byte budget."""
+    """Raised when admitting an entry would exceed the byte budget."""
 
 
 @dataclass
 class KvCache:
-    """Pre-rotary key/value rows keyed by (step, layer), with a byte budget.
+    """Video rows of injection-layer inputs keyed by (step, layer), with a
+    byte budget.
 
+    An entry is `x[:THW]`, the video rows of one layer's input at one step;
+    `identity_kv` derives that layer's pre-rotary keys and values from it.
     Admission is checked against the budget before any entry is stored, so a
     cache never transiently exceeds its limit.
     """
 
-    joint_len: int
+    rows: int
     channels: int
     budget_bytes: int | None = None
-    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        return len(self.entries) * entry_nbytes(self.joint_len, self.channels)
+        return len(self.entries) * entry_nbytes(self.rows, self.channels)
 
-    def admit(self, step: int, layer: int, pre_k: np.ndarray, pre_v: np.ndarray) -> None:
-        shape = (self.joint_len, self.channels)
-        if pre_k.shape != shape or pre_v.shape != shape:
-            raise ValueError(
-                f"cache rows must be {shape}, got K {pre_k.shape} and V {pre_v.shape}"
-            )
+    def _admissible(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
+        """The key of an entry of `shape`, once its shape and the budget allow it."""
+        if shape != (self.rows, self.channels):
+            raise ValueError(f"cache rows must be {(self.rows, self.channels)}, got {shape}")
         key = (int(step), int(layer))
-        grown = self.nbytes + (0 if key in self.entries else entry_nbytes(self.joint_len, self.channels))
+        grown = self.nbytes + (0 if key in self.entries else entry_nbytes(self.rows, self.channels))
         if self.budget_bytes is not None and grown > self.budget_bytes:
             raise CacheBudgetError(
                 f"cache budget exceeded at step {step} layer {layer}: "
                 f"{grown} bytes needed, budget is {self.budget_bytes}"
             )
-        self.entries[key] = (
-            np.array(pre_k, dtype=DTYPE, copy=True),
-            np.array(pre_v, dtype=DTYPE, copy=True),
-        )
+        return key
 
-    def get(self, step: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    def admit(self, step: int, layer: int, x_rows: np.ndarray) -> None:
+        """Store a copy of one layer input's (rows, channels) video rows."""
+        key = self._admissible(step, layer, x_rows.shape)
+        self.entries[key] = np.array(x_rows, dtype=DTYPE, copy=True)
+
+    def get(self, step: int, layer: int) -> np.ndarray:
         key = (int(step), int(layer))
         if key not in self.entries:
             raise KeyError(f"cache holds no rows for step {step} layer {layer}")
         return self.entries[key]
 
     def save(self, path) -> None:
-        recs = []
-        for (step, layer), (pk, pv) in self.entries.items():
-            recs.append((step, layer, FIELD_PRE_K, pk))
-            recs.append((step, layer, FIELD_PRE_V, pv))
-        write_container(recs, path)
+        write_container([(s, l, FIELD_X, x) for (s, l), x in self.entries.items()], path)
 
     @classmethod
     def load(cls, path, budget_bytes: int | None = None) -> "KvCache":
+        """Read a saved cache; the records are stored as read, not copied.
+
+        Raises:
+            ValueError: for an empty container, for one holding records other
+                than layer inputs (in particular the separate K and V records
+                of the earlier cache format), or for records of unequal shape.
+            CacheBudgetError: when the records exceed `budget_bytes`.
+        """
         recs = read_container(path)
         if not recs:
             raise ValueError("cache container is empty")
-        halves: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-        for step, layer, tag, a in recs:
-            halves.setdefault((step, layer), {})[FIELD_NAMES[tag]] = a
-        first = next(iter(halves.values()))["pre_k"]
-        cache = cls(joint_len=first.shape[0], channels=first.shape[1], budget_bytes=budget_bytes)
-        for (step, layer), pair in sorted(halves.items()):
-            if "pre_k" not in pair or "pre_v" not in pair:
-                raise ValueError(f"cache entry at step {step} layer {layer} lacks its K or V half")
-            cache.admit(step, layer, pair["pre_k"], pair["pre_v"])
+        tags = {tag for _, _, tag, _ in recs}
+        if tags & {FIELD_PRE_K, FIELD_PRE_V}:
+            raise ValueError(
+                "cache container holds separate K and V records, the format of earlier "
+                "versions; regenerate it with gen-identity"
+            )
+        if tags != {FIELD_X}:
+            raise ValueError(f"cache container holds unexpected fields {sorted(tags - {FIELD_X})}")
+        rows, channels = recs[0][3].shape
+        cache = cls(rows=rows, channels=channels, budget_bytes=budget_bytes)
+        for step, layer, _, x in recs:
+            cache.entries[cache._admissible(step, layer, x.shape)] = x
         return cache
 
 
+def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):
+    """Pre-rotary keys and values of the cached input rows `rows`.
+
+    The same arithmetic as `forward`'s `x * qk_gain` and `x @ w_value`, on the
+    selected rows only.
+    """
+    x = cached_x[rows]
+    return x * weights.qk_gain[None, :], x @ weights.w_value
+
+
 class CacheRecorder(Hooks):
-    """Hook that admits pre-rotary K/V rows into a cache during a run."""
+    """Hook that admits the video rows of layer inputs into a cache during a run."""
 
     def __init__(self, cache: KvCache, steps=None, layers=None):
         self.cache = cache
         self.steps = None if steps is None else frozenset(int(s) for s in steps)
         self.layers = None if layers is None else frozenset(int(l) for l in layers)
 
-    def observe(self, step, layer, *, v2t, attn_out, pre_k, pre_v) -> None:
+    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
         if self.steps is not None and step not in self.steps:
             return
         if self.layers is not None and layer not in self.layers:
             return
-        self.cache.admit(step, layer, pre_k, pre_v)
+        self.cache.admit(step, layer, x[: self.cache.rows])
 
 
 @dataclass(frozen=True)
@@ -162,27 +191,31 @@ def region_mask(joint_len: int, thw: int, fg: np.ndarray, n_fg: int, n_bg: int) 
 def build_plan(
     roped_k: np.ndarray,
     pre_v: np.ndarray,
-    cached_k: np.ndarray,
-    cached_v: np.ndarray,
+    cached_x: np.ndarray,
+    weights: LayerWeights,
     regions: InjectionRegions,
     positions,
     add_mask: np.ndarray | None = None,
 ) -> InjectionPlan:
-    """Fuse natural frame keys/values with re-encoded identity rows.
+    """Fuse natural frame keys/values with identity rows derived from the cache.
 
-    Cached identity keys are pre-rotary; matched foreground rows are encoded
-    at the frame pixel's grid position so they align with the queries that
-    should pull them, background rows at their own (shared) positions.
-    Values are position-free and enter unchanged.
+    `cached_x` holds the video rows of the identity's input to this layer and
+    `weights` are the layer's projections. The matched identity rows (for the
+    foreground) and the background rows are projected to pre-rotary keys and
+    values (`identity_kv`); foreground keys are encoded at the frame pixel's
+    grid position so they align with the queries that should pull them,
+    background keys at their own (shared) positions. Values are
+    position-free and enter unencoded.
 
     `positions` are the video tokens' (THW, 3) grid positions or their
     `RotaryTable`. `add_mask` is the `region_mask` of `regions`; it is built
     here when not given.
     """
-    k_fg = rope_encode(cached_k[regions.identity_rows], positions[regions.fg])
-    k_bg = rope_encode(cached_k[regions.bg], positions[regions.bg])
-    k = np.concatenate([roped_k, k_fg, k_bg], axis=0)
-    v = np.concatenate([pre_v, cached_v[regions.identity_rows], cached_v[regions.bg]], axis=0)
+    cached_rows = np.concatenate([regions.identity_rows, regions.bg])
+    pre_k_id, v_id = identity_kv(cached_x, cached_rows, weights)
+    key_positions = positions[np.concatenate([regions.fg, regions.bg])]
+    k = np.concatenate([roped_k, rope_encode(pre_k_id, key_positions)], axis=0)
+    v = np.concatenate([pre_v, v_id], axis=0)
     if add_mask is None:
         add_mask = region_mask(
             roped_k.shape[0], len(positions), regions.fg, len(regions.fg), len(regions.bg)
@@ -193,27 +226,21 @@ def build_plan(
 class Injector(Hooks):
     """Stateful hook that plants cached identity content into a frame run.
 
-    Built from a finished identity run (its key/value cache and attention
-    trace). During the frame run it records the frame's own video-to-text
-    slices and attention outputs, derives the foreground mask and the
-    cross-generation match map one step before injection begins, then
-    substitutes fused key/value rows at the chosen layers for every later
-    step. With `recompute_mask` the mask and match are refreshed after each
-    step from that step's captures. The region mask is built with them, once
-    per refresh, and shared by every injected layer.
-
-    `positions` are the video tokens' (THW, 3) grid positions or their
-    `RotaryTable`.
+    Built from the model and a finished identity run (its layer-input cache
+    and attention trace). During the frame run it records the frame's own
+    video-to-text slices and attention outputs, derives the foreground mask
+    and the cross-generation match map one step before injection begins,
+    then substitutes fused key/value rows at the chosen layers for every
+    later step. With `recompute_mask` the mask and match are refreshed after
+    each step from that step's captures. The region mask is built with them,
+    once per refresh, and shared by every injected layer.
     """
 
     def __init__(
         self,
         *,
+        model: Model,
         layout,
-        frames: int,
-        height: int,
-        width: int,
-        positions,
         identity_cache: KvCache,
         identity_trace: AttentionTrace,
         tau_mask: int,
@@ -225,9 +252,8 @@ class Injector(Hooks):
         global_match: bool = False,
         recompute_mask: bool = False,
     ):
+        self.model = model
         self.layout = layout
-        self.frames, self.height, self.width = frames, height, width
-        self.positions = positions
         self.identity_cache = identity_cache
         self.identity_trace = identity_trace
         self.tau_mask = int(tau_mask)
@@ -255,7 +281,7 @@ class Injector(Hooks):
             return True
         return self.recompute_mask and step >= self.tau_inject - 1
 
-    def observe(self, step, layer, *, v2t, attn_out, pre_k, pre_v) -> None:
+    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
         if self._wants_v2t(step, layer):
             self.own.put(step, layer, "v2t", v2t.copy())
         if step == self.tau_match and layer in self.match_layers:
@@ -271,32 +297,28 @@ class Injector(Hooks):
         return self._sim
 
     def _rebuild(self, mask_step: int) -> None:
+        cfg = self.model.config
+        grid = (self.layout, cfg.frames, cfg.height, cfg.width)
         frame_slices = self.own.layer_slices(mask_step, self.mask_layers, "v2t")
-        self.mask_frame = mask_from_slices(
-            frame_slices, self.layout, self.frames, self.height, self.width
-        )
+        self.mask_frame = mask_from_slices(frame_slices, *grid)
         if self.mask_identity is None:
             ident_slices = self.identity_trace.layer_slices(
                 self.tau_mask, self.mask_layers, "v2t"
             )
-            self.mask_identity = mask_from_slices(
-                ident_slices, self.layout, self.frames, self.height, self.width
-            )
+            self.mask_identity = mask_from_slices(ident_slices, *grid)
         self.match = match_foreground(
             self._similarity(),
             self.mask_frame,
-            self.frames,
-            self.height,
-            self.width,
+            cfg.frames,
+            cfg.height,
+            cfg.width,
             global_match=self.global_match,
         )
         self.regions = InjectionRegions.from_masks(
             self.mask_frame, self.mask_identity, self.match.as_lookup()
         )
         fg, bg = self.regions.fg, self.regions.bg
-        self.add_mask = region_mask(
-            self.identity_cache.joint_len, len(self.positions), fg, len(fg), len(bg)
-        )
+        self.add_mask = region_mask(cfg.joint_len, cfg.thw, fg, len(fg), len(bg))
         self.add_mask.flags.writeable = False  # shared by every injected layer
 
     def step_end(self, step: int) -> None:
@@ -308,7 +330,12 @@ class Injector(Hooks):
     def inject(self, step, layer, pre_k, pre_v, roped_k) -> InjectionPlan | None:
         if step < self.tau_inject or layer not in self.kv_layers or self.regions is None:
             return None
-        cached_k, cached_v = self.identity_cache.get(step, layer)
         return build_plan(
-            roped_k, pre_v, cached_k, cached_v, self.regions, self.positions, self.add_mask
+            roped_k,
+            pre_v,
+            self.identity_cache.get(step, layer),
+            self.model.layers[layer],
+            self.regions,
+            self.model.rotary,
+            self.add_mask,
         )

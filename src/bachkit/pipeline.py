@@ -2,11 +2,12 @@
 
 A consistency group is one identity run plus k frame runs sharing the
 identity's scene and background/foreground prompt segments; each frame
-varies only the action segment and receives the identity's cached key/value
-rows by injection. Planted scenes make every intermediate checkable: masks
-against the planted rectangle, matches against the planted correspondence,
-and background fidelity via peak signal-to-noise ratio against the decoded
-identity. Decoded videos live in (0, 1), so the PSNR peak is 1.
+varies only the action segment and receives, by injection, key/value rows
+derived from the identity's cached layer inputs. Planted scenes make every
+intermediate checkable: masks against the planted rectangle, matches
+against the planted correspondence, and background fidelity via peak
+signal-to-noise ratio against the decoded identity. Decoded videos live in
+(0, 1), so the PSNR peak is 1.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def make_workbench(
 
 @dataclass(frozen=True)
 class IdentityBundle:
-    """An identity run's outputs: final latent, readout trace, K/V cache."""
+    """An identity run's outputs: final latent, readout trace, layer-input cache."""
 
     z0: np.ndarray
     trace: AttentionTrace
@@ -90,21 +91,21 @@ def run_identity(
     scene_sigma: float = SCENE_SIGMA_DEFAULT,
     scene_noise_seed: int | None = None,
 ) -> IdentityBundle:
-    """Generate the identity while tracing readouts and caching K/V rows.
+    """Generate the identity while tracing readouts and caching layer inputs.
 
     The cache budget is checked against the full admission plan before the
     run starts, so an undersized budget fails fast instead of mid-generation.
     """
     cfg = bench.model.config
     inject_steps = range(run_cfg.tau_inject, cfg.steps)
-    need = cache_nbytes(len(inject_steps), len(run_cfg.kv_layers), cfg.joint_len, cfg.channels)
+    need = cache_nbytes(len(inject_steps), len(run_cfg.kv_layers), cfg.thw, cfg.channels)
     if run_cfg.kv_budget_bytes is not None and need > run_cfg.kv_budget_bytes:
         raise CacheBudgetError(
             f"cache plan needs {need} bytes "
             f"({len(inject_steps)} steps x {len(run_cfg.kv_layers)} layers), "
             f"budget is {run_cfg.kv_budget_bytes}"
         )
-    cache = KvCache(cfg.joint_len, cfg.channels, budget_bytes=run_cfg.kv_budget_bytes)
+    cache = KvCache(cfg.thw, cfg.channels, budget_bytes=run_cfg.kv_budget_bytes)
     recorder = TraceRecorder(CaptureFlags(
         v2t=True,
         attn_out=True,
@@ -125,17 +126,24 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
     """The injection hook of one frame run.
 
     Raises:
-        ValueError: naming the first entry the run would read that the
-            identity lacks: cached K/V rows at every step from `tau_inject`
-            on and every kv layer, then traced `v2t` at `tau_mask` and
-            `attn_out` at `tau_match` for the mask and match layers. The
-            check runs before any compute.
+        ValueError: if the identity cache's rows are not this model's
+            (THW, C) video rows, or naming the first entry the run would read
+            that the identity lacks: cached rows at every step from
+            `tau_inject` on and every kv layer, then traced `v2t` at
+            `tau_mask` and `attn_out` at `tau_match` for the mask and match
+            layers. The checks run before any compute.
     """
     cfg = bench.model.config
+    cache = identity.cache
+    if (cache.rows, cache.channels) != (cfg.thw, cfg.channels):
+        raise ValueError(
+            f"identity cache holds {cache.rows}x{cache.channels} rows per entry, "
+            f"the model's video rows are {cfg.thw}x{cfg.channels}"
+        )
     for step in range(run_cfg.tau_inject, cfg.steps):
         for layer in run_cfg.kv_layers:
-            if (step, layer) not in identity.cache.entries:
-                raise ValueError(f"identity cache holds no K/V rows at step {step} layer {layer}")
+            if (step, layer) not in cache.entries:
+                raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
     for step, layers, name in (
         (run_cfg.tau_mask, run_cfg.mask_layers, "v2t"),
         (run_cfg.tau_match, run_cfg.match_layers, "attn_out"),
@@ -144,12 +152,9 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
             if not identity.trace.has(step, layer, name):
                 raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
     return Injector(
+        model=bench.model,
         layout=bench.layout,
-        frames=cfg.frames,
-        height=cfg.height,
-        width=cfg.width,
-        positions=bench.model.rotary,
-        identity_cache=identity.cache,
+        identity_cache=cache,
         identity_trace=identity.trace,
         tau_mask=run_cfg.tau_mask,
         tau_match=run_cfg.tau_match,

@@ -2,13 +2,14 @@
 
 A trace holds per-(step, layer) attention internals captured during a
 denoising run: head-averaged video-to-text weight slices, attention outputs,
-and pre-rotary key/value rows. Traces round-trip bit-exactly through a small
-binary container (magic "BVTR"): a fixed-size little-endian entry table
-followed by raw float32 payloads.
+and layer inputs. Traces and layer-input caches round-trip bit-exactly
+through a small binary container (magic "BVTR"): a fixed-size little-endian
+entry table followed by raw float32 payloads.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,14 +23,18 @@ VERSION = 1
 
 FIELD_V2T = 1
 FIELD_ATTN_OUT = 2
+# Pre-rotary key and value rows: the records of caches written before caches
+# held layer inputs. Kept so such files still list and are rejected by name.
 FIELD_PRE_K = 3
 FIELD_PRE_V = 4
+FIELD_X = 5  # a layer's input rows
 
 FIELD_NAMES = {
     FIELD_V2T: "v2t",
     FIELD_ATTN_OUT: "attn_out",
     FIELD_PRE_K: "pre_k",
     FIELD_PRE_V: "pre_v",
+    FIELD_X: "x",
 }
 FIELD_TAGS = {name: tag for tag, name in FIELD_NAMES.items()}
 
@@ -59,26 +64,36 @@ def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> No
 
 
 def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
-    """Read back (step, layer, field-tag, matrix) entries from a container."""
+    """Read back (step, layer, field-tag, matrix) entries from a container.
+
+    The entry table is checked against the file size before any payload is
+    read. The payloads are then read with one call into one read-only
+    buffer, and every matrix is a view of it, so a container's data is held
+    once, in one allocation.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != MAGIC:
-        raise ValueError("not a trace container (bad magic)")
-    magic, version, _, count = _HEADER.unpack_from(raw, 0)
-    if version != VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    table_end = _HEADER.size + count * _ENTRY.size
-    out = []
-    for i in range(count):
-        step, layer, tag, _, rows, cols, offset = _ENTRY.unpack_from(
-            raw, _HEADER.size + i * _ENTRY.size
-        )
-        start = table_end + offset
-        end = start + rows * cols * 4
-        if end > len(raw):
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != MAGIC:
+            raise ValueError("not a trace container (bad magic)")
+        _, version, _, count = _HEADER.unpack(head)
+        if version != VERSION:
+            raise ValueError(f"unsupported container version {version}")
+        table_end = _HEADER.size + count * _ENTRY.size
+        size = os.fstat(fh.fileno()).st_size
+        if table_end > size:
             raise ValueError("container truncated")
-        a = np.frombuffer(raw[start:end], dtype="<f4").reshape(rows, cols).astype(DTYPE)
-        out.append((step, layer, tag, a))
+        table = list(_ENTRY.iter_unpack(fh.read(count * _ENTRY.size)))
+        payload_end = max((off + rows * cols * 4 for *_, rows, cols, off in table), default=0)
+        if table_end + payload_end > size:
+            raise ValueError("container truncated")
+        payload = np.empty(payload_end, dtype=np.uint8)
+        if fh.readinto(payload) != payload_end:
+            raise ValueError("container truncated")
+    payload.flags.writeable = False
+    out = []
+    for step, layer, tag, _, rows, cols, off in table:
+        a = np.frombuffer(payload, "<f4", rows * cols, off).reshape(rows, cols)
+        out.append((step, layer, tag, a.astype(DTYPE, copy=False)))
     return out
 
 
@@ -88,21 +103,20 @@ class CaptureFlags:
 
     v2t: bool = True
     attn_out: bool = False
-    pre_k: bool = False
-    pre_v: bool = False
+    x: bool = False
     steps: frozenset[int] | None = None
     layers: frozenset[int] | None = None
 
     @classmethod
     def all(cls) -> "CaptureFlags":
-        return cls(v2t=True, attn_out=True, pre_k=True, pre_v=True)
+        return cls(v2t=True, attn_out=True, x=True)
 
     def wants(self, step: int, layer: int) -> bool:
         if self.steps is not None and step not in self.steps:
             return False
         if self.layers is not None and layer not in self.layers:
             return False
-        return self.v2t or self.attn_out or self.pre_k or self.pre_v
+        return self.v2t or self.attn_out or self.x
 
 
 @dataclass
@@ -154,7 +168,7 @@ class TraceRecorder(Hooks):
         self.flags = flags if flags is not None else CaptureFlags()
         self.trace = AttentionTrace()
 
-    def observe(self, step, layer, *, v2t, attn_out, pre_k, pre_v) -> None:
+    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
         f = self.flags
         if not f.wants(step, layer):
             return
@@ -162,7 +176,5 @@ class TraceRecorder(Hooks):
             self.trace.put(step, layer, "v2t", v2t.copy())
         if f.attn_out:
             self.trace.put(step, layer, "attn_out", attn_out.copy())
-        if f.pre_k:
-            self.trace.put(step, layer, "pre_k", pre_k.copy())
-        if f.pre_v:
-            self.trace.put(step, layer, "pre_v", pre_v.copy())
+        if f.x:
+            self.trace.put(step, layer, "x", x.copy())

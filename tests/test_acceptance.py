@@ -319,18 +319,18 @@ def test_ac07_cache_accounting_and_budget(bench, desk_cfg):
     rng = np.random.default_rng(7)
     for _ in range(50):
         t, l, n, c = (int(x) for x in rng.integers(1, 60, size=4))
-        assert entry_nbytes(n, c) == 2 * n * c * 4
-        assert cache_nbytes(t, l, n, c) == t * l * 2 * n * c * 4
-    assert cache_nbytes(50, 15, 1000, 64) == 384_000_000
+        assert entry_nbytes(n, c) == n * c * 4
+        assert cache_nbytes(t, l, n, c) == t * l * n * c * 4
+    assert cache_nbytes(50, 15, 1000, 64) == 192_000_000
     full = cache_nbytes(50, 42, 1000, 64)
     assert Fraction(cache_nbytes(50, 15, 1000, 64), full) == Fraction(15, 42)
 
-    cache = KvCache(joint_len=8, channels=4, budget_bytes=2 * entry_nbytes(8, 4))
+    cache = KvCache(rows=8, channels=4, budget_bytes=2 * entry_nbytes(8, 4))
     z = np.zeros((8, 4), dtype=DTYPE)
-    cache.admit(0, 0, z, z)
-    cache.admit(0, 1, z, z)
+    cache.admit(0, 0, z)
+    cache.admit(0, 1, z)
     with pytest.raises(CacheBudgetError, match="cache budget exceeded"):
-        cache.admit(0, 2, z, z)
+        cache.admit(0, 2, z)
     assert sorted(cache.entries) == [(0, 0), (0, 1)]  # rejected before admission
 
     tight = dataclasses.replace(desk_cfg, kv_budget_bytes=1)

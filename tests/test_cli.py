@@ -1,10 +1,17 @@
 """End-to-end command flows through the argparse entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bachkit.pipeline as pipeline
 from bachkit.cli import main
 from bachkit.select import AnalysisGrid
+from bachkit.trace import FIELD_PRE_K, FIELD_PRE_V, AttentionTrace, write_container
 from bachkit.vital import LayerReport, LayerScore
 
 
@@ -100,3 +107,55 @@ def test_select_requires_its_input():
         main(["select", "vital"])
     with pytest.raises(SystemExit, match="--grid"):
         main(["select", "tau"])
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("denoising started before the input checks")
+
+
+def test_budget_error_is_one_line_before_compute(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    assert main(["gen-identity", "--out", str(tmp_path), "--kv-budget-bytes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bachkit: error: cache plan needs ")
+    assert err.endswith("budget is 1\n") and err.count("\n") == 1
+
+
+def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    old = tmp_path / "old-identity"
+    old.mkdir()
+    np.save(old / "identity_z0.npy", np.zeros((4, 8, 8, 48), dtype=np.float32))
+    AttentionTrace().save(old / "identity_trace.bvtr")
+    kv = np.zeros((4 * 8 * 8 + 16, 48), dtype=np.float32)  # K and V over the joint rows
+    write_container([(11, 3, FIELD_PRE_K, kv), (11, 3, FIELD_PRE_V, kv)],
+                    old / "identity_cache.bvtr")
+    assert main(["gen-frame", "--identity-dir", str(old), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bachkit: error: cache container holds separate K and V records")
+    assert err.count("\n") == 1
+
+    missing = tmp_path / "nowhere"
+    assert main(["gen-frame", "--identity-dir", str(missing), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bachkit: error: ") and "identity_z0.npy" in err
+    assert err.count("\n") == 1
+
+
+def test_report_into_closed_pipe_ends_quietly(tmp_path):
+    d = tmp_path / "group"
+    d.mkdir()
+    # more than a pipe buffer holds, so the writer meets the closed pipe
+    (d / "report.txt").write_text("".join(f"frame {i}: line\n" for i in range(20_000)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bachkit.cli", "report", "--dir", str(d)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"frame 0: line\n"
+    proc.stdout.close()  # like `| head -1`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

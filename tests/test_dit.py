@@ -132,11 +132,11 @@ class _Counter(Hooks):
         self.observed = []
         self.steps_ended = []
 
-    def observe(self, step, layer, *, v2t, attn_out, pre_k, pre_v):
+    def observe(self, step, layer, *, v2t, attn_out, x):
         self.observed.append((step, layer))
         assert v2t.shape == (SMALL.thw, SMALL.text_len)
         assert attn_out.shape == (SMALL.thw, SMALL.channels)
-        assert pre_k.shape == pre_v.shape == (SMALL.joint_len, SMALL.channels)
+        assert x.shape == (SMALL.joint_len, SMALL.channels)
 
     def step_end(self, step):
         self.steps_ended.append(step)
@@ -156,7 +156,7 @@ def test_v2t_rows_are_probabilities(small_model, small_prompt):
     caught = {}
 
     class Grab(Hooks):
-        def observe(self, step, layer, *, v2t, attn_out, pre_k, pre_v):
+        def observe(self, step, layer, *, v2t, attn_out, x):
             caught[(step, layer)] = v2t
 
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)

@@ -98,7 +98,7 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
             v2t_sum = sl.copy() if v2t_sum is None else v2t_sum + sl
         if hooks is not None:
             hooks.observe(t, layer, v2t=(v2t_sum / DTYPE(cfg.heads)).astype(DTYPE),
-                          attn_out=attn[:thw], pre_k=pre_k, pre_v=pre_v)
+                          attn_out=attn[:thw], x=x)
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2
     x0_hat = predict_clean(model, x[:thw], z_text)
@@ -112,10 +112,9 @@ class _Injecting(Hooks):
         cfg = model.config
         rng = np.random.default_rng(17)
         self.positions = positions
+        self.weights = model.layers
         self.cached = [
-            (rng.standard_normal((cfg.joint_len, cfg.channels)).astype(DTYPE),
-             rng.standard_normal((cfg.joint_len, cfg.channels)).astype(DTYPE))
-            for _ in range(cfg.depth)
+            rng.standard_normal((cfg.thw, cfg.channels)).astype(DTYPE) for _ in range(cfg.depth)
         ]
         fg = np.array([1, 2, 4, 10, 13])
         self.regions = InjectionRegions(
@@ -126,8 +125,8 @@ class _Injecting(Hooks):
     def inject(self, step, layer, pre_k, pre_v, roped_k):
         if step < 2:
             return None
-        k, v = self.cached[layer]
-        return build_plan(roped_k, pre_v, k, v, self.regions, self.positions, self.add_mask)
+        return build_plan(roped_k, pre_v, self.cached[layer], self.weights[layer],
+                          self.regions, self.positions, self.add_mask)
 
 
 @pytest.fixture(scope="module")

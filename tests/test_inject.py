@@ -1,4 +1,4 @@
-"""Key/value cache accounting, region masks, and fused-attention plans."""
+"""Layer-input cache accounting, region masks, and fused-attention plans."""
 
 from fractions import Fraction
 
@@ -16,12 +16,14 @@ from bachkit.inject import (
     entry_nbytes,
     region_mask,
 )
+from bachkit.dit import LayerWeights
 from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
+from bachkit.trace import FIELD_PRE_K, FIELD_PRE_V, FIELD_V2T, FIELD_X, write_container
 
 
 def test_byte_formula():
-    assert entry_nbytes(1000, 64) == 2 * 1000 * 64 * 4
-    assert cache_nbytes(50, 15, 1000, 64) == 384_000_000
+    assert entry_nbytes(1000, 64) == 1000 * 64 * 4
+    assert cache_nbytes(50, 15, 1000, 64) == 192_000_000
     assert cache_nbytes(0, 15, 1000, 64) == 0
 
 
@@ -32,61 +34,96 @@ def test_paper_layer_ratio_exact():
 
 
 def test_cache_admit_get_and_counter():
-    cache = KvCache(joint_len=6, channels=4)
+    cache = KvCache(rows=6, channels=4)
     assert cache.nbytes == 0
-    k = np.arange(24, dtype=DTYPE).reshape(6, 4)
-    v = k + 100
-    cache.admit(2, 1, k, v)
+    x = np.arange(24, dtype=DTYPE).reshape(6, 4)
+    cache.admit(2, 1, x)
     assert cache.nbytes == entry_nbytes(6, 4)
-    cache.admit(2, 1, k, v)  # overwrite, not double-count
+    cache.admit(2, 1, x)  # overwrite, not double-count
     assert cache.nbytes == entry_nbytes(6, 4)
-    gk, gv = cache.get(2, 1)
-    np.testing.assert_array_equal(gk, k)
-    np.testing.assert_array_equal(gv, v)
-    k[0, 0] = -1  # cache stores copies
-    assert cache.get(2, 1)[0][0, 0] == 0
+    np.testing.assert_array_equal(cache.get(2, 1), x)
+    x[0, 0] = -1  # cache stores copies
+    assert cache.get(2, 1)[0, 0] == 0
     with pytest.raises(KeyError):
         cache.get(0, 0)
     with pytest.raises(ValueError):
-        cache.admit(0, 0, k[:3], v)
+        cache.admit(0, 0, x[:3])
 
 
 def test_cache_counter_random_admissions():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        jl, c = int(rng.integers(2, 9)), int(rng.integers(2, 7))
-        cache = KvCache(joint_len=jl, channels=c)
+        rows, c = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+        cache = KvCache(rows=rows, channels=c)
         keys = {(int(s), int(l)) for s, l in rng.integers(0, 6, size=(rng.integers(1, 12), 2))}
         for s, l in keys:
-            cache.admit(s, l, np.zeros((jl, c), dtype=DTYPE), np.zeros((jl, c), dtype=DTYPE))
-        assert cache.nbytes == len(keys) * 2 * jl * c * 4
-        assert cache.nbytes == cache_nbytes(1, len(keys), jl, c)
+            cache.admit(s, l, np.zeros((rows, c), dtype=DTYPE))
+        assert cache.nbytes == len(keys) * rows * c * 4
+        assert cache.nbytes == cache_nbytes(1, len(keys), rows, c)
 
 
 def test_budget_rejects_before_admission():
-    cache = KvCache(joint_len=4, channels=2, budget_bytes=entry_nbytes(4, 2))
+    cache = KvCache(rows=4, channels=2, budget_bytes=entry_nbytes(4, 2))
     z = np.zeros((4, 2), dtype=DTYPE)
-    cache.admit(0, 0, z, z)  # exact fit
+    cache.admit(0, 0, z)  # exact fit
     with pytest.raises(CacheBudgetError, match="cache budget exceeded"):
-        cache.admit(0, 1, z, z)
+        cache.admit(0, 1, z)
     assert cache.nbytes == entry_nbytes(4, 2)  # failed admit left no trace
     assert (0, 1) not in cache.entries
-    cache.admit(0, 0, z + 1, z)  # overwrites never grow the footprint
+    cache.admit(0, 0, z + 1)  # overwrites never grow the footprint
 
 
 def test_cache_save_load(tmp_path):
     rng = np.random.default_rng(1)
-    cache = KvCache(joint_len=5, channels=4)
+    cache = KvCache(rows=5, channels=4)
     for s, l in [(11, 0), (11, 2), (12, 0)]:
-        cache.admit(s, l, rng.random((5, 4)).astype(DTYPE), rng.random((5, 4)).astype(DTYPE))
+        cache.admit(s, l, rng.random((5, 4)).astype(DTYPE))
     p = tmp_path / "cache.bvtr"
     cache.save(p)
+    assert p.stat().st_size == 12 + 3 * (28 + entry_nbytes(5, 4))
     back = KvCache.load(p)
-    assert back.joint_len == 5 and back.channels == 4
+    assert back.rows == 5 and back.channels == 4
     assert sorted(back.entries) == sorted(cache.entries)
-    for key in cache.entries:
-        np.testing.assert_array_equal(back.entries[key][0], cache.entries[key][0])
-        np.testing.assert_array_equal(back.entries[key][1], cache.entries[key][1])
+    for key, x in cache.entries.items():
+        np.testing.assert_array_equal(back.entries[key], x)
+        assert back.entries[key].dtype == DTYPE and not back.entries[key].flags.writeable
+
+    def root(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    # the records are views of one buffer holding the payloads once
+    buffers = {id(root(a)): root(a) for a in back.entries.values()}
+    assert len(buffers) == 1
+    assert next(iter(buffers.values())).nbytes == 3 * entry_nbytes(5, 4)
+
+
+def test_cache_load_checks_shape_and_budget(tmp_path):
+    p = tmp_path / "cache.bvtr"
+    x = np.zeros((5, 4), dtype=DTYPE)
+    write_container([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x[:4])], p)
+    with pytest.raises(ValueError, match="cache rows must be"):
+        KvCache.load(p)
+    write_container([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x)], p)
+    assert KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4)).nbytes == 2 * entry_nbytes(5, 4)
+    with pytest.raises(CacheBudgetError, match="cache budget exceeded at step 1 layer 0"):
+        KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4) - 1)
+    write_container([], p)
+    with pytest.raises(ValueError, match="empty"):
+        KvCache.load(p)
+
+
+def test_cache_load_rejects_kv_record_format(tmp_path):
+    """A cache of separate K and V rows (the earlier format) is refused by name."""
+    p = tmp_path / "cache.bvtr"
+    kv = np.zeros((6, 4), dtype=DTYPE)
+    write_container([(11, 0, FIELD_PRE_K, kv), (11, 0, FIELD_PRE_V, kv)], p)
+    with pytest.raises(ValueError, match="separate K and V records"):
+        KvCache.load(p)
+    write_container([(11, 0, FIELD_X, kv), (11, 1, FIELD_V2T, kv)], p)
+    with pytest.raises(ValueError, match=r"unexpected fields \[1\]"):
+        KvCache.load(p)
 
 
 def test_regions_from_masks_planted_example():
@@ -167,12 +204,18 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     positions = grid_positions(frames, h, w)
     roped_k = rng.standard_normal((joint_len, c)).astype(DTYPE)
     pre_v = rng.standard_normal((joint_len, c)).astype(DTYPE)
-    cached_k = rng.standard_normal((joint_len, c)).astype(DTYPE)
-    cached_v = rng.standard_normal((joint_len, c)).astype(DTYPE)
+    cached_x = rng.standard_normal((thw, c)).astype(DTYPE)
+    weights = LayerWeights(
+        qk_gain=rng.random(c).astype(DTYPE) + 0.5,
+        w_value=rng.standard_normal((c, c)).astype(DTYPE),
+        w_out=None, w_mlp1=None, w_mlp2=None,
+    )
+    cached_k = cached_x * weights.qk_gain[None, :]
+    cached_v = cached_x @ weights.w_value
     regions = InjectionRegions(
         fg=np.array([1, 5]), bg=np.array([0, 7]), identity_rows=np.array([2, 6])
     )
-    plan = build_plan(roped_k, pre_v, cached_k, cached_v, regions, positions)
+    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, positions)
     assert plan.k.shape == (joint_len + 4, c)
     np.testing.assert_array_equal(plan.k[:joint_len], roped_k)
     np.testing.assert_array_equal(plan.v[:joint_len], pre_v)
@@ -182,29 +225,29 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     # bg keys: cached rows at their own positions
     want_bg = rope_encode(cached_k[[0, 7]], positions[[0, 7]])
     np.testing.assert_allclose(plan.k[joint_len + 2 :], want_bg, atol=1e-6)
-    # values enter unchanged
+    # values are the cached rows' value projections, unencoded
     np.testing.assert_array_equal(plan.v[joint_len : joint_len + 2], cached_v[[2, 6]])
     np.testing.assert_array_equal(plan.v[joint_len + 2 :], cached_v[[0, 7]])
     assert plan.add_mask.shape == (joint_len, joint_len + 4)
 
 
 def test_cache_recorder_filters():
-    cache = KvCache(joint_len=3, channels=2)
+    cache = KvCache(rows=3, channels=2)
     rec = CacheRecorder(cache, steps=[1, 2], layers=[0])
-    z = np.zeros((3, 2), dtype=DTYPE)
-    kw = dict(v2t=None, attn_out=None, pre_k=z, pre_v=z)
+    x = np.arange(10, dtype=DTYPE).reshape(5, 2)  # 3 video rows, 2 text rows
+    kw = dict(v2t=None, attn_out=None, x=x)
     rec.observe(0, 0, **kw)
     rec.observe(1, 0, **kw)
     rec.observe(1, 1, **kw)
     rec.observe(2, 0, **kw)
     assert sorted(cache.entries) == [(1, 0), (2, 0)]
+    np.testing.assert_array_equal(cache.get(1, 0), x[:3])  # video rows only
 
 
 def test_injector_rejects_bad_schedule(identity, bench, desk_cfg):
     kw = dict(
+        model=bench.model,
         layout=bench.layout,
-        frames=4, height=8, width=8,
-        positions=bench.model.positions,
         identity_cache=identity.cache,
         identity_trace=identity.trace,
         mask_layers=desk_cfg.mask_layers,

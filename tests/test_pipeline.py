@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bachkit.dit import PromptLayout
-from bachkit.inject import CacheBudgetError, entry_nbytes
+from bachkit.inject import CacheBudgetError, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
 import bachkit.pipeline as pipeline
 from bachkit.pipeline import (
@@ -97,7 +97,7 @@ def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, iden
     early_mask, early_match = desk_cfg.tau_mask - 1, desk_cfg.tau_match - 1
     cases = [
         (dict(kv_layers=tuple(sorted(desk_cfg.kv_layers + (uncached,)))),
-         f"cache holds no K/V rows at step {desk_cfg.tau_inject} layer {uncached}"),
+         f"cache holds no rows at step {desk_cfg.tau_inject} layer {uncached}"),
         (dict(tau_mask=early_mask),
          f"trace holds no 'v2t' at step {early_mask} layer {desk_cfg.mask_layers[0]}"),
         (dict(tau_match=early_match),
@@ -108,6 +108,19 @@ def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, iden
         with pytest.raises(ValueError, match=message):
             run_frame(bench, cfg, identity, seed=31)
     assert make_injector(bench, desk_cfg, identity).kv_layers == frozenset(desk_cfg.kv_layers)
+
+
+def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("denoising started before the cache shape check")
+
+    monkeypatch.setattr(pipeline, "denoise", no_compute)
+    cfg = bench.model.config
+    for rows, channels in [(cfg.joint_len, cfg.channels), (cfg.thw, cfg.channels + 2)]:
+        other = dataclasses.replace(identity, cache=KvCache(rows, channels))
+        with pytest.raises(ValueError, match=f"identity cache holds {rows}x{channels} rows "
+                           f"per entry, the model's video rows are 256x48"):
+            run_frame(bench, desk_cfg, other, seed=31)
 
 
 def test_run_frame_recomputes_mask_every_step(bench, desk_cfg, identity):

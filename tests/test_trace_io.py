@@ -15,6 +15,7 @@ from bachkit.trace import (
     FIELD_PRE_V,
     FIELD_TAGS,
     FIELD_V2T,
+    FIELD_X,
     MAGIC,
     TraceRecorder,
     VERSION,
@@ -30,7 +31,8 @@ LAYOUT = PromptLayout(bg=2, fg=2, action=1, pad=1)
 
 
 def test_field_tables_consistent():
-    assert FIELD_NAMES == {1: "v2t", 2: "attn_out", 3: "pre_k", 4: "pre_v"}
+    assert FIELD_NAMES == {1: "v2t", 2: "attn_out", 3: "pre_k", 4: "pre_v", 5: "x"}
+    assert FIELD_X == 5
     assert {FIELD_TAGS[n] for n in FIELD_NAMES.values()} == set(FIELD_NAMES)
 
 
@@ -78,6 +80,9 @@ def test_container_rejects_garbage(tmp_path):
     p.write_bytes(good)  # promises 256 payload bytes, delivers none
     with pytest.raises(ValueError, match="truncated"):
         read_container(p)
+    p.write_bytes(good[:20])  # the entry table itself ends early
+    with pytest.raises(ValueError, match="truncated"):
+        read_container(p)
 
 
 def test_write_container_validates():
@@ -113,15 +118,15 @@ def test_recorder_capture_and_save(tmp_path):
     model = init_model(SMALL)
     prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
     flags = CaptureFlags(
-        v2t=True, pre_k=True,
+        v2t=True, x=True,
         steps=frozenset({0, 3}), layers=frozenset({1}),
     )
     rec = TraceRecorder(flags)
     denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1, hooks=rec)
     keys = sorted(rec.trace.entries)
-    assert keys == [(0, 1, "pre_k"), (0, 1, "v2t"), (3, 1, "pre_k"), (3, 1, "v2t")]
+    assert keys == [(0, 1, "v2t"), (0, 1, "x"), (3, 1, "v2t"), (3, 1, "x")]
     assert rec.trace.get(0, 1, "v2t").shape == (SMALL.thw, SMALL.text_len)
-    assert rec.trace.get(0, 1, "pre_k").shape == (SMALL.joint_len, SMALL.channels)
+    assert rec.trace.get(0, 1, "x").shape == (SMALL.joint_len, SMALL.channels)
     p = tmp_path / "rec.bvtr"
     rec.trace.save(p)
     back = AttentionTrace.load(p)
