@@ -292,8 +292,10 @@ class Hooks:
     values (`x @ w_value`) follow (views; copy to retain). `inject` may
     return an InjectionPlan to substitute fused key/value rows before
     attention; returning None leaves the layer untouched. `step_end` fires
-    after each Euler update. The base class is a no-op, and pure
-    observation must never change generated values.
+    after each Euler update with `z`, the latent that update produced: the
+    state entering step `step + 1`, as a read-only view (copy to retain). The
+    base class is a no-op, and pure observation must never change generated
+    values.
     """
 
     def observe(self, step: int, layer: int, *, v2t, attn_out, x) -> None:
@@ -302,7 +304,7 @@ class Hooks:
     def inject(self, step: int, layer: int, pre_k, pre_v, roped_k) -> InjectionPlan | None:
         return None
 
-    def step_end(self, step: int) -> None:
+    def step_end(self, step: int, z: np.ndarray) -> None:
         pass
 
 
@@ -326,9 +328,9 @@ class ChainedHooks(Hooks):
                 plan = p
         return plan
 
-    def step_end(self, step):
+    def step_end(self, step, z):
         for h in self.hooks:
-            h.step_end(step)
+            h.step_end(step, z)
 
 
 @dataclass(frozen=True)
@@ -511,21 +513,45 @@ def denoise(
     hooks: Hooks | None = None,
     skip: int | None = None,
     init_clean: np.ndarray | None = None,
+    start: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Explicit Euler denoising loop; step 0 is the noisiest step.
 
     Deterministic in (model, prompt, schedule, seed, hooks, skip, init_clean).
+    `start=(step, z)` resumes the loop at `step` from `z`, the latent
+    entering that step (as `step_end(step - 1, z)` saw it, or the initial
+    latent for step 0); `seed` is then unused. A resumed run returns the same
+    bits as the full run it was taken from, provided no hook changed the
+    steps before `step`. Hooks see only the steps from `step` on.
 
     Returns:
         Clean latent z_0 of shape (frames, height, width, channels).
+
+    Raises:
+        ValueError: if `start` is given with `init_clean`, names a step
+            outside 0..step_count, or holds a latent of another shape.
     """
-    z = initial_latent(model.config, schedule, seed, init_clean)
+    if start is None:
+        first, z = 0, initial_latent(model.config, schedule, seed, init_clean)
+    else:
+        if init_clean is not None:
+            raise ValueError("start and init_clean are exclusive: a resumed run has its latent")
+        first, z = start
+        if not 0 <= first <= schedule.step_count:
+            raise ValueError(f"start step {first} outside 0..{schedule.step_count}")
+        cfg = model.config
+        shape = (cfg.frames, cfg.height, cfg.width, cfg.channels)
+        if np.shape(z) != shape:
+            raise ValueError(f"start latent shape {np.shape(z)} does not match config {shape}")
+        z = np.array(z, dtype=DTYPE)  # a copy: the caller's array is never returned
     sig = schedule.sigmas
-    for s in range(schedule.step_count):
+    for s in range(first, schedule.step_count):
         eps = forward(model, z, prompt_embedding, s, hooks=hooks, skip=skip, sigma=float(sig[s]))
         z = (z + (sig[s + 1] - sig[s]) * eps).astype(DTYPE)
         if hooks is not None:
-            hooks.step_end(s)
+            seen = z.view()
+            seen.flags.writeable = False
+            hooks.step_end(s, seen)
     return z
 
 

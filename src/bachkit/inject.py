@@ -234,6 +234,11 @@ class Injector(Hooks):
     later step. With `recompute_mask` the mask and match are refreshed after
     each step from that step's captures. The region mask is built with them,
     once per refresh, and shared by every injected layer.
+
+    It also keeps `latent_at_inject`, a copy of the latent entering
+    `tau_inject`. No step before `tau_inject` is injected, so that latent is
+    the vanilla run's too, and a vanilla run resumed from it (`denoise`'s
+    `start`) equals a full vanilla run bit for bit.
     """
 
     def __init__(
@@ -272,6 +277,7 @@ class Injector(Hooks):
         self.match: MatchMap | None = None
         self.mask_frame: np.ndarray | None = None
         self.mask_identity: np.ndarray | None = None
+        self.latent_at_inject: np.ndarray | None = None
         self._sim: np.ndarray | None = None
 
     def _wants_v2t(self, step: int, layer: int) -> bool:
@@ -321,8 +327,9 @@ class Injector(Hooks):
         self.add_mask = region_mask(cfg.joint_len, cfg.thw, fg, len(fg), len(bg))
         self.add_mask.flags.writeable = False  # shared by every injected layer
 
-    def step_end(self, step: int) -> None:
+    def step_end(self, step: int, z: np.ndarray) -> None:
         if step == self.tau_inject - 1:
+            self.latent_at_inject = z.copy()
             self._rebuild(step if self.recompute_mask else self.tau_mask)
         elif self.recompute_mask and step >= self.tau_inject:
             self._rebuild(step)

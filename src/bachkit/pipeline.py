@@ -257,8 +257,11 @@ def run_group(
     Frame f uses action segment f+1, so frames differ in prompt action while
     sharing the identity's scene signatures. With `ablate` each frame is also
     generated vanilla from the same noise for a side-by-side background
-    score. Background fidelity is measured on the computed joint-background
-    region against the decoded identity.
+    score. The two runs agree up to `tau_inject`, so the vanilla run resumes
+    from the injected run's latent at that step: one `denoise` call per
+    vanilla frame, bitwise equal to `run_frame(inject=False)`. Background
+    fidelity is measured on the computed joint-background region against the
+    decoded identity.
     """
     if identity is None:
         identity = run_identity(bench, run_cfg, seed=seed_identity, scene_sigma=scene_sigma)
@@ -277,9 +280,9 @@ def run_group(
         region = upsample_mask(~(injector.mask_identity | injector.mask_frame), channels)
         kw = {}
         if ablate:
-            z_van, _ = run_frame(
-                bench, run_cfg, identity,
-                seed=seed, action_seed=i + 1, scene_sigma=scene_sigma, inject=False,
+            z_van = denoise(
+                bench.model, bench.prompt(i + 1), bench.schedule, seed,
+                start=(run_cfg.tau_inject, injector.latent_at_inject),
             )
             kw = dict(
                 z_vanilla=z_van,

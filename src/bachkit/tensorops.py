@@ -5,7 +5,12 @@ implementation in the package (`joint_attention`); everything that needs to
 observe or perturb attention goes through it, so instrumentation sees the
 same numbers the model computes. It computes every head in one call: the
 (N, C) inputs are viewed as `heads` stacks of C/heads channels, and it
-returns the (heads, N, M) weights alongside the (N, C) output.
+returns the (heads, N, M) weights alongside the (N, C) output. The
+1/sqrt(d) score scale is applied to the (N, C) queries before the score
+product, not to the (heads, N, M) scores after it. When d is a power of four
+the scale is a power of two, and both orders give the same bits (d = 16 in
+the shipped profiles, d = 4 in the small test models); for other d they
+agree to float round-off.
 
 Rotary encoding is split in two: `RotaryTable` holds the cos/sin of every
 rotary pair's angle at a set of grid positions, and `rope_encode` applies
@@ -49,15 +54,21 @@ def softmax_rows(
     in every leading slice, get weight exactly zero, assigned explicitly
     rather than left to `exp` underflow, and the rest of the row
     renormalizes to sum 1. The result is written to `out` when given (which
-    may be `x` itself), else to a new array.
+    may be `x` itself), else to a new array. The row maximum is taken over
+    forbidden entries too, so permitted entries more than about 87 below a
+    forbidden one lose precision in `exp` or underflow to zero;
+    `joint_attention` keeps them clear by adding NEG at forbidden positions.
 
     Raises:
         ValueError: on any NaN/inf input or a row with every entry forbidden.
     """
     x = np.asarray(x, dtype=DTYPE)
-    if not np.all(np.isfinite(x)):
+    row_max = np.max(x, axis=-1, keepdims=True)
+    # NaN propagates through both reductions; the minimum also catches -inf
+    # and the row maxima +inf. `initial` keeps an empty input finite.
+    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(row_max).all()):
         raise ValueError("non-finite input")
-    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    e = np.subtract(x, row_max, out=out)
     np.exp(e, out=e)
     if forbidden is not None:
         if forbidden.all(axis=-1).any():
@@ -112,8 +123,7 @@ def joint_attention(
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
     scale = DTYPE(1.0 / np.sqrt(q.shape[1] // heads))
-    scores = split(q) @ split(k).transpose(0, 2, 1)
-    scores *= scale
+    scores = split(q * scale) @ split(k).transpose(0, 2, 1)
     forbidden = None
     if add_mask is not None:
         add_mask = np.asarray(add_mask, dtype=DTYPE)

@@ -66,10 +66,16 @@ def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> No
 def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
     """Read back (step, layer, field-tag, matrix) entries from a container.
 
-    The entry table is checked against the file size before any payload is
-    read. The payloads are then read with one call into one read-only
-    buffer, and every matrix is a view of it, so a container's data is held
-    once, in one allocation.
+    The entry table is checked before any payload is read: every tag must be
+    a known field, and the payloads must lie back to back in table order from
+    offset 0 and end exactly at the end of the file, as `write_container`
+    lays them out. The payloads are then read with one call into one
+    read-only buffer, and every matrix is a view of it, so a container's data
+    is held once, in one allocation.
+
+    Raises:
+        ValueError: for a bad magic or version, an unknown field tag, a
+            truncated file, misplaced payloads or trailing bytes.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -83,9 +89,17 @@ def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
         if table_end > size:
             raise ValueError("container truncated")
         table = list(_ENTRY.iter_unpack(fh.read(count * _ENTRY.size)))
-        payload_end = max((off + rows * cols * 4 for *_, rows, cols, off in table), default=0)
+        payload_end = 0
+        for i, (_, _, tag, _, rows, cols, off) in enumerate(table):
+            if tag not in FIELD_NAMES:
+                raise ValueError(f"entry {i} has unknown field tag {tag}")
+            if off != payload_end:
+                raise ValueError(f"entry {i} payload at offset {off}, expected {payload_end}")
+            payload_end += rows * cols * 4
         if table_end + payload_end > size:
             raise ValueError("container truncated")
+        if table_end + payload_end < size:
+            raise ValueError(f"{size - table_end - payload_end} trailing bytes after the payloads")
         payload = np.empty(payload_end, dtype=np.uint8)
         if fh.readinto(payload) != payload_end:
             raise ValueError("container truncated")

@@ -1,6 +1,7 @@
 """End-to-end command flows through the argparse entry point."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 import bachkit.pipeline as pipeline
 from bachkit.cli import main
 from bachkit.select import AnalysisGrid
-from bachkit.trace import FIELD_PRE_K, FIELD_PRE_V, AttentionTrace, write_container
+from bachkit.trace import (
+    FIELD_PRE_K, FIELD_PRE_V, MAGIC, VERSION, AttentionTrace, write_container,
+)
 from bachkit.vital import LayerReport, LayerScore
 
 
@@ -140,6 +143,19 @@ def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("bachkit: error: ") and "identity_z0.npy" in err
     assert err.count("\n") == 1
+
+
+def test_dump_trace_rejects_unknown_tag_in_one_line(tmp_path, capsys):
+    p = tmp_path / "tag9.bvtr"
+    p.write_bytes(
+        struct.pack("<4sHHI", MAGIC, VERSION, 0, 1)
+        + struct.pack("<IIHHIIQ", 0, 0, 9, 0, 1, 1, 0)
+        + np.zeros(1, dtype=np.float32).tobytes()
+    )
+    assert main(["dump-trace", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the table header is printed
+    assert err == "bachkit: error: entry 0 has unknown field tag 9\n"
 
 
 def test_report_into_closed_pipe_ends_quietly(tmp_path):

@@ -21,6 +21,7 @@ from bachkit.dit import (
     patch_shape,
 )
 from bachkit.tensorops import DTYPE
+from bachkit.trace import CaptureFlags, TraceRecorder
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,
@@ -138,8 +139,9 @@ class _Counter(Hooks):
         assert attn_out.shape == (SMALL.thw, SMALL.channels)
         assert x.shape == (SMALL.joint_len, SMALL.channels)
 
-    def step_end(self, step):
+    def step_end(self, step, z):
         self.steps_ended.append(step)
+        assert z.shape == (SMALL.frames, SMALL.height, SMALL.width, SMALL.channels)
 
 
 def test_hooks_see_every_step_and_layer(small_model, small_prompt):
@@ -150,6 +152,53 @@ def test_hooks_see_every_step_and_layer(small_model, small_prompt):
         (s, l) for s in range(SMALL.steps) for l in range(SMALL.depth)
     ]
     assert counter.steps_ended == list(range(SMALL.steps))
+
+
+class _Latents(Hooks):
+    """Keeps a copy of the latent entering every step, the initial one first."""
+
+    def __init__(self, z_init):
+        self.entering = [z_init]
+
+    def step_end(self, step, z):
+        assert not z.flags.writeable
+        assert step == len(self.entering) - 1
+        self.entering.append(z.copy())
+
+
+def test_resumed_denoise_equals_full_run_at_every_step(small_model, small_prompt):
+    sched = StepSchedule.linear(SMALL.steps)
+    latents = _Latents(initial_latent(SMALL, sched, seed=5))
+    full = denoise(small_model, small_prompt, sched, seed=5, hooks=latents)
+    assert len(latents.entering) == SMALL.steps + 1
+    np.testing.assert_array_equal(latents.entering[-1], full)
+
+    whole = TraceRecorder(CaptureFlags.all())
+    denoise(small_model, small_prompt, sched, seed=5, hooks=whole)
+    for s, z in enumerate(latents.entering):
+        # the seed only makes the initial latent, which `start` replaces
+        np.testing.assert_array_equal(
+            denoise(small_model, small_prompt, sched, seed=99, start=(s, z)), full
+        )
+        rec = TraceRecorder(CaptureFlags.all())
+        resumed = denoise(small_model, small_prompt, sched, seed=5, hooks=rec, start=(s, z))
+        np.testing.assert_array_equal(resumed, full)
+        assert sorted({k[0] for k in rec.trace.entries}) == list(range(s, SMALL.steps))
+        for key, a in rec.trace.entries.items():
+            np.testing.assert_array_equal(a, whole.trace.entries[key])
+        assert resumed is not z  # the caller's latent is never handed back
+
+
+def test_resumed_denoise_validates_start(small_model, small_prompt):
+    sched = StepSchedule.linear(SMALL.steps)
+    z = initial_latent(SMALL, sched, seed=5)
+    with pytest.raises(ValueError, match="exclusive"):
+        denoise(small_model, small_prompt, sched, seed=5, init_clean=z, start=(0, z))
+    for step in (-1, SMALL.steps + 1):
+        with pytest.raises(ValueError, match=f"start step {step} outside 0..{SMALL.steps}"):
+            denoise(small_model, small_prompt, sched, seed=5, start=(step, z))
+    with pytest.raises(ValueError, match="start latent shape"):
+        denoise(small_model, small_prompt, sched, seed=5, start=(2, z[:1]))
 
 
 def test_v2t_rows_are_probabilities(small_model, small_prompt):

@@ -1,11 +1,13 @@
 """Group drivers: budgeted identity runs, background PSNR, artifact layout."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bachkit.dit import PromptLayout
+import bachkit.dit as dit
+from bachkit.dit import PromptLayout, StepSchedule, init_model
 from bachkit.inject import CacheBudgetError, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
 import bachkit.pipeline as pipeline
@@ -154,6 +156,46 @@ def test_group_outputs_inventory(bench, desk_cfg, identity, tmp_path):
     assert all(p.exists() and p.stat().st_size > 0 for p in paths)
     text = (tmp_path / "report.txt").read_text()
     assert "gain" in text and "frame 0" in text
+
+
+@pytest.mark.parametrize("recompute_mask", [False, True])
+def test_ablated_vanilla_frames_equal_full_vanilla_runs(bench, desk_cfg, identity, recompute_mask):
+    cfg = dataclasses.replace(desk_cfg, recompute_mask=recompute_mask)
+    seeds = [23, 24]
+    report = run_group(
+        bench, cfg, seed_identity=11, frame_seeds=seeds, ablate=True, identity=identity
+    )
+    for i, (frame, seed) in enumerate(zip(report.frames, seeds)):
+        z_full, _ = run_frame(bench, cfg, identity, seed=seed, action_seed=i + 1, inject=False)
+        np.testing.assert_array_equal(frame.z_vanilla, z_full)
+
+
+def test_ablated_group_resumes_each_vanilla_run(bench, desk_cfg, monkeypatch):
+    steps = 6
+    short = dataclasses.replace(
+        bench,
+        model=init_model(dataclasses.replace(bench.model.config, steps=steps)),
+        schedule=StepSchedule.linear(steps),
+    )
+    cfg = dataclasses.replace(desk_cfg, tau_mask=2, tau_match=2, tau_inject=3)
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dit, "forward")  # looked up by denoise at call time
+    counted(pipeline, "denoise")
+    k = 3
+    run_group(short, cfg, seed_identity=11, frame_seeds=range(21, 21 + k), ablate=True)
+    # identity, k injected runs, k vanilla runs from tau_inject on
+    assert calls["forward"] == steps + k * steps + k * (steps - cfg.tau_inject)
+    assert calls["denoise"] == 2 * k + 1
 
 
 def test_frame_without_ablation_has_no_gain(bench, desk_cfg, identity):

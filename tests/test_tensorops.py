@@ -66,6 +66,58 @@ def test_softmax_shift_invariance(seed, shift):
 def test_softmax_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         softmax_rows(np.array([[0.0, bad]]))
+    with pytest.raises(ValueError, match="non-finite"):  # at a forbidden position too
+        softmax_rows(np.array([[0.0, bad, 1.0]]), np.array([[False, True, False]]))
+
+
+def _forbidden_without_full_rows(rng, n, m):
+    forbidden = rng.random((n, m)) < 0.4
+    forbidden[np.arange(n), rng.integers(0, m, n)] = False  # one permitted key per row
+    return forbidden
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    masked=st.booleans(),
+    in_place=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_softmax_raises_on_any_non_finite_entry(lead, n, m, bad, masked, in_place, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((*lead, n, m)) * 10).astype(DTYPE)
+    x[tuple(rng.integers(0, d) for d in x.shape)] = bad
+    before = x.copy()
+    forbidden = _forbidden_without_full_rows(rng, n, m) if masked else None
+    with pytest.raises(ValueError, match="non-finite"):
+        softmax_rows(x, forbidden, out=x if in_place else None)
+    np.testing.assert_array_equal(x, before)  # nothing written before the check
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    masked=st.booleans(),
+    data=st.data(),
+)
+def test_softmax_accepts_every_finite_input(lead, n, m, masked, data):
+    values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    x = np.array(
+        data.draw(st.lists(values, min_size=int(np.prod(lead)) * n * m,
+                           max_size=int(np.prod(lead)) * n * m)),
+        dtype=DTYPE,
+    ).reshape(*lead, n, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    forbidden = _forbidden_without_full_rows(rng, n, m) if masked else None
+    w = softmax_rows(x, forbidden)
+    if forbidden is None:  # a mask may leave a row to underflow; see softmax_rows
+        assert np.isfinite(w).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
 
 
 def test_softmax_zeroes_forbidden_entries_explicitly():

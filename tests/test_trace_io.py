@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bachkit.dit import ModelConfig, PromptLayout, StepSchedule, denoise, embed_prompt, init_model
 from bachkit.trace import (
@@ -55,7 +57,7 @@ def test_container_roundtrip_sorts_entries(tmp_path):
 
 
 def test_container_exact_bytes(tmp_path):
-    """Pin the on-disk layout: header, 24-byte entries, raw f32 LE payload."""
+    """Pin the on-disk layout: header, 28-byte entries, raw f32 LE payload."""
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     b = np.array([[5.0]], dtype=np.float32)
     p = tmp_path / "t.bvtr"
@@ -83,6 +85,120 @@ def test_container_rejects_garbage(tmp_path):
     p.write_bytes(good[:20])  # the entry table itself ends early
     with pytest.raises(ValueError, match="truncated"):
         read_container(p)
+
+
+# Field layout of the header and of one table entry: (format, offset) pairs.
+_HEADER_FIELDS = (("4s", 0), ("H", 4), ("H", 6), ("I", 8))
+_ENTRY_FIELDS = (("I", 0), ("I", 4), ("H", 8), ("H", 10), ("I", 12), ("I", 16), ("Q", 20))
+_HEADER_SIZE = struct.calcsize("<4sHHI")
+_ENTRY_SIZE = struct.calcsize("<IIHHIIQ")
+
+
+def _table_bytes(entries) -> bytes:
+    """A header and entry table with back-to-back offsets, payloads left out."""
+    out = struct.pack("<4sHHI", MAGIC, VERSION, 0, len(entries))
+    off = 0
+    for step, layer, tag, rows, cols in entries:
+        out += struct.pack("<IIHHIIQ", step, layer, tag, 0, rows, cols, off)
+        off += rows * cols * 4
+    return out
+
+
+def test_container_rejects_unknown_tag_before_payload(tmp_path):
+    p = tmp_path / "t.bvtr"
+    # the table promises a payload the file lacks: the tag is rejected first
+    p.write_bytes(_table_bytes([(0, 0, FIELD_V2T, 1, 1), (0, 1, 9, 1000, 1000)]))
+    with pytest.raises(ValueError, match="entry 1 has unknown field tag 9"):
+        read_container(p)
+    p.write_bytes(_table_bytes([(0, 0, 9, 1, 1)]) + b"\x00" * 4)
+    with pytest.raises(ValueError, match="entry 0 has unknown field tag 9"):
+        AttentionTrace.load(p)
+
+
+def test_container_requires_back_to_back_payloads(tmp_path):
+    p = tmp_path / "t.bvtr"
+    a = np.arange(4, dtype=np.float32).reshape(2, 2)
+    write_container([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a)], p)
+    good = p.read_bytes()
+    second_offset = _HEADER_SIZE + _ENTRY_SIZE + 20  # the second entry's offset field
+    for off in (0, 8, 20):
+        bad = bytearray(good)
+        struct.pack_into("<Q", bad, second_offset, off)
+        p.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="entry 1 payload at offset"):
+            read_container(p)
+    p.write_bytes(good + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        read_container(p)
+
+
+_entries = st.lists(
+    st.tuples(
+        st.integers(0, 60), st.integers(0, 50), st.sampled_from(sorted(FIELD_NAMES)),
+        st.integers(1, 3), st.integers(1, 3),
+    ),
+    max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.bvtr"
+
+
+def _check_hostile(path, data, expected):
+    """Reading `data` gives `expected` or raises ValueError, no other error;
+    `expected` None means it must raise."""
+    path.write_bytes(data)
+    try:
+        got = read_container(path)
+    except ValueError:
+        return
+    assert expected is not None, "read a container holding an unknown field tag"
+    assert [e[:3] for e in got] == [e[:3] for e in expected]
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g[3], e[3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_entries, cut=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1))
+def test_truncated_container_reads_back_or_raises_value_error(fuzz_path, entries, cut, seed):
+    rng = np.random.default_rng(seed)
+    write_container(
+        [(s, l, t, rng.random((r, c)).astype(np.float32)) for s, l, t, r, c in entries], fuzz_path
+    )
+    data = fuzz_path.read_bytes()
+    expected = read_container(fuzz_path)
+    _check_hostile(fuzz_path, data[: cut % (len(data) + 1)], expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=_entries, data=st.data())
+def test_overwritten_table_field_reads_back_or_raises_value_error(fuzz_path, entries, data):
+    write_container(
+        [(s, l, t, np.full((r, c), s + 0.5, dtype=np.float32)) for s, l, t, r, c in entries],
+        fuzz_path,
+    )
+    raw = bytearray(fuzz_path.read_bytes())
+    expected = read_container(fuzz_path)
+    # (entry or None for the header, field index, format, byte offset)
+    fields = [(None, j, f, o) for j, (f, o) in enumerate(_HEADER_FIELDS)]
+    for i in range(len(expected)):
+        at = _HEADER_SIZE + i * _ENTRY_SIZE
+        fields += [(i, j, f, at + o) for j, (f, o) in enumerate(_ENTRY_FIELDS)]
+    entry, j, fmt, at = data.draw(st.sampled_from(fields))
+    if fmt == "4s":
+        value = data.draw(st.binary(min_size=4, max_size=4))
+    else:
+        value = data.draw(st.integers(0, 2 ** (8 * struct.calcsize(fmt)) - 1))
+    struct.pack_into("<" + fmt, raw, at, value)
+    if entry is not None and j < 3:  # step, layer and a known tag read back as written
+        key = list(expected[entry][:3])
+        key[j] = value
+        expected[entry] = (*key, expected[entry][3])
+        if j == 2 and value not in FIELD_NAMES:
+            expected = None
+    _check_hostile(fuzz_path, bytes(raw), expected)
 
 
 def test_write_container_validates():
