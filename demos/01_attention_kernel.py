@@ -11,23 +11,25 @@ print("== scaled dot-product over a joint sequence ==")
 q = rng.standard_normal((4, 8)).astype(np.float32)
 k = rng.standard_normal((6, 8)).astype(np.float32)
 v = rng.standard_normal((6, 8)).astype(np.float32)
-w, o = joint_attention(q, k, v)
+att = joint_attention(q, k, v)
+w, o = att.weights(), att.out
 print(f"weights {w.shape} (heads, queries, keys), outputs {o.shape}, row sums {w[0].sum(axis=1)}")
+print(f"weights on request, for a block only: {att.weights(slice(0, 2), slice(4, 6)).shape}")
 
 print("\n== additive region mask: forbidden entries flush to exact zero ==")
 mask = np.zeros((4, 6), dtype=np.float32)
 mask[0, 3:] = NEG  # query 0 may only see the first three keys
-w, _ = joint_attention(q, k, v, mask)
+w = joint_attention(q, k, v, mask).weights()
 print(f"row 0: {w[0, 0]}")
 print(f"forbidden weights are exactly zero: {(w[0, 0, 3:] == 0.0).all()}")
 print(f"remaining weights renormalize: sum = {w[0, 0].sum():.7f}")
 
 print("\n== heads: one call attends on every channel group ==")
-w, o = joint_attention(q, k, v, mask, heads=2)
-w1, o1 = joint_attention(q[:, 4:], k[:, 4:], v[:, 4:], mask)
-print(f"weights {w.shape}, outputs {o.shape}")
+both = joint_attention(q, k, v, mask, heads=2)
+one = joint_attention(q[:, 4:], k[:, 4:], v[:, 4:], mask)
+print(f"weights {both.weights().shape}, outputs {both.out.shape}")
 print(f"head 1 is attention on channels 4:8: "
-      f"{np.allclose(w[1], w1[0]) and np.allclose(o[:, 4:], o1)}")
+      f"{np.allclose(both.weights()[1], one.weights()[0]) and np.allclose(both.out[:, 4:], one.out)}")
 
 print("\n== rotary encoding on the (frame, row, column) grid ==")
 pos = grid_positions(2, 2, 2)

@@ -43,7 +43,7 @@ from .select import (
     select_tau_match,
     select_vital,
 )
-from .tensorops import NEG, RotaryTable, joint_attention, rope_encode, softmax_rows
+from .tensorops import NEG, Attention, RotaryTable, joint_attention, rope_encode, softmax_average
 from .trace import AttentionTrace, CaptureFlags, TraceRecorder
 from .vital import (
     FrameEmbedder,
@@ -57,6 +57,7 @@ from .vital import (
 
 __all__ = [
     "AnalysisGrid",
+    "Attention",
     "AttentionTrace",
     "CaptureFlags",
     "FRAME",
@@ -104,7 +105,7 @@ __all__ = [
     "select_tau_match",
     "select_vital",
     "similarity",
-    "softmax_rows",
+    "softmax_average",
     "sweep_layers",
     "sweep_layers_embed",
     "write_group_outputs",

@@ -45,7 +45,7 @@ from .select import (
     select_vital,
 )
 from .trace import FIELD_NAMES, AttentionTrace, read_container
-from .vital import LayerReport, constant_scorer, sweep_layers, sweep_layers_embed, variance_scorer
+from .vital import LayerReport, sweep_layers, sweep_layers_embed, variance_scorer
 
 
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp, suppress=True)
     sp.add_argument("what", choices=["mask", "match", "vital"])
     sp.add_argument("--out", default="bachkit-out", help="output directory")
-    sp.add_argument("--scorer", choices=["embed", "variance", "constant"], default="embed",
+    sp.add_argument("--scorer", choices=["embed", "variance"], default="embed",
                     help="grading family for the layer-skip sweep")
 
     sp = sub.add_parser("select", help="apply a selection rule to a stored table")
@@ -228,9 +228,8 @@ def _cmd_analyze(args) -> int:
             report = sweep_layers_embed(bench.model, bench.prompt(0), bench.schedule,
                                         cfg.seed, init_clean=init)
         else:
-            scorer = variance_scorer() if args.scorer == "variance" else constant_scorer()
             report = sweep_layers(bench.model, bench.prompt(0), bench.schedule,
-                                  cfg.seed, scorer, init_clean=init)
+                                  cfg.seed, variance_scorer(), init_clean=init)
         report.write_csv(out / "layer_report.csv")
         print(f"layer report ({len(report.scores)} layers): {out / 'layer_report.csv'}")
     return 0

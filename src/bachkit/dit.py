@@ -38,7 +38,7 @@ from .tensorops import (
     joint_attention,
     rope_encode,
     rope_group_slices,
-    softmax_rows,
+    softmax_average,
 )
 
 # Denoising / content-scale defaults. Texture runs hotter than signatures so
@@ -398,14 +398,14 @@ def predict_clean(model: Model, hidden_video: np.ndarray, z_text: np.ndarray) ->
 
     Signature bands come from a softmax mixture of prompt rows; texture bands
     from the nonnegative projection onto the softmax-blended rotation of the
-    texture basis. All other channels are pulled to zero.
+    texture basis. All other channels are pulled to zero. Both softmaxes run
+    key-major through `softmax_average`; the temperatures are powers of two,
+    so folding them into the (keys, C) operand scales the logits exactly.
     """
-    logits_text = BETA_TEXT * (hidden_video @ z_text.T)
-    x_text = softmax_rows(logits_text) @ z_text
+    x_text, _, _ = softmax_average((BETA_TEXT * z_text) @ hidden_video.T, z_text)
 
     bank = model.texture_bank
-    logits_tex = BETA_TEXTURE * (hidden_video @ bank.T)
-    blend = softmax_rows(logits_tex) @ bank
+    blend, _, _ = softmax_average((BETA_TEXTURE * bank) @ hidden_video.T, bank)
     direction = cosine_normalize_rows(blend)
     coeff = np.maximum(np.sum(hidden_video * direction, axis=1), 0.0).astype(DTYPE)
     return (x_text + coeff[:, None] * direction).astype(DTYPE)
@@ -465,16 +465,13 @@ def forward(
                 )
             k_eff, v_eff, mask = plan.k, plan.v, plan.add_mask
 
-        w, attn = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)
+        att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)
+        attn = att.out
         if hooks is not None:
-            # head average; a fixed head order fixes the float sum's bits
-            v2t_sum = w[0, :thw, thw : thw + cfg.text_len]
-            for w_h in w[1:, :thw, thw : thw + cfg.text_len]:
-                v2t_sum = v2t_sum + w_h
             hooks.observe(
                 t,
                 layer,
-                v2t=v2t_sum / DTYPE(cfg.heads),
+                v2t=att.head_mean(slice(0, thw), slice(thw, thw + cfg.text_len)),
                 attn_out=attn[:thw],
                 x=x,
             )

@@ -48,29 +48,42 @@ class CacheBudgetError(RuntimeError):
 
 @dataclass
 class KvCache:
-    """Video rows of injection-layer inputs keyed by (step, layer), with a
-    byte budget.
+    """Video rows of injection-layer inputs for a plan of (step, layer) keys,
+    with a byte budget.
 
     An entry is `x[:THW]`, the video rows of one layer's input at one step;
     `identity_kv` derives that layer's pre-rotary keys and values from it.
-    Admission is checked against the budget before any entry is stored, so a
-    cache never transiently exceeds its limit.
+    Admitted rows are copied into the plan key's slot of one
+    (len(plan), rows, channels) buffer, allocated at the first admission, so
+    the cache is one allocation that is returned whole when it is dropped.
+    `entries` maps each admitted key to its slot. Admission is checked
+    against the plan and the budget before any entry is stored, so a cache
+    never transiently exceeds its limit.
     """
 
     rows: int
     channels: int
+    plan: tuple[tuple[int, int], ...]
     budget_bytes: int | None = None
     entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.plan = tuple((int(s), int(l)) for s, l in self.plan)
+        self._slot = {key: i for i, key in enumerate(self.plan)}
+        self._buffer: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         return len(self.entries) * entry_nbytes(self.rows, self.channels)
 
     def _admissible(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
-        """The key of an entry of `shape`, once its shape and the budget allow it."""
+        """The key of an entry of `shape`, once the plan, its shape and the
+        budget allow it."""
+        key = (int(step), int(layer))
+        if key not in self._slot:
+            raise ValueError(f"step {step} layer {layer} is outside the cache plan")
         if shape != (self.rows, self.channels):
             raise ValueError(f"cache rows must be {(self.rows, self.channels)}, got {shape}")
-        key = (int(step), int(layer))
         grown = self.nbytes + (0 if key in self.entries else entry_nbytes(self.rows, self.channels))
         if self.budget_bytes is not None and grown > self.budget_bytes:
             raise CacheBudgetError(
@@ -80,9 +93,13 @@ class KvCache:
         return key
 
     def admit(self, step: int, layer: int, x_rows: np.ndarray) -> None:
-        """Store a copy of one layer input's (rows, channels) video rows."""
+        """Copy one layer input's (rows, channels) video rows into its slot."""
         key = self._admissible(step, layer, x_rows.shape)
-        self.entries[key] = np.array(x_rows, dtype=DTYPE, copy=True)
+        if self._buffer is None:
+            self._buffer = np.empty((len(self.plan), self.rows, self.channels), dtype=DTYPE)
+        slot = self._buffer[self._slot[key]]
+        slot[...] = x_rows
+        self.entries[key] = slot
 
     def get(self, step: int, layer: int) -> np.ndarray:
         key = (int(step), int(layer))
@@ -95,7 +112,8 @@ class KvCache:
 
     @classmethod
     def load(cls, path, budget_bytes: int | None = None) -> "KvCache":
-        """Read a saved cache; the records are stored as read, not copied.
+        """Read a saved cache; its plan is the saved keys, and the records
+        are stored as read (views of the container's one buffer), not copied.
 
         Raises:
             ValueError: for an empty container, for one holding records other
@@ -115,7 +133,8 @@ class KvCache:
         if tags != {FIELD_X}:
             raise ValueError(f"cache container holds unexpected fields {sorted(tags - {FIELD_X})}")
         rows, channels = recs[0][3].shape
-        cache = cls(rows=rows, channels=channels, budget_bytes=budget_bytes)
+        plan = tuple((step, layer) for step, layer, _, _ in recs)
+        cache = cls(rows=rows, channels=channels, plan=plan, budget_bytes=budget_bytes)
         for step, layer, _, x in recs:
             cache.entries[cache._admissible(step, layer, x.shape)] = x
         return cache
@@ -176,9 +195,11 @@ def region_mask(joint_len: int, thw: int, fg: np.ndarray, n_fg: int, n_bg: int) 
 
     Joint keys stay open to every query. Foreground queries reach the
     injected foreground block, every other video query reaches the injected
-    background block, and text queries reach neither.
+    background block, and text queries reach neither. The mask is
+    Fortran-ordered: `joint_attention` adds it transposed to key-major
+    scores, and reads it contiguously that way.
     """
-    m = np.zeros((joint_len, joint_len + n_fg + n_bg), dtype=DTYPE)
+    m = np.zeros((joint_len, joint_len + n_fg + n_bg), dtype=DTYPE, order="F")
     m[:, joint_len:] = NEG
     bg_queries = np.setdiff1d(np.arange(thw), fg, assume_unique=True)
     if n_fg and fg.size:

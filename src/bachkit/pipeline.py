@@ -105,7 +105,8 @@ def run_identity(
             f"({len(inject_steps)} steps x {len(run_cfg.kv_layers)} layers), "
             f"budget is {run_cfg.kv_budget_bytes}"
         )
-    cache = KvCache(cfg.thw, cfg.channels, budget_bytes=run_cfg.kv_budget_bytes)
+    plan = [(step, layer) for step in inject_steps for layer in run_cfg.kv_layers]
+    cache = KvCache(cfg.thw, cfg.channels, plan, budget_bytes=run_cfg.kv_budget_bytes)
     recorder = TraceRecorder(CaptureFlags(
         v2t=True,
         attn_out=True,

@@ -1,16 +1,29 @@
 """Dense attention and rotary-encoding kernels shared by every other module.
 
-All arrays are float32, row-major. There is exactly one attention
-implementation in the package (`joint_attention`); everything that needs to
-observe or perturb attention goes through it, so instrumentation sees the
-same numbers the model computes. It computes every head in one call: the
-(N, C) inputs are viewed as `heads` stacks of C/heads channels, and it
-returns the (heads, N, M) weights alongside the (N, C) output. The
-1/sqrt(d) score scale is applied to the (N, C) queries before the score
-product, not to the (heads, N, M) scores after it. When d is a power of four
-the scale is a power of two, and both orders give the same bits (d = 16 in
-the shipped profiles, d = 4 in the small test models); for other d they
-agree to float round-off.
+All arrays are float32. There is exactly one attention implementation in
+the package (`joint_attention`) and one softmax (`softmax_average`);
+everything that needs to observe or perturb attention goes through them, so
+instrumentation sees the same numbers the model computes.
+
+`joint_attention` computes every head in one call: the (N, C) inputs are
+viewed as `heads` stacks of C/heads channels. Its scores are held
+key-major, as (heads, M keys, N queries), because numpy reduces down
+contiguous columns two to three times faster than along rows of a few
+hundred entries, and the per-query max and sum are the passes that
+dominate at this size. The exponentials are multiplied with the values
+before they are divided by their sums, as in FlashAttention (Dao et al.,
+2022), which leaves out two passes over the scores. So the (N, C) output is
+all a call computes; the normalized (heads, N, M) weights are formed only
+for the block a caller asks `Attention.weights` or `Attention.head_mean`
+for. An additive mask is
+added transposed; `inject.region_mask` builds its mask in Fortran order so
+that this add reads it contiguously.
+
+The 1/sqrt(d) score scale is applied to the (N, C) queries before the score
+product, not to the scores after it. When d is a power of four the scale is
+a power of two, and both orders give the same bits (d = 16 in the shipped
+profiles, d = 4 in the small test models); for other d they agree to float
+round-off.
 
 Rotary encoding is split in two: `RotaryTable` holds the cos/sin of every
 rotary pair's angle at a set of grid positions, and `rope_encode` applies
@@ -20,7 +33,7 @@ of positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +41,8 @@ import numpy as np
 DTYPE = np.float32
 
 # Additive masking constant. Entries of an additive attention mask are either
-# 0 (permitted) or NEG (forbidden). After the max-subtracted softmax, weights
-# at NEG positions are flushed to exact zero.
+# 0 (permitted) or NEG (forbidden). After the max subtraction, exp of a
+# NEG-shifted score is exactly zero.
 NEG = DTYPE(-1e9)
 
 # Rotary base frequency shared by all axis groups.
@@ -45,37 +58,76 @@ def grid_positions(t: int, h: int, w: int) -> np.ndarray:
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.int64)
 
 
-def softmax_rows(
-    x: np.ndarray, forbidden: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Softmax over the last axis with per-row max subtraction.
+def softmax_average(
+    scores: np.ndarray, values: np.ndarray, *, masked: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax-weighted average of `values`, normalized after the product.
 
-    `x` is (..., N, M). Entries where the boolean (N, M) `forbidden` is set,
-    in every leading slice, get weight exactly zero, assigned explicitly
-    rather than left to `exp` underflow, and the rest of the row
-    renormalizes to sum 1. The result is written to `out` when given (which
-    may be `x` itself), else to a new array. The row maximum is taken over
-    forbidden entries too, so permitted entries more than about 87 below a
-    forbidden one lose precision in `exp` or underflow to zero;
-    `joint_attention` keeps them clear by adding NEG at forbidden positions.
+    `scores` are key-major, (..., M keys, N queries), and `values` are
+    (..., M, d). Each query's maximum over its keys is subtracted from
+    `scores` in place, `exp` is applied in place, and the result
+
+        out = (exp^T @ values) / sums,   sums = exp summed over the keys,
+
+    is (..., N, d). `exp` (the overwritten `scores`) and `sums`, shaped
+    (..., 1, N), are returned with it; `exp / sums` are the softmax weights.
+    The maximum entry of every query has exp exactly 1, so each sum is at
+    least 1 and finite input never gives a NaN.
+
+    With `masked`, the scores carry the additive NEG at forbidden entries,
+    whose exp is then exactly 0.
 
     Raises:
-        ValueError: on any NaN/inf input or a row with every entry forbidden.
+        ValueError: on any NaN/inf score, before anything is written; with
+            `masked`, on a query whose maximum is at or below NEG/2, that
+            is, one with every key forbidden.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    row_max = np.max(x, axis=-1, keepdims=True)
+    col_max = np.max(scores, axis=-2, keepdims=True)
     # NaN propagates through both reductions; the minimum also catches -inf
-    # and the row maxima +inf. `initial` keeps an empty input finite.
-    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(row_max).all()):
+    # and the query maxima +inf. `initial` keeps an empty input finite.
+    if not (np.isfinite(scores.min(initial=0.0)) and np.isfinite(col_max).all()):
         raise ValueError("non-finite input")
-    e = np.subtract(x, row_max, out=out)
-    np.exp(e, out=e)
-    if forbidden is not None:
-        if forbidden.all(axis=-1).any():
-            raise ValueError("fully masked query row")
-        np.copyto(e, DTYPE(0.0), where=forbidden)
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return e
+    if masked and col_max.size and col_max.min() <= NEG / 2:
+        raise ValueError("fully masked query row")
+    exp = np.subtract(scores, col_max, out=scores)
+    np.exp(exp, out=exp)
+    sums = np.sum(exp, axis=-2, keepdims=True)
+    out = np.swapaxes(exp, -1, -2) @ values
+    out /= np.swapaxes(sums, -1, -2)
+    return out, exp, sums
+
+
+@dataclass(frozen=True)
+class Attention:
+    """What `joint_attention` returns: the (N, C) output and, on request,
+    the softmax weights.
+
+    The weights are held unnormalized and key-major, as the (heads, M, N)
+    exponentials and their (heads, 1, N) sums over keys; `weights` and
+    `head_mean` divide only the block they are asked for.
+    """
+
+    out: np.ndarray
+    exp: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
+
+    def weights(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Normalized weights of the query `rows` over the key `cols`,
+        (heads, rows, cols)."""
+        return (self.exp[:, cols, rows] / self.sums[:, :, rows]).transpose(0, 2, 1)
+
+    def head_mean(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """The head average of `weights(rows, cols)`, (rows, cols).
+
+        Heads are normalized and added one at a time in index order, so the
+        float sum's bits are fixed and no (heads, rows, cols) array is formed.
+        """
+        exp, sums = self.exp[:, cols, rows], self.sums[:, :, rows]
+        total = exp[0] / sums[0]
+        for e, s in zip(exp[1:], sums[1:]):
+            total += e / s
+        total /= DTYPE(len(exp))
+        return total.T
 
 
 def joint_attention(
@@ -84,7 +136,7 @@ def joint_attention(
     v: np.ndarray,
     add_mask: np.ndarray | None = None,
     heads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Attention:
     """Multi-head scaled dot-product attention over a joint token sequence.
 
     Channels split into `heads` contiguous groups of d = C/heads. For each
@@ -98,13 +150,17 @@ def joint_attention(
         k: (M, C) keys.
         v: (M, C) values.
         add_mask: optional (N, M) additive mask with entries in {0, NEG}.
+            It is added transposed, so a Fortran-ordered mask is read
+            contiguously.
         heads: number of attention heads; must divide C.
 
     Returns:
-        (W, O) with W of shape (heads, N, M) and O of shape (N, C).
+        An `Attention` with `out` of shape (N, C) and `weights()` of shape
+        (heads, N, M).
 
     Raises:
-        ValueError: on dimension mismatch or a fully-masked query row.
+        ValueError: on dimension mismatch, a non-finite score or a
+            fully-masked query row.
     """
     q = np.asarray(q, dtype=DTYPE)
     k = np.asarray(k, dtype=DTYPE)
@@ -123,18 +179,15 @@ def joint_attention(
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
     scale = DTYPE(1.0 / np.sqrt(q.shape[1] // heads))
-    scores = split(q * scale) @ split(k).transpose(0, 2, 1)
-    forbidden = None
+    scores = split(k) @ split(q * scale).transpose(0, 2, 1)
     if add_mask is not None:
         add_mask = np.asarray(add_mask, dtype=DTYPE)
         if add_mask.shape != (n, m):
             raise ValueError(f"mask shape {add_mask.shape} does not match scores {(n, m)}")
-        scores += add_mask
-        forbidden = add_mask == NEG
+        scores += add_mask.T
 
-    w = softmax_rows(scores, forbidden, out=scores)
-    o = (w @ split(v)).transpose(1, 0, 2).reshape(n, v.shape[1])
-    return w, o
+    out, exp, sums = softmax_average(scores, split(v), masked=add_mask is not None)
+    return Attention(out=out.transpose(1, 0, 2).reshape(n, v.shape[1]), exp=exp, sums=sums)
 
 
 def rope_group_slices(channels: int, ratio: Sequence[int] = (1, 1, 1)) -> list[slice]:

@@ -43,7 +43,12 @@ _ENTRY = struct.Struct("<IIHHIIQ")
 
 
 def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> None:
-    """Write (step, layer, field-tag, matrix) entries; sorted, f32 LE."""
+    """Write (step, layer, field-tag, matrix) entries; sorted, f32 LE.
+
+    Raises:
+        ValueError: before anything is written, for an entry that is not a
+            matrix, an unknown tag or a (step, layer, tag) key given twice.
+    """
     norm = []
     for step, layer, tag, arr in entries:
         a = np.ascontiguousarray(arr, dtype=DTYPE)
@@ -52,7 +57,10 @@ def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> No
         if tag not in FIELD_NAMES:
             raise ValueError(f"unknown field tag {tag}")
         norm.append((int(step), int(layer), int(tag), a))
-    norm.sort(key=lambda e: (e[0], e[1], e[2]))
+    norm.sort(key=lambda e: e[:3])
+    for prev, cur in zip(norm, norm[1:]):
+        if prev[:3] == cur[:3]:
+            raise ValueError(f"two entries have the key (step, layer, tag) {cur[:3]}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(norm)))
         offset = 0
@@ -67,15 +75,17 @@ def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
     """Read back (step, layer, field-tag, matrix) entries from a container.
 
     The entry table is checked before any payload is read: every tag must be
-    a known field, and the payloads must lie back to back in table order from
-    offset 0 and end exactly at the end of the file, as `write_container`
-    lays them out. The payloads are then read with one call into one
-    read-only buffer, and every matrix is a view of it, so a container's data
-    is held once, in one allocation.
+    a known field, the (step, layer, tag) keys must be strictly increasing,
+    and the payloads must lie back to back in table order from offset 0 and
+    end exactly at the end of the file, as `write_container` lays them out.
+    The payloads are then read with one call into one read-only buffer, and
+    every matrix is a view of it, so a container's data is held once, in one
+    allocation.
 
     Raises:
-        ValueError: for a bad magic or version, an unknown field tag, a
-            truncated file, misplaced payloads or trailing bytes.
+        ValueError: for a bad magic or version, an unknown field tag, keys
+            out of order or repeated, a truncated file, misplaced payloads or
+            trailing bytes.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -90,9 +100,14 @@ def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
             raise ValueError("container truncated")
         table = list(_ENTRY.iter_unpack(fh.read(count * _ENTRY.size)))
         payload_end = 0
-        for i, (_, _, tag, _, rows, cols, off) in enumerate(table):
+        for i, (step, layer, tag, _, rows, cols, off) in enumerate(table):
             if tag not in FIELD_NAMES:
                 raise ValueError(f"entry {i} has unknown field tag {tag}")
+            if i and table[i - 1][:3] >= (step, layer, tag):
+                raise ValueError(
+                    f"entry {i} key {(step, layer, tag)} does not follow entry {i - 1} key "
+                    f"{table[i - 1][:3]}: keys must be strictly increasing"
+                )
             if off != payload_end:
                 raise ValueError(f"entry {i} payload at offset {off}, expected {payload_end}")
             payload_end += rows * cols * 4

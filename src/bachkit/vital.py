@@ -31,15 +31,6 @@ def frame_digest(frame: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(frame, dtype=DTYPE).tobytes()).hexdigest()
 
 
-def constant_scorer(value: float = 1.0):
-    """Frame scorer that ignores its input. Bounded trivially: always `value`."""
-
-    def score(frame: np.ndarray) -> float:
-        return float(value)
-
-    return score
-
-
 def variance_scorer():
     """Frame scorer: spatial variance of the frame. Zero iff the frame is flat."""
 

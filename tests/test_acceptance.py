@@ -107,7 +107,8 @@ def test_ac01_attention_matches_brute_force():
         if case % 2:
             mask = np.where(rng.random((n, m)) < 0.4, NEG, DTYPE(0.0)).astype(DTYPE)
             mask[np.arange(n), rng.integers(0, m, size=n)] = 0.0  # keep rows alive
-        got_w, got_o = joint_attention(q, k, v, mask)
+        got = joint_attention(q, k, v, mask)
+        got_w, got_o = got.weights(), got.out
         want_w, want_o = _brute_attention(q, k, v, mask)
         np.testing.assert_allclose(got_w[0], want_w, atol=1e-5)
         np.testing.assert_allclose(got_o, want_o, atol=1e-5)
@@ -137,7 +138,8 @@ def test_ac01_multihead_attention_matches_brute_force_per_head(heads):
         if case % 2:
             mask = np.where(rng.random((n, m)) < 0.4, NEG, DTYPE(0.0)).astype(DTYPE)
             mask[np.arange(n), rng.integers(0, m, size=n)] = 0.0  # keep rows alive
-        got_w, got_o = joint_attention(q, k, v, mask, heads=heads)
+        got = joint_attention(q, k, v, mask, heads=heads)
+        got_w, got_o = got.weights(), got.out
         assert got_w.shape == (heads, n, m) and got_o.shape == (n, heads * d)
         want_w, want_o = _per_head(q, k, v, mask, heads)
         np.testing.assert_allclose(got_w, want_w, atol=1e-5)
@@ -289,7 +291,7 @@ def test_ac06_region_weights_zero_and_normalized():
         q = rng.standard_normal((joint, c)).astype(DTYPE)
         k = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
         v = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
-        w, _ = joint_attention(q, k, v, mask)
+        w = joint_attention(q, k, v, mask).weights()
         assert (w[0][mask == NEG] == 0.0).all()
         np.testing.assert_allclose(w[0].sum(axis=1), 1.0, atol=1e-6)
 
@@ -308,7 +310,7 @@ def test_ac06_region_weights_zero_and_normalized_every_head(heads):
         q = rng.standard_normal((joint, c)).astype(DTYPE)
         k = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
         v = rng.standard_normal((joint + n_fg + n_bg, c)).astype(DTYPE)
-        w, _ = joint_attention(q, k, v, mask, heads=heads)
+        w = joint_attention(q, k, v, mask, heads=heads).weights()
         for w_h in w:
             assert (w_h[mask == NEG] == 0.0).all()
             np.testing.assert_allclose(w_h.sum(axis=1), 1.0, atol=1e-6)
@@ -325,7 +327,8 @@ def test_ac07_cache_accounting_and_budget(bench, desk_cfg):
     full = cache_nbytes(50, 42, 1000, 64)
     assert Fraction(cache_nbytes(50, 15, 1000, 64), full) == Fraction(15, 42)
 
-    cache = KvCache(rows=8, channels=4, budget_bytes=2 * entry_nbytes(8, 4))
+    cache = KvCache(rows=8, channels=4, plan=[(0, 0), (0, 1), (0, 2)],
+                    budget_bytes=2 * entry_nbytes(8, 4))
     z = np.zeros((8, 4), dtype=DTYPE)
     cache.admit(0, 0, z)
     cache.admit(0, 1, z)

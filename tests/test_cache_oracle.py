@@ -110,7 +110,7 @@ def both_caches(bench, desk_cfg):
     cache and, as the oracle, the K/V rows forward computed."""
     cfg = bench.model.config
     steps = range(desk_cfg.tau_inject, cfg.steps)
-    cache = KvCache(cfg.thw, cfg.channels)
+    cache = KvCache(cfg.thw, cfg.channels, [(s, l) for s in steps for l in desk_cfg.kv_layers])
     recorder = TraceRecorder(CaptureFlags(
         v2t=True, attn_out=True,
         steps=frozenset({desk_cfg.tau_mask, desk_cfg.tau_match}),

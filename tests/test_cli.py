@@ -158,6 +158,28 @@ def test_dump_trace_rejects_unknown_tag_in_one_line(tmp_path, capsys):
     assert err == "bachkit: error: entry 0 has unknown field tag 9\n"
 
 
+def test_dump_trace_rejects_repeated_key_in_one_line(tmp_path, capsys):
+    p = tmp_path / "twice.bvtr"
+    p.write_bytes(
+        struct.pack("<4sHHI", MAGIC, VERSION, 0, 2)
+        + struct.pack("<IIHHIIQ", 3, 1, 1, 0, 1, 1, 0)
+        + struct.pack("<IIHHIIQ", 3, 1, 1, 0, 1, 1, 4)
+        + np.zeros(2, dtype=np.float32).tobytes()
+    )
+    assert main(["dump-trace", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("bachkit: error: entry 1 key (3, 1, 1) does not follow entry 0 key "
+                   "(3, 1, 1): keys must be strictly increasing\n")
+
+
+def test_analyze_vital_has_no_constant_scorer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "vital", "--scorer", "constant"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'constant'" in capsys.readouterr().err
+
+
 def test_report_into_closed_pipe_ends_quietly(tmp_path):
     d = tmp_path / "group"
     d.mkdir()

@@ -2,9 +2,16 @@
 
 The reference below is the earlier formulation kept as an oracle: one
 single-head attention call per head on strided channel slices, and rotary
-cos/sin recomputed on every call. The model's `forward` runs all heads in
-one call and reads its rotary table from the model; both must produce
-identical bits for plain, skipped, observed and injected runs.
+cos/sin recomputed on every call. Its attention is key-major and normalized
+after the value product, the arithmetic of `joint_attention`. The model's
+`forward` runs all heads in one call and reads its rotary table from the
+model; both must produce identical bits for plain, skipped, observed and
+injected runs.
+
+A second reference keeps the order of operations used before the key-major
+layout (query-major scores and logits, normalized before the value
+product). It agrees with the model to float round-off over a full desk8
+denoise.
 """
 
 import numpy as np
@@ -22,9 +29,11 @@ from bachkit.dit import (
     predict_clean,
 )
 from bachkit.inject import InjectionRegions, build_plan, region_mask
+from bachkit.scene import IDENTITY
 from bachkit.tensorops import (
     DTYPE,
     NEG,
+    cosine_normalize_rows,
     grid_positions,
     rope_encode,
     rope_group_slices,
@@ -55,20 +64,49 @@ def _reference_rope(x, pos):
 
 
 def _reference_attention(q, k, v, add_mask):
-    """Single-head attention with the boolean-index zeroing and trailing copies."""
-    scores = (q @ k.T) * DTYPE(1.0 / np.sqrt(q.shape[1]))
+    """Single-head attention, key-major and normalized after the value product,
+    with the boolean-index zeroing and trailing copies."""
+    scores = k @ (q * DTYPE(1.0 / np.sqrt(q.shape[1]))).T  # (M, N)
     forbidden = None
     if add_mask is not None:
-        scores = scores + add_mask
-        forbidden = add_mask == NEG
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        scores = scores + add_mask.T
+        forbidden = add_mask.T == NEG
+    e = np.exp(scores - np.max(scores, axis=0, keepdims=True))
     if forbidden is not None:
         e[forbidden] = DTYPE(0.0)
+    sums = np.sum(e, axis=0, keepdims=True)
+    w = (e / sums).T.astype(DTYPE)
+    return w, ((e.T @ v) / sums.T).astype(DTYPE)
+
+
+def _parent_order_attention(q, k, v, add_mask):
+    """Single-head attention as it was computed before the key-major layout:
+    query-major scores, normalized before the value product."""
+    scores = (q @ k.T) * DTYPE(1.0 / np.sqrt(q.shape[1]))
+    if add_mask is not None:
+        scores = scores + add_mask
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     w = (e / np.sum(e, axis=-1, keepdims=True)).astype(DTYPE)
     return w, (w @ v).astype(DTYPE)
 
 
-def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1.0):
+def _parent_order_predict_clean(model, hidden_video, z_text):
+    """`predict_clean` with query-major logits, normalized before the product."""
+
+    def softmax(x):
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    x_text = softmax(dit.BETA_TEXT * (hidden_video @ z_text.T)) @ z_text
+    bank = model.texture_bank
+    blend = softmax(dit.BETA_TEXTURE * (hidden_video @ bank.T)) @ bank
+    direction = cosine_normalize_rows(blend)
+    coeff = np.maximum(np.sum(hidden_video * direction, axis=1), 0.0).astype(DTYPE)
+    return (x_text + coeff[:, None] * direction).astype(DTYPE)
+
+
+def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1.0,
+                       attention=_reference_attention, head=predict_clean):
     """`forward` as one attention call per head on strided channel slices."""
     cfg = model.config
     thw = cfg.thw
@@ -92,7 +130,7 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
         attn = np.empty_like(x)
         v2t_sum = None
         for hs in heads:
-            w_h, o_h = _reference_attention(roped_k[:, hs], k_eff[:, hs], v_eff[:, hs], mask)
+            w_h, o_h = attention(roped_k[:, hs], k_eff[:, hs], v_eff[:, hs], mask)
             attn[:, hs] = o_h
             sl = w_h[:thw, thw : thw + cfg.text_len]
             v2t_sum = sl.copy() if v2t_sum is None else v2t_sum + sl
@@ -101,7 +139,7 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
                           attn_out=attn[:thw], x=x)
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2
-    x0_hat = predict_clean(model, x[:thw], z_text)
+    x0_hat = head(model, x[:thw], z_text)
     return ((z_flat - x0_hat) / DTYPE(sigma)).reshape(z_video.shape)
 
 
@@ -183,3 +221,26 @@ def test_rotary_table_equals_per_position_encoding(shape):
     np.testing.assert_array_equal(rope_encode(x, model.positions), want)
     rows = np.array([cfg.thw - 1, 0, 5, 5])
     np.testing.assert_array_equal(rope_encode(x[rows], model.rotary[rows]), want[rows])
+
+
+def test_full_desk8_denoise_matches_parent_order_arithmetic(bench, desk_cfg, monkeypatch):
+    def parent_forward(*args, **kwargs):
+        return _reference_forward(*args, **kwargs, attention=_parent_order_attention,
+                                  head=_parent_order_predict_clean)
+
+    def run():
+        rec = TraceRecorder(CaptureFlags(v2t=True, attn_out=True,
+                                         steps=frozenset({desk_cfg.tau_mask})))
+        z0 = denoise(bench.model, bench.prompt(0), bench.schedule, 11, hooks=rec,
+                     init_clean=bench.scene.noisy_latent(IDENTITY, 0.05, 11))
+        return z0, rec.trace
+
+    got, got_trace = run()
+    with monkeypatch.context() as m:
+        m.setattr(dit, "forward", parent_forward)
+        want, want_trace = run()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+    assert got_trace.entries.keys() == want_trace.entries.keys()
+    for key, value in want_trace.entries.items():
+        np.testing.assert_allclose(got_trace.entries[key], value, rtol=0, atol=1e-5,
+                                   err_msg=str(key))

@@ -34,7 +34,7 @@ def test_paper_layer_ratio_exact():
 
 
 def test_cache_admit_get_and_counter():
-    cache = KvCache(rows=6, channels=4)
+    cache = KvCache(rows=6, channels=4, plan=[(2, 1), (0, 0)])
     assert cache.nbytes == 0
     x = np.arange(24, dtype=DTYPE).reshape(6, 4)
     cache.admit(2, 1, x)
@@ -46,16 +46,34 @@ def test_cache_admit_get_and_counter():
     assert cache.get(2, 1)[0, 0] == 0
     with pytest.raises(KeyError):
         cache.get(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cache rows must be"):
         cache.admit(0, 0, x[:3])
+    with pytest.raises(ValueError, match="step 3 layer 1 is outside the cache plan"):
+        cache.admit(3, 1, x)
+    assert sorted(cache.entries) == [(2, 1)]
+
+
+def test_cache_entries_share_one_buffer():
+    plan = [(s, l) for s in (11, 12) for l in (0, 2)]
+    cache = KvCache(rows=5, channels=4, plan=plan)
+    rng = np.random.default_rng(2)
+    rows = {key: rng.random((5, 4)).astype(DTYPE) for key in plan[::-1]}
+    for (s, l), x in rows.items():
+        cache.admit(s, l, x)
+    base = next(iter(cache.entries.values())).base
+    assert base is not None and all(a.base is base for a in cache.entries.values())
+    assert base.shape == (len(plan), 5, 4) and base.dtype == DTYPE
+    for i, key in enumerate(plan):  # each key's rows sit in its plan slot
+        np.testing.assert_array_equal(base[i], rows[key])
+        np.testing.assert_array_equal(cache.get(*key), rows[key])
 
 
 def test_cache_counter_random_admissions():
     rng = np.random.default_rng(0)
     for _ in range(20):
         rows, c = int(rng.integers(2, 9)), int(rng.integers(2, 7))
-        cache = KvCache(rows=rows, channels=c)
         keys = {(int(s), int(l)) for s, l in rng.integers(0, 6, size=(rng.integers(1, 12), 2))}
+        cache = KvCache(rows=rows, channels=c, plan=[(s, l) for s in range(6) for l in range(6)])
         for s, l in keys:
             cache.admit(s, l, np.zeros((rows, c), dtype=DTYPE))
         assert cache.nbytes == len(keys) * rows * c * 4
@@ -63,7 +81,7 @@ def test_cache_counter_random_admissions():
 
 
 def test_budget_rejects_before_admission():
-    cache = KvCache(rows=4, channels=2, budget_bytes=entry_nbytes(4, 2))
+    cache = KvCache(rows=4, channels=2, plan=[(0, 0), (0, 1)], budget_bytes=entry_nbytes(4, 2))
     z = np.zeros((4, 2), dtype=DTYPE)
     cache.admit(0, 0, z)  # exact fit
     with pytest.raises(CacheBudgetError, match="cache budget exceeded"):
@@ -75,14 +93,19 @@ def test_budget_rejects_before_admission():
 
 def test_cache_save_load(tmp_path):
     rng = np.random.default_rng(1)
-    cache = KvCache(rows=5, channels=4)
-    for s, l in [(11, 0), (11, 2), (12, 0)]:
+    plan = [(11, 0), (11, 2), (12, 0), (12, 2)]
+    cache = KvCache(rows=5, channels=4, plan=plan)
+    for s, l in plan[2::-1]:  # admitted out of order; (12, 2) never
         cache.admit(s, l, rng.random((5, 4)).astype(DTYPE))
     p = tmp_path / "cache.bvtr"
     cache.save(p)
     assert p.stat().st_size == 12 + 3 * (28 + entry_nbytes(5, 4))
+    # the same bytes as a cache of separately stored entries
+    separate = tmp_path / "separate.bvtr"
+    write_container([(s, l, FIELD_X, x.copy()) for (s, l), x in cache.entries.items()], separate)
+    assert p.read_bytes() == separate.read_bytes()
     back = KvCache.load(p)
-    assert back.rows == 5 and back.channels == 4
+    assert back.rows == 5 and back.channels == 4 and back.plan == tuple(plan[:3])
     assert sorted(back.entries) == sorted(cache.entries)
     for key, x in cache.entries.items():
         np.testing.assert_array_equal(back.entries[key], x)
@@ -167,10 +190,10 @@ def test_fused_attention_empty_injection_is_vanilla():
     q = rng.standard_normal((5, 4)).astype(DTYPE)
     k = rng.standard_normal((5, 4)).astype(DTYPE)
     v = rng.standard_normal((5, 4)).astype(DTYPE)
-    w0, o0 = joint_attention(q, k, v)
-    w1, o1 = joint_attention(q, k, v, np.zeros((5, 5), dtype=DTYPE))
-    np.testing.assert_array_equal(w1, w0)
-    np.testing.assert_array_equal(o1, o0)
+    a0 = joint_attention(q, k, v)
+    a1 = joint_attention(q, k, v, np.zeros((5, 5), dtype=DTYPE))
+    np.testing.assert_array_equal(a1.weights(), a0.weights())
+    np.testing.assert_array_equal(a1.out, a0.out)
 
 
 def test_fused_attention_restricted_oracle():
@@ -183,8 +206,8 @@ def test_fused_attention_restricted_oracle():
     k_star = rng.standard_normal((joint_len + n_fg + n_bg, c)).astype(DTYPE)
     v_star = rng.standard_normal((joint_len + n_fg + n_bg, c)).astype(DTYPE)
     mask = region_mask(joint_len, thw, fg, n_fg, n_bg)
-    w, o = joint_attention(q, k_star, v_star, mask)
-    w = w[0]
+    att = joint_attention(q, k_star, v_star, mask)
+    w, o = att.weights()[0], att.out
     for i in range(joint_len):
         cols = np.flatnonzero(mask[i] != NEG)
         scores = (q[i] @ k_star[cols].T) / np.sqrt(c)
@@ -232,7 +255,7 @@ def test_build_plan_reencodes_keys_at_frame_positions():
 
 
 def test_cache_recorder_filters():
-    cache = KvCache(rows=3, channels=2)
+    cache = KvCache(rows=3, channels=2, plan=[(1, 0), (2, 0)])
     rec = CacheRecorder(cache, steps=[1, 2], layers=[0])
     x = np.arange(10, dtype=DTYPE).reshape(5, 2)  # 3 video rows, 2 text rows
     kw = dict(v2t=None, attn_out=None, x=x)

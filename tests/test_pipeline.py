@@ -119,7 +119,7 @@ def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkey
     monkeypatch.setattr(pipeline, "denoise", no_compute)
     cfg = bench.model.config
     for rows, channels in [(cfg.joint_len, cfg.channels), (cfg.thw, cfg.channels + 2)]:
-        other = dataclasses.replace(identity, cache=KvCache(rows, channels))
+        other = dataclasses.replace(identity, cache=KvCache(rows, channels, plan=()))
         with pytest.raises(ValueError, match=f"identity cache holds {rows}x{channels} rows "
                            f"per entry, the model's video rows are 256x48"):
             run_frame(bench, desk_cfg, other, seed=31)

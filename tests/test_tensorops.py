@@ -16,7 +16,7 @@ from bachkit.tensorops import (
     rope_encode,
     rope_group_slices,
     rope_pair_angles,
-    softmax_rows,
+    softmax_average,
 )
 
 
@@ -43,31 +43,58 @@ def brute_attention(q, k, v, forbidden=None):
     return w, o
 
 
+def softmax_weights(x, forbidden=None, masked=False):
+    """Row-major (..., N, M) softmax weights through `softmax_average`: the
+    scores go in key-major, forbidden entries carry NEG, and identity values
+    make the output the weights themselves."""
+    x = np.array(x, dtype=DTYPE)
+    if forbidden is not None:
+        x = x + np.where(forbidden, NEG, DTYPE(0.0))
+    m = x.shape[-1]
+    out, _, _ = softmax_average(np.swapaxes(x, -1, -2).copy(), np.eye(m, dtype=DTYPE),
+                                masked=masked or forbidden is not None)
+    return out
+
+
 def test_softmax_known_row():
-    got = softmax_rows(np.array([[1.0, 2.0, 3.0]]))
+    got = softmax_weights([[1.0, 2.0, 3.0]])
     np.testing.assert_allclose(got[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-4)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    w = softmax_rows(rng.standard_normal((40, 17)))
+    w = softmax_weights(rng.standard_normal((40, 17)))
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
     assert (w >= 0).all()
+
+
+def test_softmax_average_returns_exp_and_sums():
+    rng = np.random.default_rng(1)
+    scores = rng.standard_normal((2, 5, 3)).astype(DTYPE)  # (heads, keys, queries)
+    values = rng.standard_normal((2, 5, 4)).astype(DTYPE)
+    want = np.exp(scores - scores.max(axis=1, keepdims=True))
+    out, exp, sums = softmax_average(scores, values)
+    assert exp is scores  # computed in place
+    np.testing.assert_allclose(exp, want, rtol=1e-6)
+    np.testing.assert_allclose(sums, want.sum(axis=1, keepdims=True), rtol=1e-6)
+    assert exp.max(axis=1).tolist() == [[1.0] * 3] * 2  # each query's maximum
+    weights = np.swapaxes(want / want.sum(axis=1, keepdims=True), 1, 2)
+    np.testing.assert_allclose(out, weights @ values, atol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-20, 20))
 def test_softmax_shift_invariance(seed, shift):
     x = np.random.default_rng(seed).standard_normal((3, 8)).astype(DTYPE)
-    np.testing.assert_allclose(softmax_rows(x + DTYPE(shift)), softmax_rows(x), atol=1e-6)
+    np.testing.assert_allclose(softmax_weights(x + DTYPE(shift)), softmax_weights(x), atol=1e-6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_softmax_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        softmax_rows(np.array([[0.0, bad]]))
+        softmax_weights([[0.0, bad]])
     with pytest.raises(ValueError, match="non-finite"):  # at a forbidden position too
-        softmax_rows(np.array([[0.0, bad, 1.0]]), np.array([[False, True, False]]))
+        softmax_weights([[0.0, bad, 1.0]], np.array([[False, True, False]]))
 
 
 def _forbidden_without_full_rows(rng, n, m):
@@ -83,17 +110,17 @@ def _forbidden_without_full_rows(rng, n, m):
     m=st.integers(1, 6),
     bad=st.sampled_from([np.nan, np.inf, -np.inf]),
     masked=st.booleans(),
-    in_place=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_softmax_raises_on_any_non_finite_entry(lead, n, m, bad, masked, in_place, seed):
+def test_softmax_raises_on_any_non_finite_entry(lead, n, m, bad, masked, seed):
     rng = np.random.default_rng(seed)
-    x = (rng.standard_normal((*lead, n, m)) * 10).astype(DTYPE)
+    x = (rng.standard_normal((*lead, m, n)) * 10).astype(DTYPE)  # key-major scores
+    if masked:
+        x += np.where(_forbidden_without_full_rows(rng, n, m).T, NEG, DTYPE(0.0))
     x[tuple(rng.integers(0, d) for d in x.shape)] = bad
     before = x.copy()
-    forbidden = _forbidden_without_full_rows(rng, n, m) if masked else None
     with pytest.raises(ValueError, match="non-finite"):
-        softmax_rows(x, forbidden, out=x if in_place else None)
+        softmax_average(x, np.ones((m, 2), dtype=DTYPE), masked=masked)
     np.testing.assert_array_equal(x, before)  # nothing written before the check
 
 
@@ -114,22 +141,41 @@ def test_softmax_accepts_every_finite_input(lead, n, m, masked, data):
     ).reshape(*lead, n, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     forbidden = _forbidden_without_full_rows(rng, n, m) if masked else None
-    w = softmax_rows(x, forbidden)
-    if forbidden is None:  # a mask may leave a row to underflow; see softmax_rows
-        assert np.isfinite(w).all()
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
+    if forbidden is not None and (
+        (x + np.where(forbidden, NEG, DTYPE(0.0))).max(axis=-1) <= NEG / 2
+    ).any():  # every entry of a row at or below NEG/2 reads as fully masked
+        with pytest.raises(ValueError, match="fully masked"):
+            softmax_weights(x, forbidden)
+        return
+    w = softmax_weights(x, forbidden)
+    assert np.isfinite(w).all()
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
 
 
 def test_softmax_zeroes_forbidden_entries_explicitly():
-    # forbidden entries hold the row maximum, so exp would not flush them
+    # forbidden entries hold the row maximum; NEG added there makes exp exactly 0
     x = np.array([[5.0, 1.0, 2.0], [0.0, 30.0, 30.0]], dtype=DTYPE)
     forbidden = np.array([[True, False, False], [False, True, False]])
-    w = softmax_rows(x, forbidden)
+    w = softmax_weights(x, forbidden)
     assert w[0, 0] == 0.0 and w[1, 1] == 0.0
     np.testing.assert_allclose(w[0, 1:], brute_softmax(x[0, 1:]), atol=1e-6)
     np.testing.assert_allclose(w[1], [0.0, 0.0, 1.0], atol=1e-6)
     with pytest.raises(ValueError, match="fully masked"):
-        softmax_rows(x, np.ones_like(forbidden))
+        softmax_weights(x, np.ones_like(forbidden))
+
+
+def test_forbidden_entry_far_above_its_row_gets_zero_weight():
+    # the score at the forbidden key is 200 above the permitted one
+    q = np.ones((1, 1), dtype=DTYPE)
+    k = np.array([[0.0], [200.0], [-1.0]], dtype=DTYPE)
+    v = np.array([[1.0], [1000.0], [3.0]], dtype=DTYPE)
+    mask = np.array([[0.0, NEG, 0.0]], dtype=DTYPE)
+    att = joint_attention(q, k, v, mask)
+    w = att.weights()[0, 0]
+    assert np.isfinite(w).all() and w[1] == 0.0
+    np.testing.assert_allclose(w.sum(), 1.0, atol=1e-6)
+    np.testing.assert_allclose(w[[0, 2]], brute_softmax([0.0, -1.0]), atol=1e-6)
+    np.testing.assert_allclose(att.out[0], w[0] * 1.0 + w[2] * 3.0, atol=1e-5)
 
 
 def test_attention_matches_brute_force():
@@ -137,18 +183,33 @@ def test_attention_matches_brute_force():
     q = rng.standard_normal((9, 6)).astype(DTYPE)
     k = rng.standard_normal((11, 6)).astype(DTYPE)
     v = rng.standard_normal((11, 6)).astype(DTYPE)
-    w, o = joint_attention(q, k, v)
+    att = joint_attention(q, k, v)
     bw, bo = brute_attention(q, k, v)
-    np.testing.assert_allclose(w[0], bw, atol=1e-5)
-    np.testing.assert_allclose(o, bo, atol=1e-5)
+    np.testing.assert_allclose(att.weights()[0], bw, atol=1e-5)
+    np.testing.assert_allclose(att.out, bo, atol=1e-5)
+
+
+def test_attention_weights_of_a_block():
+    rng = np.random.default_rng(9)
+    q = rng.standard_normal((7, 6)).astype(DTYPE)
+    k = rng.standard_normal((10, 6)).astype(DTYPE)
+    att = joint_attention(q, k, k, heads=2)
+    full = att.weights()
+    assert full.shape == (2, 7, 10)
+    np.testing.assert_array_equal(att.weights(slice(2, 5), slice(6, 10)), full[:, 2:5, 6:10])
+    np.testing.assert_array_equal(att.weights(cols=slice(0, 1)), full[:, :, :1])
+    # the head average adds the heads in index order
+    np.testing.assert_array_equal(att.head_mean(slice(2, 5), slice(6, 10)),
+                                  (full[0, 2:5, 6:10] + full[1, 2:5, 6:10]) / DTYPE(2))
+    assert att.head_mean().shape == (7, 10)
 
 
 def test_attention_single_token_is_identity():
     q = np.array([[2.0, -1.0]], dtype=DTYPE)
     v = np.array([[5.0, 7.0]], dtype=DTYPE)
-    w, o = joint_attention(q, q, v)
-    assert w[0, 0] == 1.0
-    np.testing.assert_array_equal(o, v)
+    att = joint_attention(q, q, v)
+    assert att.weights()[0, 0, 0] == 1.0
+    np.testing.assert_array_equal(att.out, v)
 
 
 def test_masked_attention_zeroes_and_renormalizes():
@@ -159,29 +220,34 @@ def test_masked_attention_zeroes_and_renormalizes():
     mask = np.zeros((6, 8), dtype=DTYPE)
     mask[0, 1:] = NEG  # row 0: single permitted key
     mask[2, ::2] = NEG
-    w, o = joint_attention(q, k, v, mask)
-    w = w[0]
+    att = joint_attention(q, k, v, mask)
+    w, o = att.weights()[0], att.out
     assert (w[mask == NEG] == 0.0).all()
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
     assert w[0, 0] == 1.0
     np.testing.assert_allclose(o[0], v[0], atol=1e-6)
     bw, _ = brute_attention(q, k, v, forbidden=(mask == NEG))
     np.testing.assert_allclose(w, bw, atol=1e-5)
+    # a Fortran-ordered mask gives the same bits
+    again = joint_attention(q, k, v, np.asfortranarray(mask))
+    np.testing.assert_array_equal(again.out, o)
 
 
 def test_softmax_batched_equals_each_slice():
-    # one (N, M) forbidden pattern serves every leading slice, bit for bit
+    # NEG at one (M, N) forbidden pattern in every leading slice, bit for bit
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 5, 7)).astype(DTYPE)
-    forbidden = rng.random((5, 7)) < 0.3
-    forbidden[:, 0] = False
-    got = softmax_rows(x, forbidden)
+    x = rng.standard_normal((3, 7, 5)).astype(DTYPE)
+    forbidden = rng.random((7, 5)) < 0.3
+    forbidden[0] = False
+    x += np.where(forbidden, NEG, DTYPE(0.0))
+    values = rng.standard_normal((3, 7, 2)).astype(DTYPE)
+    out, exp, sums = softmax_average(x.copy(), values, masked=True)
     for h in range(3):
-        np.testing.assert_array_equal(got[h], softmax_rows(x[h], forbidden))
-    assert (got[:, forbidden] == 0.0).all()
-    out = x.copy()
-    assert softmax_rows(out, forbidden, out=out) is out  # in place, same bits
-    np.testing.assert_array_equal(out, got)
+        o_h, e_h, s_h = softmax_average(x[h].copy(), values[h], masked=True)
+        np.testing.assert_array_equal(out[h], o_h)
+        np.testing.assert_array_equal(exp[h], e_h)
+        np.testing.assert_array_equal(sums[h], s_h)
+    assert (exp[:, forbidden] == 0.0).all()
 
 
 def test_attention_heads_must_divide_channels():
@@ -190,13 +256,17 @@ def test_attention_heads_must_divide_channels():
         joint_attention(a, a, a, heads=4)
     with pytest.raises(ValueError, match="heads"):
         joint_attention(a, a, a, heads=0)
-    w, o = joint_attention(a, a, a, heads=3)
-    assert w.shape == (3, 2, 2) and o.shape == (2, 6)
+    att = joint_attention(a, a, a, heads=3)
+    assert att.weights().shape == (3, 2, 2) and att.out.shape == (2, 6)
 
 
 def test_fully_masked_row_raises():
     q = np.ones((1, 2), dtype=DTYPE)
     mask = np.full((1, 1), NEG, dtype=DTYPE)
+    with pytest.raises(ValueError, match="fully masked"):
+        joint_attention(q, q, q, mask)
+    q = np.ones((2, 2), dtype=DTYPE)
+    mask = np.array([[0.0, 0.0], [NEG, NEG]], dtype=DTYPE)  # the second row only
     with pytest.raises(ValueError, match="fully masked"):
         joint_attention(q, q, q, mask)
 

@@ -138,6 +138,7 @@ _entries = st.lists(
         st.integers(1, 3), st.integers(1, 3),
     ),
     max_size=3,
+    unique_by=lambda e: e[:3],  # a container holds each (step, layer, tag) key once
 )
 
 
@@ -206,6 +207,23 @@ def test_write_container_validates():
         write_container([(0, 0, FIELD_V2T, np.zeros(3, dtype=np.float32))], "/dev/null")
     with pytest.raises(ValueError, match="tag"):
         write_container([(0, 0, 99, np.zeros((1, 1), dtype=np.float32))], "/dev/null")
+
+
+def test_container_rejects_repeated_keys(tmp_path):
+    p = tmp_path / "t.bvtr"
+    a = np.zeros((1, 1), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"two entries have the key \(step, layer, tag\) \(0, 0, 1\)"):
+        write_container([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a), (0, 0, FIELD_V2T, a + 1)], p)
+    assert not p.exists()  # rejected before the file is opened
+    # a hand-written table repeating a key, then one out of order
+    p.write_bytes(_table_bytes([(0, 0, FIELD_V2T, 1, 1), (0, 0, FIELD_V2T, 1000, 1000)]))
+    with pytest.raises(ValueError, match=r"entry 1 key \(0, 0, 1\) does not follow entry 0 key"):
+        read_container(p)  # before the missing payload is read
+    with pytest.raises(ValueError, match="strictly increasing"):
+        AttentionTrace.load(p)
+    p.write_bytes(_table_bytes([(2, 0, FIELD_V2T, 1, 1), (1, 5, FIELD_V2T, 1, 1)]) + bytes(8))
+    with pytest.raises(ValueError, match=r"entry 1 key \(1, 5, 1\) does not follow entry 0 key \(2, 0, 1\)"):
+        read_container(p)
 
 
 def test_capture_flags_wants():

@@ -10,7 +10,6 @@ from bachkit.vital import (
     LayerScore,
     aesthetic_score,
     collect_skip_runs,
-    constant_scorer,
     embed_similarity_score,
     frame_digest,
     generate_skipped,
@@ -37,11 +36,11 @@ def runs():
 
 def test_aesthetic_score_examples():
     video = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0)])
-    assert aesthetic_score(video, constant_scorer(5.5)) == 5.5
+    assert aesthetic_score(video, lambda f: 5.5) == 5.5
     assert aesthetic_score(video, lambda f: float(f[0, 0])) == 2.0
     assert aesthetic_score(video, variance_scorer()) == 0.0
     with pytest.raises(ValueError):
-        aesthetic_score(np.zeros((2, 2)), constant_scorer())
+        aesthetic_score(np.zeros((2, 2)), lambda f: 1.0)
 
 
 def test_aesthetic_score_linear_in_scorer():
@@ -126,7 +125,7 @@ def test_generate_skipped_decodes_and_differs(runs):
 def test_sweep_constant_scorer_all_drops_zero():
     model = init_model(CFG)
     prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
-    report = sweep_layers(model, prompt, StepSchedule.linear(CFG.steps), 3, constant_scorer(2.0))
+    report = sweep_layers(model, prompt, StepSchedule.linear(CFG.steps), 3, lambda f: 2.0)
     assert len(report.scores) == CFG.depth
     assert report.baseline == 2.0
     assert all(s.drop == 0.0 for s in report.scores)
