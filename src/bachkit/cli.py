@@ -2,8 +2,9 @@
 
 Commands drive planted-scene runs end to end: generate an identity with its
 trace and layer-input cache, generate frames with injection, sweep analysis
-grids, apply the selection rules, and inspect stored artifacts. Global flags
-choose the profile or config file; command flags point at inputs/outputs.
+grids, apply the selection rules, and inspect stored artifacts. Shared
+flags, given after the command name, choose the profile or config file;
+command flags point at inputs/outputs.
 Library errors end the command with a one-line `bachkit: error: ...` on
 stderr and exit status 2.
 """
@@ -48,26 +49,18 @@ from .trace import FIELD_NAMES, AttentionTrace, read_container
 from .vital import LayerReport, sweep_layers, sweep_layers_embed, variance_scorer
 
 
-def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    """Shared flags, attachable before or after the subcommand."""
-
-    def arg(*names, **kw):
-        if suppress:
-            kw["default"] = argparse.SUPPRESS
-        p.add_argument(*names, **kw)
-
-    arg("--config", help="INI run configuration (exclusive with --profile)")
-    arg("--profile", choices=["desk8", "paper42"], help="built-in defaults")
-    arg("--seed", type=int, help="base run seed")
-    arg("--kv-budget-bytes", type=int, help="identity cache byte budget")
-    arg("--global-match", action="store_const", const=True,
-        help="match across the whole grid, not per frame")
-    arg("--recompute-mask-per-step", action="store_const", const=True,
-        help="refresh mask and match after every step during injection")
-    arg("--scene-seed", type=int, **({} if suppress else {"default": 1}),
-        help="planted scene seed")
-    arg("--scene-sigma", type=float, **({} if suppress else {"default": 0.05}),
-        help="scene noise level")
+def _add_global_flags(p: argparse.ArgumentParser) -> None:
+    """Shared flags, given after the command name."""
+    p.add_argument("--config", help="INI run configuration (exclusive with --profile)")
+    p.add_argument("--profile", choices=["desk8", "paper42"], help="built-in defaults")
+    p.add_argument("--seed", type=int, help="base run seed")
+    p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
+    p.add_argument("--global-match", action="store_const", const=True,
+                   help="match across the whole grid, not per frame")
+    p.add_argument("--recompute-mask-per-step", action="store_const", const=True,
+                   help="refresh mask and match after every step during injection")
+    p.add_argument("--scene-seed", type=int, default=1, help="planted scene seed")
+    p.add_argument("--scene-sigma", type=float, default=0.05, help="scene noise level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,37 +68,35 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bachkit",
         description="desk-scale consistent video generation with attention readouts",
     )
-    _add_global_flags(p, suppress=False)
-
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-identity", help="generate the identity run; save trace, cache, video")
-    _add_global_flags(sp, suppress=True)
+    _add_global_flags(sp)
     sp.add_argument("--out", default="bachkit-out", help="output directory")
 
     sp = sub.add_parser("gen-frame", help="generate one frame run against saved identity artifacts")
-    _add_global_flags(sp, suppress=True)
+    _add_global_flags(sp)
     sp.add_argument("--identity-dir", required=True, help="directory written by gen-identity")
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--action-seed", type=int, default=1, help="action segment seed")
     sp.add_argument("--no-inject", action="store_true", help="run vanilla instead of injecting")
 
     sp = sub.add_parser("run-group", help="identity plus injected frames, full artifact set")
-    _add_global_flags(sp, suppress=True)
+    _add_global_flags(sp)
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--frames", type=int, default=1, help="frame runs in the group")
     sp.add_argument("--ablate", action="store_true",
                     help="also run frames without injection for comparison")
 
     sp = sub.add_parser("analyze", help="sweep a per-(step, layer) analysis table")
-    _add_global_flags(sp, suppress=True)
+    _add_global_flags(sp)
     sp.add_argument("what", choices=["mask", "match", "vital"])
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--scorer", choices=["embed", "variance"], default="embed",
                     help="grading family for the layer-skip sweep")
 
     sp = sub.add_parser("select", help="apply a selection rule to a stored table")
-    _add_global_flags(sp, suppress=True)
+    _add_global_flags(sp)
     sp.add_argument("what", choices=["mask-layers", "match-layers", "tau", "vital"])
     sp.add_argument("--grid", help="analysis grid csv (mask-layers, match-layers, tau)")
     sp.add_argument("--report", help="layer report csv (vital)")
@@ -252,10 +243,9 @@ def _cmd_select(args) -> int:
         curve = grid.step_curve(layers)
         step = select_tau_mask(curve) if args.kind == QUALITY else select_tau_match(curve)
         print(grid.steps[step])
-    elif args.what == "mask-layers":
-        print(format_layer_set(select_layers(grid, args.k or cfg.vital_k, QUALITY)))
     else:
-        print(format_layer_set(select_layers(grid, args.k or cfg.vital_k, COST)))
+        kind = QUALITY if args.what == "mask-layers" else COST
+        print(format_layer_set(select_layers(grid, args.k or cfg.vital_k, kind)))
     return 0
 
 

@@ -26,7 +26,7 @@ explicit Euler update.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -184,8 +184,8 @@ class StepSchedule:
         return len(self.sigmas) - 1
 
     @classmethod
-    def linear(cls, steps: int, sigma_max: float = SIGMA_MAX_DEFAULT) -> "StepSchedule":
-        return cls(np.linspace(sigma_max, 0.0, steps + 1, dtype=DTYPE))
+    def linear(cls, steps: int) -> "StepSchedule":
+        return cls(np.linspace(SIGMA_MAX_DEFAULT, 0.0, steps + 1, dtype=DTYPE))
 
 
 @dataclass(frozen=True)
@@ -349,11 +349,6 @@ class Model:
             for a in (lw.qk_gain, lw.w_value, lw.w_out, lw.w_mlp1, lw.w_mlp2):
                 h.update(a.tobytes())
         return h.hexdigest()
-
-    def without_layer(self, layer: int) -> "Model":
-        """A depth-(d-1) model keeping the remaining blocks' weights."""
-        keep = tuple(lw for i, lw in enumerate(self.layers) if i != layer)
-        return replace(self, config=replace(self.config, depth=self.config.depth - 1), layers=keep)
 
 
 def init_model(config: ModelConfig) -> Model:

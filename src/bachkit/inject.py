@@ -22,14 +22,7 @@ from .dit import Hooks, InjectionPlan, LayerWeights, Model
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
-from .trace import (
-    FIELD_PRE_K,
-    FIELD_PRE_V,
-    FIELD_X,
-    AttentionTrace,
-    read_container,
-    write_container,
-)
+from .trace import FIELD_X, AttentionTrace, read_container, write_container
 
 
 def entry_nbytes(rows: int, channels: int) -> int:
@@ -43,7 +36,7 @@ def cache_nbytes(n_steps: int, n_layers: int, rows: int, channels: int) -> int:
 
 
 class CacheBudgetError(RuntimeError):
-    """Raised when admitting an entry would exceed the byte budget."""
+    """Raised when a cache plan needs more bytes than the budget allows."""
 
 
 @dataclass
@@ -53,12 +46,13 @@ class KvCache:
 
     An entry is `x[:THW]`, the video rows of one layer's input at one step;
     `identity_kv` derives that layer's pre-rotary keys and values from it.
-    Admitted rows are copied into the plan key's slot of one
-    (len(plan), rows, channels) buffer, allocated at the first admission, so
-    the cache is one allocation that is returned whole when it is dropped.
-    `entries` maps each admitted key to its slot. Admission is checked
-    against the plan and the budget before any entry is stored, so a cache
-    never transiently exceeds its limit.
+    The plan decides both what the cache admits and what it costs: a key
+    outside it is refused, and the whole plan is held to `budget_bytes` when
+    the cache is made, so an undersized budget fails before any run starts
+    and before any buffer exists. Admitted rows are copied into the plan
+    key's slot of one (len(plan), rows, channels) buffer, allocated at the
+    first admission, so the cache is one allocation that is returned whole
+    when it is dropped. `entries` maps each admitted key to its slot.
     """
 
     rows: int
@@ -69,35 +63,34 @@ class KvCache:
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
-        self._slot = {key: i for i, key in enumerate(self.plan)}
+        need = len(self.plan) * entry_nbytes(self.rows, self.channels)
+        if self.budget_bytes is not None and need > self.budget_bytes:
+            raise CacheBudgetError(
+                f"cache plan needs {need} bytes ({len(self.plan)} entries of "
+                f"{self.rows}x{self.channels} rows), budget is {self.budget_bytes}"
+            )
+        self.slots = {key: i for i, key in enumerate(self.plan)}  # plan key -> buffer index
         self._buffer: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         return len(self.entries) * entry_nbytes(self.rows, self.channels)
 
-    def _admissible(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
-        """The key of an entry of `shape`, once the plan, its shape and the
-        budget allow it."""
+    def _key(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
+        """The key of an entry of `shape`, once the plan and its shape allow it."""
         key = (int(step), int(layer))
-        if key not in self._slot:
+        if key not in self.slots:
             raise ValueError(f"step {step} layer {layer} is outside the cache plan")
         if shape != (self.rows, self.channels):
             raise ValueError(f"cache rows must be {(self.rows, self.channels)}, got {shape}")
-        grown = self.nbytes + (0 if key in self.entries else entry_nbytes(self.rows, self.channels))
-        if self.budget_bytes is not None and grown > self.budget_bytes:
-            raise CacheBudgetError(
-                f"cache budget exceeded at step {step} layer {layer}: "
-                f"{grown} bytes needed, budget is {self.budget_bytes}"
-            )
         return key
 
     def admit(self, step: int, layer: int, x_rows: np.ndarray) -> None:
         """Copy one layer input's (rows, channels) video rows into its slot."""
-        key = self._admissible(step, layer, x_rows.shape)
+        key = self._key(step, layer, x_rows.shape)
         if self._buffer is None:
             self._buffer = np.empty((len(self.plan), self.rows, self.channels), dtype=DTYPE)
-        slot = self._buffer[self._slot[key]]
+        slot = self._buffer[self.slots[key]]
         slot[...] = x_rows
         self.entries[key] = slot
 
@@ -117,26 +110,22 @@ class KvCache:
 
         Raises:
             ValueError: for an empty container, for one holding records other
-                than layer inputs (in particular the separate K and V records
-                of the earlier cache format), or for records of unequal shape.
-            CacheBudgetError: when the records exceed `budget_bytes`.
+                than layer inputs, or for records of unequal shape. A cache
+                of the earlier format (separate K and V records) has tags the
+                container reader no longer knows, and is refused by it.
+            CacheBudgetError: when the saved plan exceeds `budget_bytes`.
         """
         recs = read_container(path)
         if not recs:
             raise ValueError("cache container is empty")
         tags = {tag for _, _, tag, _ in recs}
-        if tags & {FIELD_PRE_K, FIELD_PRE_V}:
-            raise ValueError(
-                "cache container holds separate K and V records, the format of earlier "
-                "versions; regenerate it with gen-identity"
-            )
         if tags != {FIELD_X}:
             raise ValueError(f"cache container holds unexpected fields {sorted(tags - {FIELD_X})}")
         rows, channels = recs[0][3].shape
         plan = tuple((step, layer) for step, layer, _, _ in recs)
         cache = cls(rows=rows, channels=channels, plan=plan, budget_bytes=budget_bytes)
         for step, layer, _, x in recs:
-            cache.entries[cache._admissible(step, layer, x.shape)] = x
+            cache.entries[cache._key(step, layer, x.shape)] = x
         return cache
 
 
@@ -151,19 +140,15 @@ def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):
 
 
 class CacheRecorder(Hooks):
-    """Hook that admits the video rows of layer inputs into a cache during a run."""
+    """Hook that admits the video rows of a layer's input into a cache
+    exactly when (step, layer) is a key of the cache's plan."""
 
-    def __init__(self, cache: KvCache, steps=None, layers=None):
+    def __init__(self, cache: KvCache):
         self.cache = cache
-        self.steps = None if steps is None else frozenset(int(s) for s in steps)
-        self.layers = None if layers is None else frozenset(int(l) for l in layers)
 
     def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        if self.steps is not None and step not in self.steps:
-            return
-        if self.layers is not None and layer not in self.layers:
-            return
-        self.cache.admit(step, layer, x[: self.cache.rows])
+        if (step, layer) in self.cache.slots:
+            self.cache.admit(step, layer, x[: self.cache.rows])
 
 
 @dataclass(frozen=True)

@@ -26,18 +26,21 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM; ValueError for another format, a size that is not
+    positive, a maxval other than 255 or a payload of other than w*h bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     parts = raw.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P5":
         raise ValueError("not a binary PGM file")
     w, h = (int(x) for x in parts[1].split())
+    if w < 1 or h < 1:
+        raise ValueError(f"PGM size {w}x{h} is not positive")
     if parts[2] != b"255":
         raise ValueError("only maxval 255 is supported")
-    data = parts[3][: w * h]
-    if len(data) < w * h:
-        raise ValueError("PGM payload truncated")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+    if len(parts[3]) != w * h:
+        raise ValueError(f"PGM payload holds {len(parts[3])} bytes, {w}x{h} needs {w * h}")
+    return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w)
 
 
 def video_sheet(video: np.ndarray) -> np.ndarray:

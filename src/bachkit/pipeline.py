@@ -29,7 +29,7 @@ from .dit import (
     init_model,
     patch_shape,
 )
-from .inject import CacheBudgetError, CacheRecorder, Injector, KvCache, cache_nbytes
+from .inject import CacheRecorder, Injector, KvCache
 from .masks import mask_from_slices, mask_iou, write_mask_csv, write_mask_pgms
 from .matching import MatchMap, match_foreground, match_mse, similarity
 from .pgm import video_sheet, write_pgm
@@ -89,23 +89,17 @@ def run_identity(
     *,
     seed: int,
     scene_sigma: float = SCENE_SIGMA_DEFAULT,
-    scene_noise_seed: int | None = None,
 ) -> IdentityBundle:
     """Generate the identity while tracing readouts and caching layer inputs.
 
-    The cache budget is checked against the full admission plan before the
-    run starts, so an undersized budget fails fast instead of mid-generation.
+    The cache's plan is every step from `tau_inject` on times every kv
+    layer. The cache checks that plan against the budget when it is made,
+    before the run starts, so an undersized budget fails fast instead of
+    mid-generation.
     """
     cfg = bench.model.config
-    inject_steps = range(run_cfg.tau_inject, cfg.steps)
-    need = cache_nbytes(len(inject_steps), len(run_cfg.kv_layers), cfg.thw, cfg.channels)
-    if run_cfg.kv_budget_bytes is not None and need > run_cfg.kv_budget_bytes:
-        raise CacheBudgetError(
-            f"cache plan needs {need} bytes "
-            f"({len(inject_steps)} steps x {len(run_cfg.kv_layers)} layers), "
-            f"budget is {run_cfg.kv_budget_bytes}"
-        )
-    plan = [(step, layer) for step in inject_steps for layer in run_cfg.kv_layers]
+    plan = [(step, layer) for step in range(run_cfg.tau_inject, cfg.steps)
+            for layer in run_cfg.kv_layers]
     cache = KvCache(cfg.thw, cfg.channels, plan, budget_bytes=run_cfg.kv_budget_bytes)
     recorder = TraceRecorder(CaptureFlags(
         v2t=True,
@@ -113,12 +107,10 @@ def run_identity(
         steps=frozenset({run_cfg.tau_mask, run_cfg.tau_match}),
         layers=frozenset(run_cfg.mask_layers) | frozenset(run_cfg.match_layers),
     ))
-    cacher = CacheRecorder(cache, steps=inject_steps, layers=run_cfg.kv_layers)
-    noise_seed = seed if scene_noise_seed is None else scene_noise_seed
     z0 = denoise(
         bench.model, bench.prompt(0), bench.schedule, seed,
-        hooks=ChainedHooks(recorder, cacher),
-        init_clean=bench.scene.noisy_latent(IDENTITY, scene_sigma, noise_seed),
+        hooks=ChainedHooks(recorder, CacheRecorder(cache)),
+        init_clean=bench.scene.noisy_latent(IDENTITY, scene_sigma, seed),
     )
     return IdentityBundle(z0=z0, trace=recorder.trace, cache=cache)
 
@@ -176,7 +168,6 @@ def run_frame(
     seed: int,
     action_seed: int = 1,
     scene_sigma: float = SCENE_SIGMA_DEFAULT,
-    scene_noise_seed: int | None = None,
     inject: bool = True,
 ) -> tuple[np.ndarray, Injector | None]:
     """One frame generation against a finished identity run.
@@ -186,11 +177,10 @@ def run_frame(
     noise so the injection is the only difference.
     """
     injector = make_injector(bench, run_cfg, identity) if inject else None
-    noise_seed = seed if scene_noise_seed is None else scene_noise_seed
     z0 = denoise(
         bench.model, bench.prompt(action_seed), bench.schedule, seed,
         hooks=injector,
-        init_clean=bench.scene.noisy_latent(FRAME, scene_sigma, noise_seed),
+        init_clean=bench.scene.noisy_latent(FRAME, scene_sigma, seed),
     )
     return z0, injector
 
@@ -344,17 +334,15 @@ def capture_trace(
     *,
     seed: int,
     scene_sigma: float = SCENE_SIGMA_DEFAULT,
-    scene_noise_seed: int | None = None,
     attn_out: bool = False,
     action_seed: int = 0,
 ) -> AttentionTrace:
     """Full-run capture of video-to-text slices (and optionally outputs)."""
     recorder = TraceRecorder(CaptureFlags(v2t=True, attn_out=attn_out))
-    noise_seed = seed if scene_noise_seed is None else scene_noise_seed
     denoise(
         bench.model, bench.prompt(action_seed), bench.schedule, seed,
         hooks=recorder,
-        init_clean=bench.scene.noisy_latent(variant, scene_sigma, noise_seed),
+        init_clean=bench.scene.noisy_latent(variant, scene_sigma, seed),
     )
     return recorder.trace
 

@@ -18,11 +18,12 @@ import numpy as np
 from .dit import (
     SIGNATURE_AMP_DEFAULT,
     TEXTURE_AMP_DEFAULT,
+    _rng,
     channel_plan,
     detail_direction,
     texture_dictionary,
 )
-from .tensorops import DTYPE
+from .tensorops import DTYPE, rope_group_slices
 
 #: Scale of the background shading field. Each variant draws its own base
 #: level plus per-pixel jitter, so two independently generated videos have
@@ -41,10 +42,6 @@ _ROLE_ACTION = 14
 _ROLE_DETAIL = 15
 
 
-def _rng(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
-
-
 def _unit_on(channels: int, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     v = np.zeros(channels, dtype=np.float64)
     v[idx] = rng.standard_normal(len(idx))
@@ -54,8 +51,6 @@ def _unit_on(channels: int, idx: np.ndarray, rng: np.random.Generator) -> np.nda
 def _balanced_signatures(channels: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Three mutually orthogonal unit vectors on the signature channels with
     equal mass in every rotary axis group, so no attention head is starved."""
-    from .tensorops import rope_group_slices
-
     plan = channel_plan(channels)
     groups = rope_group_slices(channels)
     vecs = [np.zeros(channels, dtype=np.float64) for _ in range(3)]
@@ -199,9 +194,6 @@ def make_scene(
     rect_h: int = 3,
     rect_w: int = 3,
     seed: int = 0,
-    signature_amp: float = SIGNATURE_AMP_DEFAULT,
-    texture_amp: float = TEXTURE_AMP_DEFAULT,
-    detail_amp: float = DETAIL_AMP_DEFAULT,
 ) -> Scene:
     """Build a planted scene whose two variants differ in rectangle placement."""
     if rect_h > height or rect_w > width:
@@ -223,7 +215,4 @@ def make_scene(
         bg_signature=bg.astype(DTYPE),
         fg_signature=fg.astype(DTYPE),
         seed=seed,
-        signature_amp=signature_amp,
-        texture_amp=texture_amp,
-        detail_amp=detail_amp,
     )

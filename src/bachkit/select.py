@@ -12,12 +12,34 @@ curve's minimum.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 QUALITY = "quality"
 COST = "cost"
+
+
+def read_csv_records(path, header: tuple[str, ...], types, what: str):
+    """Yield (line number, values) for each record of a CSV table with `header`,
+    field i parsed by `types[i]`; ValueError naming the line of a bad record."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != list(header):
+            raise ValueError(f"unexpected {what} header {got}")
+        for rec in reader:
+            where = f"{what} line {reader.line_num}"
+            if len(rec) != len(header):
+                raise ValueError(f"{where}: {len(rec)} fields, the header has {len(header)}")
+            try:
+                values = tuple(t(f) for t, f in zip(types, rec))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{where}: non-finite value")
+            yield reader.line_num, values
 
 
 @dataclass(frozen=True)
@@ -62,13 +84,12 @@ class AnalysisGrid:
     @classmethod
     def read_csv(cls, path) -> "AnalysisGrid":
         cells = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["step", "layer", "value"]:
-                raise ValueError(f"unexpected grid header {header}")
-            for row in reader:
-                cells[(int(row[0]), int(row[1]))] = float(row[2])
+        for line, (step, layer, value) in read_csv_records(
+            path, ("step", "layer", "value"), (int, int, float), "grid"
+        ):
+            if (step, layer) in cells:
+                raise ValueError(f"grid line {line}: a second value for step {step} layer {layer}")
+            cells[(step, layer)] = value
         steps = tuple(sorted({k[0] for k in cells}))
         layers = tuple(sorted({k[1] for k in cells}))
         values = np.full((len(steps), len(layers)), np.nan)

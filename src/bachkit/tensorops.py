@@ -25,16 +25,16 @@ a power of two, and both orders give the same bits (d = 16 in the shipped
 profiles, d = 4 in the small test models); for other d they agree to float
 round-off.
 
-Rotary encoding is split in two: `RotaryTable` holds the cos/sin of every
-rotary pair's angle at a set of grid positions, and `rope_encode` applies
-the rotation. A model computes its table once; rows of it encode any subset
-of positions.
+Rotary encoding splits the channels into equal thirds for the (t, h, w)
+axes and uses one base frequency, `ROPE_BASE`, for all three. It comes in
+two parts: `RotaryTable` holds the cos/sin of every rotary pair's angle at
+a set of grid positions, and `rope_encode` applies the rotation. A model
+computes its table once; rows of it encode any subset of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -190,30 +190,19 @@ def joint_attention(
     return Attention(out=out.transpose(1, 0, 2).reshape(n, v.shape[1]), exp=exp, sums=sums)
 
 
-def rope_group_slices(channels: int, ratio: Sequence[int] = (1, 1, 1)) -> list[slice]:
-    """Split `channels` into three contiguous per-axis groups of even width.
-
-    Group widths are proportional to `ratio`; the default is equal thirds.
-    """
-    if len(ratio) != 3:
-        raise ValueError("ratio must have three entries")
-    total = sum(ratio)
-    widths = []
-    for r in ratio:
-        w = channels * r / total
-        if w != int(w) or int(w) % 2 != 0:
-            raise ValueError(
-                f"channel width {channels} not divisible into even groups with ratio {tuple(ratio)}"
-            )
-        widths.append(int(w))
-    edges = np.cumsum([0] + widths)
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+def rope_group_slices(channels: int) -> list[slice]:
+    """Split `channels` into three contiguous per-axis groups of equal, even
+    width: the (t, h, w) thirds."""
+    if channels % 6:
+        raise ValueError(f"channel width {channels} not divisible into three even groups")
+    w = channels // 3
+    return [slice(0, w), slice(w, 2 * w), slice(2 * w, channels)]
 
 
-def rope_pair_angles(group_width: int, base: float = ROPE_BASE) -> np.ndarray:
-    """Base angles theta_j = base^(-2j/width) for the pairs of one axis group."""
+def rope_pair_angles(group_width: int) -> np.ndarray:
+    """Base angles theta_j = ROPE_BASE^(-2j/width) for the pairs of one axis group."""
     j = np.arange(group_width // 2, dtype=np.float64)
-    return (base ** (-2.0 * j / group_width)).astype(DTYPE)
+    return (ROPE_BASE ** (-2.0 * j / group_width)).astype(DTYPE)
 
 
 @dataclass(frozen=True)
@@ -229,21 +218,15 @@ class RotaryTable:
     sin: np.ndarray
 
     @classmethod
-    def at(
-        cls,
-        positions,
-        channels: int,
-        ratio: Sequence[int] = (1, 1, 1),
-        base: float = ROPE_BASE,
-    ) -> "RotaryTable":
+    def at(cls, positions, channels: int) -> "RotaryTable":
         """Table of (N, 3) int (t, h, w) grid coordinates for `channels`-wide rows."""
         pos = np.asarray(positions)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         ang = np.concatenate(
             [
-                pos[:, axis : axis + 1].astype(DTYPE) * rope_pair_angles(sl.stop - sl.start, base)
-                for axis, sl in enumerate(rope_group_slices(channels, ratio))
+                pos[:, axis : axis + 1].astype(DTYPE) * rope_pair_angles(sl.stop - sl.start)
+                for axis, sl in enumerate(rope_group_slices(channels))
             ],
             axis=1,
         )
@@ -256,24 +239,20 @@ class RotaryTable:
         return RotaryTable(cos=self.cos[rows], sin=self.sin[rows])
 
 
-def rope_encode(
-    x: np.ndarray,
-    positions,
-    ratio: Sequence[int] = (1, 1, 1),
-    base: float = ROPE_BASE,
-) -> np.ndarray:
+def rope_encode(x: np.ndarray, positions) -> np.ndarray:
     """Three-axis rotary encoding of row vectors at grid positions.
 
-    Channels split into three contiguous groups for the (t, h, w) axes; within
-    a group, adjacent channel pairs (2j, 2j+1) rotate by theta_j * coordinate.
+    Channels split into three equal contiguous groups for the (t, h, w) axes;
+    within a group, adjacent channel pairs (2j, 2j+1) rotate by theta_j *
+    coordinate, with theta_j from `rope_pair_angles` at base `ROPE_BASE`.
     Rotations are orthogonal, so row norms are preserved, and the dot product
     of two encoded rows depends on positions only through their difference.
 
     Args:
         x: (N, C) rows to encode.
-        positions: (N, 3) int array of (t, h, w) grid coordinates, or the
-            `RotaryTable` of those positions (`ratio` and `base` then went
-            into the table and are not used here).
+        positions: (N, 3) int array of (t, h, w) grid coordinates, whose
+            table is then computed for this call, or the `RotaryTable` of
+            those positions, which a model computes once and reuses.
 
     Returns:
         (N, C) encoded rows.
@@ -283,7 +262,7 @@ def rope_encode(
         raise ValueError("x must be 2-D")
     table = positions
     if not isinstance(table, RotaryTable):
-        table = RotaryTable.at(positions, x.shape[1], ratio, base)
+        table = RotaryTable.at(positions, x.shape[1])
     if len(table) != x.shape[0]:
         raise ValueError(f"{len(table)} positions for {x.shape[0]} rows")
     if 2 * table.cos.shape[1] != x.shape[1]:

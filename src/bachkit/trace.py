@@ -1,8 +1,8 @@
 """Attention traces and their binary container.
 
 A trace holds per-(step, layer) attention internals captured during a
-denoising run: head-averaged video-to-text weight slices, attention outputs,
-and layer inputs. Traces and layer-input caches round-trip bit-exactly
+denoising run: head-averaged video-to-text weight slices and attention
+outputs. Traces and layer-input caches round-trip bit-exactly
 through a small binary container (magic "BVTR"): a fixed-size little-endian
 entry table followed by raw float32 payloads.
 """
@@ -23,19 +23,11 @@ VERSION = 1
 
 FIELD_V2T = 1
 FIELD_ATTN_OUT = 2
-# Pre-rotary key and value rows: the records of caches written before caches
-# held layer inputs. Kept so such files still list and are rejected by name.
-FIELD_PRE_K = 3
-FIELD_PRE_V = 4
-FIELD_X = 5  # a layer's input rows
+# A layer's input rows. Tags 3 and 4 stay unused, so that caches of the earlier
+# format (separate K and V records) are refused as unknown tags.
+FIELD_X = 5
 
-FIELD_NAMES = {
-    FIELD_V2T: "v2t",
-    FIELD_ATTN_OUT: "attn_out",
-    FIELD_PRE_K: "pre_k",
-    FIELD_PRE_V: "pre_v",
-    FIELD_X: "x",
-}
+FIELD_NAMES = {FIELD_V2T: "v2t", FIELD_ATTN_OUT: "attn_out", FIELD_X: "x"}
 FIELD_TAGS = {name: tag for tag, name in FIELD_NAMES.items()}
 
 _HEADER = struct.Struct("<4sHHI")
@@ -132,20 +124,15 @@ class CaptureFlags:
 
     v2t: bool = True
     attn_out: bool = False
-    x: bool = False
     steps: frozenset[int] | None = None
     layers: frozenset[int] | None = None
-
-    @classmethod
-    def all(cls) -> "CaptureFlags":
-        return cls(v2t=True, attn_out=True, x=True)
 
     def wants(self, step: int, layer: int) -> bool:
         if self.steps is not None and step not in self.steps:
             return False
         if self.layers is not None and layer not in self.layers:
             return False
-        return self.v2t or self.attn_out or self.x
+        return self.v2t or self.attn_out
 
 
 @dataclass
@@ -205,5 +192,3 @@ class TraceRecorder(Hooks):
             self.trace.put(step, layer, "v2t", v2t.copy())
         if f.attn_out:
             self.trace.put(step, layer, "attn_out", attn_out.copy())
-        if f.x:
-            self.trace.put(step, layer, "x", x.copy())

@@ -14,21 +14,14 @@ its mean cosine similarity to the baseline video (`embed_similarity_score`).
 from __future__ import annotations
 
 import csv
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dit import Model, decode_video, denoise, patch_shape
-from .select import select_vital
-from .tensorops import DTYPE
+from .select import read_csv_records
 
 _EMBED_TAG = 0xE3B  # stream tag for the fixed projection draw
-
-
-def frame_digest(frame: np.ndarray) -> str:
-    """Content hash of one decoded frame (row-major float32 bytes)."""
-    return hashlib.sha256(np.ascontiguousarray(frame, dtype=DTYPE).tobytes()).hexdigest()
 
 
 def variance_scorer():
@@ -36,21 +29,6 @@ def variance_scorer():
 
     def score(frame: np.ndarray) -> float:
         return float(np.var(np.asarray(frame, dtype=np.float64)))
-
-    return score
-
-
-def planted_scorer(table: dict[str, float], default: float = 1.0):
-    """Frame scorer keyed to planted content by digest.
-
-    Frames whose hash appears in `table` get the tabulated value, everything
-    else the default. Tabulating degraded frames at 0 with default 1 turns
-    the sweep into a strict detector: only a run reproducing the tabulated
-    video bit-for-bit registers a drop.
-    """
-
-    def score(frame: np.ndarray) -> float:
-        return float(table.get(frame_digest(frame), default))
 
     return score
 
@@ -145,9 +123,6 @@ class LayerReport:
     def drops(self) -> dict[int, float]:
         return {s.layer: s.drop for s in self.scores}
 
-    def vital(self, k: int) -> tuple[int, ...]:
-        return select_vital(self.drops(), k)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -157,23 +132,20 @@ class LayerReport:
 
     @classmethod
     def read_csv(cls, path) -> "LayerReport":
-        rows = []
-        baseline = None
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["layer", "score_skip", "baseline", "drop"]:
-                raise ValueError(f"unexpected layer report header {header}")
-            for rec in reader:
-                layer, score_skip, b, drop = int(rec[0]), float(rec[1]), float(rec[2]), float(rec[3])
-                if baseline is None:
-                    baseline = b
-                elif baseline != b:
-                    raise ValueError("layer report rows disagree on the baseline score")
-                rows.append(LayerScore(layer=layer, score_skip=score_skip, drop=drop))
+        scores, baseline = {}, None
+        for line, (layer, score_skip, b, drop) in read_csv_records(
+            path, ("layer", "score_skip", "baseline", "drop"), (int, float, float, float),
+            "layer report",
+        ):
+            if baseline is not None and baseline != b:
+                raise ValueError(f"layer report line {line} disagrees on the baseline score")
+            if layer in scores:
+                raise ValueError(f"layer report line {line}: a second row for layer {layer}")
+            baseline = b
+            scores[layer] = LayerScore(layer=layer, score_skip=score_skip, drop=drop)
         if baseline is None:
             raise ValueError("layer report holds no rows")
-        return cls(baseline=baseline, scores=tuple(sorted(rows, key=lambda s: s.layer)))
+        return cls(baseline=baseline, scores=tuple(scores[l] for l in sorted(scores)))
 
 
 def report_from_runs(runs: dict[int | None, np.ndarray], video_score) -> LayerReport:

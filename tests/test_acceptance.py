@@ -61,13 +61,8 @@ from bachkit.select import (
 )
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
 from bachkit.trace import CaptureFlags, TraceRecorder
-from bachkit.vital import (
-    aesthetic_score,
-    collect_skip_runs,
-    frame_digest,
-    planted_scorer,
-    report_from_runs,
-)
+from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
+from refs import frame_digest, planted_scorer
 
 
 def _brute_attention(q, k, v, mask=None):
@@ -317,7 +312,7 @@ def test_ac06_region_weights_zero_and_normalized_every_head(heads):
         np.testing.assert_allclose(w, _per_head(q, k, v, mask, heads)[0], atol=1e-5)
 
 
-def test_ac07_cache_accounting_and_budget(bench, desk_cfg):
+def test_ac07_cache_accounting_and_budget(bench, desk_cfg, monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(50):
         t, l, n, c = (int(x) for x in rng.integers(1, 60, size=4))
@@ -327,14 +322,18 @@ def test_ac07_cache_accounting_and_budget(bench, desk_cfg):
     full = cache_nbytes(50, 42, 1000, 64)
     assert Fraction(cache_nbytes(50, 15, 1000, 64), full) == Fraction(15, 42)
 
-    cache = KvCache(rows=8, channels=4, plan=[(0, 0), (0, 1), (0, 2)],
-                    budget_bytes=2 * entry_nbytes(8, 4))
+    plan, budget = [(0, 0), (0, 1), (0, 2)], 2 * entry_nbytes(8, 4)
+    with monkeypatch.context() as m:  # rejected at construction, before any buffer exists
+        m.setattr(np, "empty", lambda *a, **k: pytest.fail("buffer allocated over budget"))
+        with pytest.raises(CacheBudgetError, match=f"cache plan needs {3 * entry_nbytes(8, 4)} "):
+            KvCache(rows=8, channels=4, plan=plan, budget_bytes=budget)
+    cache = KvCache(rows=8, channels=4, plan=plan[:2], budget_bytes=budget)
     z = np.zeros((8, 4), dtype=DTYPE)
     cache.admit(0, 0, z)
     cache.admit(0, 1, z)
-    with pytest.raises(CacheBudgetError, match="cache budget exceeded"):
-        cache.admit(0, 2, z)
-    assert sorted(cache.entries) == [(0, 0), (0, 1)]  # rejected before admission
+    assert sorted(cache.entries) == [(0, 0), (0, 1)]  # a fitting plan admits every key
+    cache.admit(0, 1, z + 1)
+    assert cache.nbytes == budget  # overwrites never grow the footprint
 
     tight = dataclasses.replace(desk_cfg, kv_budget_bytes=1)
     with pytest.raises(CacheBudgetError, match="cache plan needs"):

@@ -119,7 +119,7 @@ def both_caches(bench, desk_cfg):
     grab = _KvGrab(steps=frozenset(steps), layers=frozenset(desk_cfg.kv_layers))
     z0 = denoise(
         bench.model, bench.prompt(0), bench.schedule, 11,
-        hooks=ChainedHooks(recorder, CacheRecorder(cache, steps, desk_cfg.kv_layers), grab),
+        hooks=ChainedHooks(recorder, CacheRecorder(cache), grab),
         init_clean=bench.scene.noisy_latent(IDENTITY, 0.05, 11),
     )
     assert sorted(grab.kv) == sorted(cache.entries)

@@ -12,17 +12,16 @@ import pytest
 import bachkit.pipeline as pipeline
 from bachkit.cli import main
 from bachkit.select import AnalysisGrid
-from bachkit.trace import (
-    FIELD_PRE_K, FIELD_PRE_V, MAGIC, VERSION, AttentionTrace, write_container,
-)
+from bachkit.trace import MAGIC, VERSION, AttentionTrace
 from bachkit.vital import LayerReport, LayerScore
+from refs import write_kv_cache_of_earlier_format
 
 
 def test_config_and_profile_are_exclusive(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[model]\nprofile = desk8\n")
     with pytest.raises(SystemExit, match="not both"):
-        main(["--config", str(ini), "--profile", "desk8", "run-group"])
+        main(["run-group", "--config", str(ini), "--profile", "desk8"])
 
 
 def test_identity_then_frame_flow(tmp_path, capsys):
@@ -105,6 +104,29 @@ def test_select_vital_from_report(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1,3"
 
 
+@pytest.mark.parametrize("what, flag, text", [
+    ("vital", "--report", "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n1\n"),
+    ("tau", "--grid", "step,layer,value\n0,0,1.0\n0\n"),
+])
+def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
+    p = tmp_path / "table.csv"
+    p.write_text(text)
+    assert main(["select", what, flag, str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bachkit: error: ") and err.count("\n") == 1
+    assert "line 3: 1 fields" in err
+
+
+def test_shared_flags_go_after_the_command(capsys):
+    for argv in (["--global-match", "run-group"], ["--seed", "3", "run-group"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --global-match" in err and "invalid choice: '3'" in err
+
+
 def test_select_requires_its_input():
     with pytest.raises(SystemExit, match="--report"):
         main(["select", "vital"])
@@ -130,13 +152,11 @@ def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     old.mkdir()
     np.save(old / "identity_z0.npy", np.zeros((4, 8, 8, 48), dtype=np.float32))
     AttentionTrace().save(old / "identity_trace.bvtr")
-    kv = np.zeros((4 * 8 * 8 + 16, 48), dtype=np.float32)  # K and V over the joint rows
-    write_container([(11, 3, FIELD_PRE_K, kv), (11, 3, FIELD_PRE_V, kv)],
-                    old / "identity_cache.bvtr")
+    # K and V over the joint rows
+    write_kv_cache_of_earlier_format(old / "identity_cache.bvtr", 11, 3, 4 * 8 * 8 + 16, 48)
     assert main(["gen-frame", "--identity-dir", str(old), "--out", str(tmp_path / "f")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("bachkit: error: cache container holds separate K and V records")
-    assert err.count("\n") == 1
+    assert err == "bachkit: error: entry 0 has unknown field tag 3\n"
 
     missing = tmp_path / "nowhere"
     assert main(["gen-frame", "--identity-dir", str(missing), "--out", str(tmp_path / "f")]) == 2

@@ -21,7 +21,7 @@ from bachkit.dit import (
     patch_shape,
 )
 from bachkit.tensorops import DTYPE
-from bachkit.trace import CaptureFlags, TraceRecorder
+from refs import without_layer
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,
@@ -98,7 +98,7 @@ def test_skip_equals_model_without_layer(small_model, small_prompt):
     sched = StepSchedule.linear(SMALL.steps)
     for layer in range(SMALL.depth):
         skipped = denoise(small_model, small_prompt, sched, seed=1, skip=layer)
-        removed = denoise(small_model.without_layer(layer), small_prompt, sched, seed=1)
+        removed = denoise(without_layer(small_model, layer), small_prompt, sched, seed=1)
         np.testing.assert_array_equal(skipped, removed)
     baseline = denoise(small_model, small_prompt, sched, seed=1)
     assert not np.array_equal(baseline, denoise(small_model, small_prompt, sched, seed=1, skip=0))
@@ -166,6 +166,17 @@ class _Latents(Hooks):
         self.entering.append(z.copy())
 
 
+class _Captures(Hooks):
+    """Copies of everything `observe` is handed, the layer input `x` included."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def observe(self, step, layer, *, v2t, attn_out, x):
+        for name, a in (("v2t", v2t), ("attn_out", attn_out), ("x", x)):
+            self.entries[(step, layer, name)] = a.copy()
+
+
 def test_resumed_denoise_equals_full_run_at_every_step(small_model, small_prompt):
     sched = StepSchedule.linear(SMALL.steps)
     latents = _Latents(initial_latent(SMALL, sched, seed=5))
@@ -173,19 +184,19 @@ def test_resumed_denoise_equals_full_run_at_every_step(small_model, small_prompt
     assert len(latents.entering) == SMALL.steps + 1
     np.testing.assert_array_equal(latents.entering[-1], full)
 
-    whole = TraceRecorder(CaptureFlags.all())
+    whole = _Captures()
     denoise(small_model, small_prompt, sched, seed=5, hooks=whole)
     for s, z in enumerate(latents.entering):
         # the seed only makes the initial latent, which `start` replaces
         np.testing.assert_array_equal(
             denoise(small_model, small_prompt, sched, seed=99, start=(s, z)), full
         )
-        rec = TraceRecorder(CaptureFlags.all())
+        rec = _Captures()
         resumed = denoise(small_model, small_prompt, sched, seed=5, hooks=rec, start=(s, z))
         np.testing.assert_array_equal(resumed, full)
-        assert sorted({k[0] for k in rec.trace.entries}) == list(range(s, SMALL.steps))
-        for key, a in rec.trace.entries.items():
-            np.testing.assert_array_equal(a, whole.trace.entries[key])
+        assert sorted({k[0] for k in rec.entries}) == list(range(s, SMALL.steps))
+        for key, a in rec.entries.items():
+            np.testing.assert_array_equal(a, whole.entries[key])
         assert resumed is not z  # the caller's latent is never handed back
 
 

@@ -18,7 +18,8 @@ from bachkit.inject import (
 )
 from bachkit.dit import LayerWeights
 from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
-from bachkit.trace import FIELD_PRE_K, FIELD_PRE_V, FIELD_V2T, FIELD_X, write_container
+from bachkit.trace import FIELD_V2T, FIELD_X, write_container
+from refs import write_kv_cache_of_earlier_format
 
 
 def test_byte_formula():
@@ -80,15 +81,22 @@ def test_cache_counter_random_admissions():
         assert cache.nbytes == cache_nbytes(1, len(keys), rows, c)
 
 
-def test_budget_rejects_before_admission():
-    cache = KvCache(rows=4, channels=2, plan=[(0, 0), (0, 1)], budget_bytes=entry_nbytes(4, 2))
+def test_budget_rejects_before_admission(monkeypatch):
+    one = entry_nbytes(4, 2)
+    plan = [(0, 0), (0, 1)]
+    with monkeypatch.context() as m:  # the plan is refused before any buffer exists
+        m.setattr(np, "empty", lambda *a, **k: pytest.fail("buffer allocated over budget"))
+        with pytest.raises(CacheBudgetError,
+                           match=rf"^cache plan needs {2 * one} bytes \(2 entries of 4x2 rows\), "
+                                 rf"budget is {one}$"):
+            KvCache(rows=4, channels=2, plan=plan, budget_bytes=one)
+    cache = KvCache(rows=4, channels=2, plan=plan, budget_bytes=2 * one)  # exact fit
     z = np.zeros((4, 2), dtype=DTYPE)
-    cache.admit(0, 0, z)  # exact fit
-    with pytest.raises(CacheBudgetError, match="cache budget exceeded"):
-        cache.admit(0, 1, z)
-    assert cache.nbytes == entry_nbytes(4, 2)  # failed admit left no trace
-    assert (0, 1) not in cache.entries
+    for key in plan:  # a fitting plan admits every key
+        cache.admit(*key, z)
+    assert cache.nbytes == 2 * one and sorted(cache.entries) == plan
     cache.admit(0, 0, z + 1)  # overwrites never grow the footprint
+    assert cache.nbytes == 2 * one
 
 
 def test_cache_save_load(tmp_path):
@@ -130,7 +138,7 @@ def test_cache_load_checks_shape_and_budget(tmp_path):
         KvCache.load(p)
     write_container([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x)], p)
     assert KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4)).nbytes == 2 * entry_nbytes(5, 4)
-    with pytest.raises(CacheBudgetError, match="cache budget exceeded at step 1 layer 0"):
+    with pytest.raises(CacheBudgetError, match=f"cache plan needs {2 * entry_nbytes(5, 4)} bytes"):
         KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4) - 1)
     write_container([], p)
     with pytest.raises(ValueError, match="empty"):
@@ -138,11 +146,12 @@ def test_cache_load_checks_shape_and_budget(tmp_path):
 
 
 def test_cache_load_rejects_kv_record_format(tmp_path):
-    """A cache of separate K and V rows (the earlier format) is refused by name."""
+    """A cache of separate K and V rows (the earlier format) is refused by
+    the container reader, whose tags no longer include theirs."""
     p = tmp_path / "cache.bvtr"
     kv = np.zeros((6, 4), dtype=DTYPE)
-    write_container([(11, 0, FIELD_PRE_K, kv), (11, 0, FIELD_PRE_V, kv)], p)
-    with pytest.raises(ValueError, match="separate K and V records"):
+    write_kv_cache_of_earlier_format(p, 11, 0, 6, 4)
+    with pytest.raises(ValueError, match="^entry 0 has unknown field tag 3$"):
         KvCache.load(p)
     write_container([(11, 0, FIELD_X, kv), (11, 1, FIELD_V2T, kv)], p)
     with pytest.raises(ValueError, match=r"unexpected fields \[1\]"):
@@ -256,7 +265,7 @@ def test_build_plan_reencodes_keys_at_frame_positions():
 
 def test_cache_recorder_filters():
     cache = KvCache(rows=3, channels=2, plan=[(1, 0), (2, 0)])
-    rec = CacheRecorder(cache, steps=[1, 2], layers=[0])
+    rec = CacheRecorder(cache)  # admits exactly the plan's keys
     x = np.arange(10, dtype=DTYPE).reshape(5, 2)  # 3 video rows, 2 text rows
     kw = dict(v2t=None, attn_out=None, x=x)
     rec.observe(0, 0, **kw)

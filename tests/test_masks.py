@@ -94,6 +94,24 @@ def test_mask_pgm_export(tmp_path):
     assert read_pgm(paths[1]).sum() == 0
 
 
+def test_read_pgm_rejects_non_positive_sizes(tmp_path):
+    p = tmp_path / "bad.pgm"
+    for size in (b"-1 4", b"0 3", b"2 0"):
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(8))
+        with pytest.raises(ValueError, match="is not positive"):
+            read_pgm(p)
+
+
+def test_read_pgm_requires_exactly_w_times_h_bytes(tmp_path):
+    p = tmp_path / "bad.pgm"
+    for n in (3, 5, 9):
+        p.write_bytes(b"P5\n2 2\n255\n" + bytes(n))
+        with pytest.raises(ValueError, match=f"payload holds {n} bytes, 2x2 needs 4"):
+            read_pgm(p)
+    p.write_bytes(b"P5\n2 2\n255\n" + b"\n\x01\x02\x03")  # a newline byte is pixel data
+    assert read_pgm(p).tolist() == [[10, 1], [2, 3]]
+
+
 def test_mask_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     mask = rng.random((2, 3, 4)) < 0.4

@@ -160,6 +160,20 @@ def test_grid_csv_rejects_holes(tmp_path):
         AnalysisGrid.read_csv(p)
 
 
+def test_grid_csv_names_the_bad_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    for body, message in (
+        ("0,0,1.0\n0,1\n", "grid line 3: 2 fields, the header has 3"),
+        ("0,0,1.0\n0,1,2.0,7\n", "grid line 3: 4 fields, the header has 3"),
+        ("0,0,1.0\n0,0,2.0\n", "grid line 3: a second value for step 0 layer 0"),
+        ("0,0,nan\n", "grid line 2: non-finite value"),
+        ("0,x,1.0\n", "grid line 2: invalid literal for int"),
+    ):
+        p.write_text("step,layer,value\n" + body)
+        with pytest.raises(ValueError, match=message):
+            AnalysisGrid.read_csv(p)
+
+
 def test_paper_fixture_selections():
     gm = paper_mask_grid()
     layers = select_layers(gm, 15, QUALITY)

@@ -292,11 +292,11 @@ def test_rope_group_slices_cover_channels():
     slices = rope_group_slices(48)
     assert [s.stop - s.start for s in slices] == [16, 16, 16]
     assert slices[0].start == 0 and slices[-1].stop == 48
-    assert [s.stop - s.start for s in rope_group_slices(48, (1, 1, 2))] == [12, 12, 24]
+    assert rope_group_slices(12) == [slice(0, 4), slice(4, 8), slice(8, 12)]
     with pytest.raises(ValueError):
         rope_group_slices(9)  # odd thirds
     with pytest.raises(ValueError):
-        rope_group_slices(12, (1, 1))
+        rope_group_slices(16)  # not divisible by three
 
 
 def test_rope_zero_position_identity():

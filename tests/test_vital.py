@@ -11,14 +11,14 @@ from bachkit.vital import (
     aesthetic_score,
     collect_skip_runs,
     embed_similarity_score,
-    frame_digest,
     generate_skipped,
-    planted_scorer,
     report_from_runs,
     sweep_layers,
     sweep_layers_embed,
     variance_scorer,
 )
+from bachkit.select import select_vital
+from refs import frame_digest, planted_scorer
 
 CFG = ModelConfig(
     depth=4, channels=12, heads=3, frames=2, height=3, width=3,
@@ -151,7 +151,7 @@ def test_planted_rigging_recovers_set(runs):
     report = report_from_runs(
         runs, lambda z: aesthetic_score(z, planted_scorer(table, default=1.0))
     )
-    assert report.vital(len(planted)) == planted
+    assert select_vital(report.drops(), len(planted)) == planted
     assert report.baseline == 1.0
 
 
@@ -176,3 +176,16 @@ def test_layer_report_csv_roundtrip(tmp_path):
     p.write_text("layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n1,0.5,2.0,1.5\n")
     with pytest.raises(ValueError, match="baseline"):
         LayerReport.read_csv(p)
+
+
+def test_layer_report_csv_names_the_bad_line(tmp_path):
+    p = tmp_path / "report.csv"
+    for body, message in (
+        ("0,0.5,1.0,0.5\n1,0.5\n", "layer report line 3: 2 fields, the header has 4"),
+        ("0,0.5,1.0,0.5\n0,0.25,1.0,0.75\n", "layer report line 3: a second row for layer 0"),
+        ("0,0.5,1.0,0.5\n1,0.5,1.0,nan\n", "layer report line 3: non-finite value"),
+        ("0,0.5,1.0,0.5\n1,0.5,2.0,1.5\n", "layer report line 3 disagrees on the baseline"),
+    ):
+        p.write_text("layer,score_skip,baseline,drop\n" + body)
+        with pytest.raises(ValueError, match=message):
+            LayerReport.read_csv(p)
