@@ -44,7 +44,7 @@ from .select import (
     select_vital,
 )
 from .tensorops import NEG, Attention, RotaryTable, joint_attention, rope_encode, softmax_average
-from .trace import AttentionTrace, CaptureFlags, TraceRecorder
+from .trace import AttentionTrace, TraceRecorder
 from .vital import (
     FrameEmbedder,
     LayerReport,
@@ -59,7 +59,6 @@ __all__ = [
     "AnalysisGrid",
     "Attention",
     "AttentionTrace",
-    "CaptureFlags",
     "FRAME",
     "FrameEmbedder",
     "GroupReport",

@@ -62,12 +62,32 @@ class RunConfig:
     match_layers: tuple[int, ...]
     kv_layers: tuple[int, ...]
     vital_k: int
-    kv_budget_bytes: int | None = None
+    kv_budget_bytes: int | None = None  # 0 or None: unlimited
     global_match: bool = False
     recompute_mask: bool = False
 
+    def __post_init__(self):
+        # The one budget rule, for the CLI and INI files alike.
+        if self.kv_budget_bytes is not None and self.kv_budget_bytes < 0:
+            raise ValueError(f"kv_budget_bytes={self.kv_budget_bytes} is negative; 0 means unlimited")
+        if self.kv_budget_bytes == 0:
+            object.__setattr__(self, "kv_budget_bytes", None)
+
     def model_config(self) -> ModelConfig:
         return PROFILES[self.profile]
+
+    def cache_keys(self, steps: int) -> tuple[tuple[int, int], ...]:
+        """(step, layer) keys the identity caches and a frame run injects at:
+        every step from `tau_inject` up to `steps`, every kv layer."""
+        return tuple((s, l) for s in range(self.tau_inject, steps) for l in self.kv_layers)
+
+    def readout_keys(self) -> tuple[tuple[int, int, str], ...]:
+        """(step, layer, field) entries the mask and match read from each run:
+        `v2t` at `tau_mask` for the mask layers, then `attn_out` at
+        `tau_match` for the match layers."""
+        return tuple((self.tau_mask, l, "v2t") for l in self.mask_layers) + tuple(
+            (self.tau_match, l, "attn_out") for l in self.match_layers
+        )
 
     def validate(self) -> "RunConfig":
         cfg = self.model_config()
@@ -145,8 +165,7 @@ def read_ini(path, overrides: dict | None = None) -> RunConfig:
         if parser.has_option("readout", key):
             kw[key] = parse_layer_set(parser.get("readout", key))
     if parser.has_option("inject", "kv_budget_bytes"):
-        budget = parser.getint("inject", "kv_budget_bytes")
-        kw["kv_budget_bytes"] = None if budget <= 0 else budget
+        kw["kv_budget_bytes"] = parser.getint("inject", "kv_budget_bytes")
     for key in ("global_match", "recompute_mask"):
         if parser.has_option("inject", key):
             kw[key] = parser.getboolean("inject", key)

@@ -449,15 +449,7 @@ def forward(
         plan = hooks.inject(t, layer, pre_k, pre_v, roped_k) if hooks is not None else None
         if plan is None:
             k_eff, v_eff, mask = roped_k, pre_v, None
-        else:
-            if plan.k.shape[0] != plan.v.shape[0] or plan.add_mask.shape != (
-                x.shape[0],
-                plan.k.shape[0],
-            ):
-                raise ValueError(
-                    "hook contract violation: substituted K/V row count inconsistent "
-                    "with supplied additive mask"
-                )
+        else:  # joint_attention checks the plan's row counts and mask shape
             k_eff, v_eff, mask = plan.k, plan.v, plan.add_mask
 
         att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)

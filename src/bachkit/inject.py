@@ -59,7 +59,7 @@ class KvCache:
     channels: int
     plan: tuple[tuple[int, int], ...]
     budget_bytes: int | None = None
-    entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    entries: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
@@ -232,9 +232,11 @@ def build_plan(
 class Injector(Hooks):
     """Stateful hook that plants cached identity content into a frame run.
 
-    Built from the model and a finished identity run (its layer-input cache
-    and attention trace). During the frame run it records the frame's own
-    video-to-text slices and attention outputs, derives the foreground mask
+    Built from the model, a finished identity run (its layer-input `cache`
+    and readout `trace`) and the frame's `RunConfig`, whose key plans decide
+    what it records and where it injects. During the frame run it records
+    the frame's own readout entries (with `recompute_mask`, also `v2t` at
+    every later step from `tau_inject - 1`), derives the foreground mask
     and the cross-generation match map one step before injection begins,
     then substitutes fused key/value rows at the chosen layers for every
     later step. With `recompute_mask` the mask and match are refreshed after
@@ -247,36 +249,18 @@ class Injector(Hooks):
     `start`) equals a full vanilla run bit for bit.
     """
 
-    def __init__(
-        self,
-        *,
-        model: Model,
-        layout,
-        identity_cache: KvCache,
-        identity_trace: AttentionTrace,
-        tau_mask: int,
-        tau_match: int,
-        tau_inject: int,
-        mask_layers,
-        match_layers,
-        kv_layers,
-        global_match: bool = False,
-        recompute_mask: bool = False,
-    ):
+    def __init__(self, *, model: Model, layout, identity, run_cfg):
+        run_cfg.validate()
         self.model = model
         self.layout = layout
-        self.identity_cache = identity_cache
-        self.identity_trace = identity_trace
-        self.tau_mask = int(tau_mask)
-        self.tau_match = int(tau_match)
-        self.tau_inject = int(tau_inject)
-        if self.tau_inject <= max(self.tau_mask, self.tau_match):
-            raise ValueError("injection must start after the mask and match readout steps")
-        self.mask_layers = tuple(int(l) for l in mask_layers)
-        self.match_layers = tuple(int(l) for l in match_layers)
-        self.kv_layers = frozenset(int(l) for l in kv_layers)
-        self.global_match = global_match
-        self.recompute_mask = recompute_mask
+        self.identity = identity
+        self.run_cfg = run_cfg
+        steps = model.config.steps
+        self.injects = frozenset(run_cfg.cache_keys(steps))
+        refreshes = range(run_cfg.tau_inject - 1, steps) if run_cfg.recompute_mask else ()
+        self.records = frozenset(run_cfg.readout_keys()) | {
+            (s, l, "v2t") for s in refreshes for l in run_cfg.mask_layers
+        }
         self.own = AttentionTrace()
         self.regions: InjectionRegions | None = None
         self.add_mask: np.ndarray | None = None
@@ -286,37 +270,25 @@ class Injector(Hooks):
         self.latent_at_inject: np.ndarray | None = None
         self._sim: np.ndarray | None = None
 
-    def _wants_v2t(self, step: int, layer: int) -> bool:
-        if layer not in self.mask_layers:
-            return False
-        if step == self.tau_mask:
-            return True
-        return self.recompute_mask and step >= self.tau_inject - 1
-
     def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        if self._wants_v2t(step, layer):
-            self.own.put(step, layer, "v2t", v2t.copy())
-        if step == self.tau_match and layer in self.match_layers:
-            self.own.put(step, layer, "attn_out", attn_out.copy())
+        self.own.keep(self.records, step, layer, v2t=v2t, attn_out=attn_out)
 
     def _similarity(self) -> np.ndarray:
         if self._sim is None:
-            frame_outs = self.own.layer_slices(self.tau_match, self.match_layers, "attn_out")
-            ident_outs = self.identity_trace.layer_slices(
-                self.tau_match, self.match_layers, "attn_out"
+            rc = self.run_cfg
+            self._sim = similarity(
+                self.own.layer_slices(rc.tau_match, rc.match_layers, "attn_out"),
+                self.identity.trace.layer_slices(rc.tau_match, rc.match_layers, "attn_out"),
             )
-            self._sim = similarity(frame_outs, ident_outs)
         return self._sim
 
     def _rebuild(self, mask_step: int) -> None:
-        cfg = self.model.config
+        cfg, rc = self.model.config, self.run_cfg
         grid = (self.layout, cfg.frames, cfg.height, cfg.width)
-        frame_slices = self.own.layer_slices(mask_step, self.mask_layers, "v2t")
+        frame_slices = self.own.layer_slices(mask_step, rc.mask_layers, "v2t")
         self.mask_frame = mask_from_slices(frame_slices, *grid)
         if self.mask_identity is None:
-            ident_slices = self.identity_trace.layer_slices(
-                self.tau_mask, self.mask_layers, "v2t"
-            )
+            ident_slices = self.identity.trace.layer_slices(rc.tau_mask, rc.mask_layers, "v2t")
             self.mask_identity = mask_from_slices(ident_slices, *grid)
         self.match = match_foreground(
             self._similarity(),
@@ -324,7 +296,7 @@ class Injector(Hooks):
             cfg.frames,
             cfg.height,
             cfg.width,
-            global_match=self.global_match,
+            global_match=rc.global_match,
         )
         self.regions = InjectionRegions.from_masks(
             self.mask_frame, self.mask_identity, self.match.as_lookup()
@@ -334,19 +306,20 @@ class Injector(Hooks):
         self.add_mask.flags.writeable = False  # shared by every injected layer
 
     def step_end(self, step: int, z: np.ndarray) -> None:
-        if step == self.tau_inject - 1:
+        rc = self.run_cfg
+        if step == rc.tau_inject - 1:
             self.latent_at_inject = z.copy()
-            self._rebuild(step if self.recompute_mask else self.tau_mask)
-        elif self.recompute_mask and step >= self.tau_inject:
+            self._rebuild(step if rc.recompute_mask else rc.tau_mask)
+        elif rc.recompute_mask and step >= rc.tau_inject:
             self._rebuild(step)
 
     def inject(self, step, layer, pre_k, pre_v, roped_k) -> InjectionPlan | None:
-        if step < self.tau_inject or layer not in self.kv_layers or self.regions is None:
+        if (step, layer) not in self.injects or self.regions is None:
             return None
         return build_plan(
             roped_k,
             pre_v,
-            self.identity_cache.get(step, layer),
+            self.identity.cache.get(step, layer),
             self.model.layers[layer],
             self.regions,
             self.model.rotary,

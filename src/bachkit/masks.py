@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dit import PromptLayout
+from .select import read_csv_records
 from .tensorops import DTYPE
 
 
@@ -87,21 +88,20 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
 
 
 def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
-    """Inverse of `write_mask_csv`; errors on an incomplete table or a cell
-    outside the (frames, height, width) grid."""
+    """Inverse of `write_mask_csv`; errors naming the line of a bad row, a
+    cell outside the (frames, height, width) grid or a cell given twice, and
+    errors on an incomplete table."""
     out = np.zeros((frames, height, width), dtype=bool)
     seen = np.zeros((frames, height, width), dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame", "h", "w", "fg"]:
-            raise ValueError(f"unexpected mask table header {header}")
-        for rec in reader:
-            t, i, j, v = (int(x) for x in rec)
-            if not (0 <= t < frames and 0 <= i < height and 0 <= j < width):
-                raise ValueError(f"mask csv cell ({t}, {i}, {j}) lies outside the grid")
-            out[t, i, j] = bool(v)
-            seen[t, i, j] = True
+    for line, (t, i, j, v) in read_csv_records(
+        path, ("frame", "h", "w", "fg"), (int,) * 4, "mask table"
+    ):
+        if not (0 <= t < frames and 0 <= i < height and 0 <= j < width):
+            raise ValueError(f"mask table line {line}: cell ({t}, {i}, {j}) lies outside the grid")
+        if seen[t, i, j]:
+            raise ValueError(f"mask table line {line}: a second row for cell ({t}, {i}, {j})")
+        out[t, i, j] = bool(v)
+        seen[t, i, j] = True
     if not seen.all():
         raise ValueError("mask csv is not a complete frame x h x w table")
     return out

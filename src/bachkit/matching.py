@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .select import read_csv_records
 from .tensorops import cosine_normalize_rows
+
+MATCH_HEADER = ("frame", "src_h", "src_w", "dst_t", "dst_h", "dst_w")
 
 
 def _flat(cells: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -46,28 +49,25 @@ class MatchMap:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["frame", "src_h", "src_w", "dst_t", "dst_h", "dst_w"])
+            w.writerow(MATCH_HEADER)
             for row in self.rows:
                 w.writerow([int(v) for v in row])
 
     @classmethod
     def read_csv(cls, path, frames: int, height: int, width: int) -> "MatchMap":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["frame", "src_h", "src_w", "dst_t", "dst_h", "dst_w"]:
-                raise ValueError(f"unexpected match table header {header}")
-            rows = np.array([[int(v) for v in row] for row in reader], dtype=np.int64)
-        if len(rows) == 0:
-            rows = rows.reshape(0, 6)
-        if rows.ndim != 2 or rows.shape[1] != 6:
-            raise ValueError("match csv rows need six fields")
-        cells = rows.reshape(-1, 3)  # source and destination cell of each row, in turn
-        outside = ((cells < 0) | (cells >= (frames, height, width))).any(axis=1)
-        if outside.any():
-            cell = tuple(cells[outside][0].tolist())
-            raise ValueError(f"match csv cell {cell} lies outside the grid")
-        return cls(rows=rows, frames=frames, height=height, width=width)
+        """Inverse of `write_csv`; errors naming the line of a bad row, a cell
+        outside the (frames, height, width) grid or a source cell given twice."""
+        grid, rows, sources = (frames, height, width), [], set()
+        for line, row in read_csv_records(path, MATCH_HEADER, (int,) * 6, "match table"):
+            for cell in (row[:3], row[3:]):
+                if not all(0 <= c < n for c, n in zip(cell, grid)):
+                    raise ValueError(f"match table line {line}: cell {cell} lies outside the grid")
+            if row[:3] in sources:
+                raise ValueError(f"match table line {line}: a second row for source cell {row[:3]}")
+            sources.add(row[:3])
+            rows.append(row)
+        return cls(rows=np.array(rows, dtype=np.int64).reshape(-1, 6), frames=frames,
+                   height=height, width=width)
 
 
 def similarity(

@@ -12,6 +12,7 @@ signal-to-noise ratio against the decoded identity. Decoded videos live in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .matching import MatchMap, match_foreground, match_mse, similarity
 from .pgm import video_sheet, write_pgm
 from .scene import FRAME, IDENTITY, Scene, make_scene
 from .select import AnalysisGrid
-from .trace import AttentionTrace, CaptureFlags, TraceRecorder
+from .trace import AttentionTrace, TraceRecorder
 
 DEFAULT_LAYOUT = PromptLayout(bg=5, fg=5, action=4, pad=2)
 SCENE_SIGMA_DEFAULT = 0.05
@@ -92,21 +93,15 @@ def run_identity(
 ) -> IdentityBundle:
     """Generate the identity while tracing readouts and caching layer inputs.
 
-    The cache's plan is every step from `tau_inject` on times every kv
-    layer. The cache checks that plan against the budget when it is made,
-    before the run starts, so an undersized budget fails fast instead of
-    mid-generation.
+    The trace holds exactly `run_cfg.readout_keys()`, and the cache's plan
+    is `run_cfg.cache_keys(steps)`. The cache checks that plan against the
+    budget when it is made, before the run starts, so an undersized budget
+    fails fast instead of mid-generation.
     """
     cfg = bench.model.config
-    plan = [(step, layer) for step in range(run_cfg.tau_inject, cfg.steps)
-            for layer in run_cfg.kv_layers]
-    cache = KvCache(cfg.thw, cfg.channels, plan, budget_bytes=run_cfg.kv_budget_bytes)
-    recorder = TraceRecorder(CaptureFlags(
-        v2t=True,
-        attn_out=True,
-        steps=frozenset({run_cfg.tau_mask, run_cfg.tau_match}),
-        layers=frozenset(run_cfg.mask_layers) | frozenset(run_cfg.match_layers),
-    ))
+    cache = KvCache(cfg.thw, cfg.channels, run_cfg.cache_keys(cfg.steps),
+                    budget_bytes=run_cfg.kv_budget_bytes)
+    recorder = TraceRecorder(run_cfg.readout_keys())
     z0 = denoise(
         bench.model, bench.prompt(0), bench.schedule, seed,
         hooks=ChainedHooks(recorder, CacheRecorder(cache)),
@@ -121,10 +116,8 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
     Raises:
         ValueError: if the identity cache's rows are not this model's
             (THW, C) video rows, or naming the first entry the run would read
-            that the identity lacks: cached rows at every step from
-            `tau_inject` on and every kv layer, then traced `v2t` at
-            `tau_mask` and `attn_out` at `tau_match` for the mask and match
-            layers. The checks run before any compute.
+            that the identity lacks: the cache plan's rows, then the readout
+            entries. The checks run before any compute.
     """
     cfg = bench.model.config
     cache = identity.cache
@@ -133,31 +126,13 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
             f"identity cache holds {cache.rows}x{cache.channels} rows per entry, "
             f"the model's video rows are {cfg.thw}x{cfg.channels}"
         )
-    for step in range(run_cfg.tau_inject, cfg.steps):
-        for layer in run_cfg.kv_layers:
-            if (step, layer) not in cache.entries:
-                raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
-    for step, layers, name in (
-        (run_cfg.tau_mask, run_cfg.mask_layers, "v2t"),
-        (run_cfg.tau_match, run_cfg.match_layers, "attn_out"),
-    ):
-        for layer in layers:
-            if not identity.trace.has(step, layer, name):
-                raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
-    return Injector(
-        model=bench.model,
-        layout=bench.layout,
-        identity_cache=cache,
-        identity_trace=identity.trace,
-        tau_mask=run_cfg.tau_mask,
-        tau_match=run_cfg.tau_match,
-        tau_inject=run_cfg.tau_inject,
-        mask_layers=run_cfg.mask_layers,
-        match_layers=run_cfg.match_layers,
-        kv_layers=run_cfg.kv_layers,
-        global_match=run_cfg.global_match,
-        recompute_mask=run_cfg.recompute_mask,
-    )
+    for step, layer in run_cfg.cache_keys(cfg.steps):
+        if (step, layer) not in cache.entries:
+            raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
+    for step, layer, name in run_cfg.readout_keys():
+        if not identity.trace.has(step, layer, name):
+            raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
+    return Injector(model=bench.model, layout=bench.layout, identity=identity, run_cfg=run_cfg)
 
 
 def run_frame(
@@ -338,7 +313,9 @@ def capture_trace(
     action_seed: int = 0,
 ) -> AttentionTrace:
     """Full-run capture of video-to-text slices (and optionally outputs)."""
-    recorder = TraceRecorder(CaptureFlags(v2t=True, attn_out=attn_out))
+    cfg = bench.model.config
+    fields = ("v2t", "attn_out") if attn_out else ("v2t",)
+    recorder = TraceRecorder(itertools.product(range(cfg.steps), range(cfg.depth), fields))
     denoise(
         bench.model, bench.prompt(action_seed), bench.schedule, seed,
         hooks=recorder,

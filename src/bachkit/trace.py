@@ -118,23 +118,6 @@ def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
     return out
 
 
-@dataclass(frozen=True)
-class CaptureFlags:
-    """What a recorder keeps. `steps`/`layers` of None capture everything."""
-
-    v2t: bool = True
-    attn_out: bool = False
-    steps: frozenset[int] | None = None
-    layers: frozenset[int] | None = None
-
-    def wants(self, step: int, layer: int) -> bool:
-        if self.steps is not None and step not in self.steps:
-            return False
-        if self.layers is not None and layer not in self.layers:
-            return False
-        return self.v2t or self.attn_out
-
-
 @dataclass
 class AttentionTrace:
     """Captured attention internals keyed by (step, layer, field name)."""
@@ -154,6 +137,12 @@ class AttentionTrace:
 
     def has(self, step: int, layer: int, name: str) -> bool:
         return (step, layer, name) in self.entries
+
+    def keep(self, keys, step: int, layer: int, **fields: np.ndarray) -> None:
+        """Put a copy of each of `fields` whose (step, layer, name) is in `keys`."""
+        for name, value in fields.items():
+            if (step, layer, name) in keys:
+                self.put(step, layer, name, value.copy())
 
     def layer_slices(self, step: int, layers, name: str) -> list[np.ndarray]:
         return [self.get(step, layer, name) for layer in layers]
@@ -178,17 +167,13 @@ class AttentionTrace:
 
 
 class TraceRecorder(Hooks):
-    """Observation hook filling an AttentionTrace; never alters the run."""
+    """Observation hook that records exactly the (step, layer, field) entries
+    in `keys` into an AttentionTrace, with field "v2t" or "attn_out"; never
+    alters the run."""
 
-    def __init__(self, flags: CaptureFlags | None = None):
-        self.flags = flags if flags is not None else CaptureFlags()
+    def __init__(self, keys):
+        self.keys = frozenset(keys)
         self.trace = AttentionTrace()
 
     def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        f = self.flags
-        if not f.wants(step, layer):
-            return
-        if f.v2t:
-            self.trace.put(step, layer, "v2t", v2t.copy())
-        if f.attn_out:
-            self.trace.put(step, layer, "attn_out", attn_out.copy())
+        self.trace.keep(self.keys, step, layer, v2t=v2t, attn_out=attn_out)

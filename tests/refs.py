@@ -4,10 +4,11 @@
 without one block. `frame_digest` and `planted_scorer` rig a skip sweep so
 that only runs reproducing tabulated frames bit for bit register a drop.
 `write_kv_cache_of_earlier_format` makes the cache files that readers must
-refuse.
+refuse. `trace_keys` spells out the keys of a whole-run trace.
 """
 
 import hashlib
+import itertools
 import struct
 from dataclasses import replace
 
@@ -52,3 +53,8 @@ def write_kv_cache_of_earlier_format(path, step: int, layer: int, rows: int, col
         for i, tag in enumerate((3, 4)):
             fh.write(struct.pack("<IIHHIIQ", step, layer, tag, 0, rows, cols, i * rows * cols * 4))
         fh.write(bytes(2 * rows * cols * 4))
+
+
+def trace_keys(steps, layers, fields=("v2t", "attn_out")) -> list[tuple[int, int, str]]:
+    """Every (step, layer, field) key over the given steps and layers."""
+    return list(itertools.product(steps, layers, fields))

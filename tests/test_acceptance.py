@@ -60,9 +60,9 @@ from bachkit.select import (
     select_vital,
 )
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
-from bachkit.trace import CaptureFlags, TraceRecorder
+from bachkit.trace import TraceRecorder
 from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
-from refs import frame_digest, planted_scorer
+from refs import frame_digest, planted_scorer, trace_keys
 
 
 def _brute_attention(q, k, v, mask=None):
@@ -407,7 +407,7 @@ def test_ac11_observation_and_empty_injection_change_nothing():
     schedule = StepSchedule.linear(cfg.steps)
     plain = denoise(model, prompt, schedule, seed=5)
 
-    recorder = TraceRecorder(CaptureFlags(v2t=True, attn_out=True))
+    recorder = TraceRecorder(trace_keys(range(cfg.steps), range(cfg.depth)))
     observed = denoise(model, prompt, schedule, seed=5, hooks=recorder)
     np.testing.assert_array_equal(observed, plain)
     assert recorder.trace.steps() == list(range(cfg.steps))  # the hook really fired

@@ -24,7 +24,7 @@ from bachkit.inject import CacheRecorder, Injector, KvCache, identity_kv
 from bachkit.pipeline import IdentityBundle, run_frame
 from bachkit.scene import IDENTITY
 from bachkit.tensorops import DTYPE, rope_encode
-from bachkit.trace import CaptureFlags, TraceRecorder
+from bachkit.trace import TraceRecorder
 
 
 class _KvGrab(Hooks):
@@ -97,7 +97,7 @@ class _KvInjector(Injector):
         self.kv = kv
 
     def inject(self, step, layer, pre_k, pre_v, roped_k):
-        if step < self.tau_inject or layer not in self.kv_layers or self.regions is None:
+        if (step, layer) not in self.injects or self.regions is None:
             return None
         k, v = self.kv[(step, layer)]
         return _kv_build_plan(roped_k, pre_v, k, v, self.regions, self.model.rotary,
@@ -110,12 +110,8 @@ def both_caches(bench, desk_cfg):
     cache and, as the oracle, the K/V rows forward computed."""
     cfg = bench.model.config
     steps = range(desk_cfg.tau_inject, cfg.steps)
-    cache = KvCache(cfg.thw, cfg.channels, [(s, l) for s in steps for l in desk_cfg.kv_layers])
-    recorder = TraceRecorder(CaptureFlags(
-        v2t=True, attn_out=True,
-        steps=frozenset({desk_cfg.tau_mask, desk_cfg.tau_match}),
-        layers=frozenset(desk_cfg.mask_layers) | frozenset(desk_cfg.match_layers),
-    ))
+    cache = KvCache(cfg.thw, cfg.channels, desk_cfg.cache_keys(cfg.steps))
+    recorder = TraceRecorder(desk_cfg.readout_keys())
     grab = _KvGrab(steps=frozenset(steps), layers=frozenset(desk_cfg.kv_layers))
     z0 = denoise(
         bench.model, bench.prompt(0), bench.schedule, 11,
@@ -136,15 +132,8 @@ def test_injected_frame_equals_kv_cache_oracle(bench, desk_cfg, both_caches, mon
     got, got_inj = run_frame(bench, cfg, bundle, seed=21)
 
     def kv_injector(bench_, cfg_, identity):
-        return _KvInjector(
-            kv,
-            model=bench_.model, layout=bench_.layout,
-            identity_cache=identity.cache, identity_trace=identity.trace,
-            tau_mask=cfg_.tau_mask, tau_match=cfg_.tau_match, tau_inject=cfg_.tau_inject,
-            mask_layers=cfg_.mask_layers, match_layers=cfg_.match_layers,
-            kv_layers=cfg_.kv_layers, global_match=cfg_.global_match,
-            recompute_mask=cfg_.recompute_mask,
-        )
+        return _KvInjector(kv, model=bench_.model, layout=bench_.layout, identity=identity,
+                           run_cfg=cfg_)
 
     monkeypatch.setattr(pipeline, "make_injector", kv_injector)
     want, want_inj = run_frame(bench, cfg, bundle, seed=21)

@@ -146,6 +146,28 @@ def test_budget_error_is_one_line_before_compute(tmp_path, monkeypatch, capsys):
     assert err.endswith("budget is 1\n") and err.count("\n") == 1
 
 
+def test_budget_zero_is_unlimited_and_negative_is_one_line(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def stop_at_compute(*args, hooks=None, **kwargs):
+        seen.append(hooks.hooks[1].cache.budget_bytes)  # the identity's CacheRecorder
+        raise KeyError("stopped before compute")
+
+    monkeypatch.setattr(pipeline, "denoise", stop_at_compute)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[inject]\nkv_budget_bytes = 0\n")
+    for flags in (["--kv-budget-bytes", "0"], ["--config", str(ini)]):
+        assert main(["gen-identity", "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err == "bachkit: error: stopped before compute\n"
+    assert seen == [None, None]  # the cache plan passed its budget check on both paths
+    ini.write_text("[inject]\nkv_budget_bytes = -5\n")
+    for flags in (["--kv-budget-bytes", "-5"], ["--config", str(ini)]):
+        assert main(["gen-identity", "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            "bachkit: error: kv_budget_bytes=-5 is negative; 0 means unlimited\n")
+    assert len(seen) == 2
+
+
 def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "denoise", _no_compute)
     old = tmp_path / "old-identity"

@@ -105,6 +105,19 @@ def test_ini_budget_zero_means_unlimited(tmp_path):
     assert read_ini(p).kv_budget_bytes is None
 
 
+def test_budget_zero_means_unlimited_and_negative_is_refused(tmp_path):
+    base = default_config("desk8")
+    assert dataclasses.replace(base, kv_budget_bytes=0).kv_budget_bytes is None
+    assert dataclasses.replace(base, kv_budget_bytes=5).kv_budget_bytes == 5
+    with pytest.raises(ValueError, match="kv_budget_bytes=-5 is negative; 0 means unlimited"):
+        dataclasses.replace(base, kv_budget_bytes=-5)
+    p = tmp_path / "run.ini"
+    p.write_text("[inject]\nkv_budget_bytes = -1\n")
+    with pytest.raises(ValueError, match="kv_budget_bytes=-1 is negative"):
+        read_ini(p)
+    assert read_ini(p, overrides={"kv_budget_bytes": 0}).kv_budget_bytes is None
+
+
 def test_validate_rejects_bad_fields():
     base = default_config("desk8")
     cases = [

@@ -115,17 +115,25 @@ def test_forward_validates_shapes_and_skip(small_model, small_prompt):
 
 
 class _BadPlanHook(Hooks):
+    def __init__(self, extra_mask_cols=0, extra_v_rows=0):
+        self.extra_mask_cols, self.extra_v_rows = extra_mask_cols, extra_v_rows
+
     def inject(self, step, layer, pre_k, pre_v, roped_k):
         n = roped_k.shape[0]
+        v = np.concatenate([pre_v, pre_v[: self.extra_v_rows]])
         return InjectionPlan(
-            k=roped_k, v=pre_v, add_mask=np.zeros((n, n + 1), dtype=DTYPE)
+            k=roped_k, v=v, add_mask=np.zeros((n, n + self.extra_mask_cols), dtype=DTYPE)
         )
 
 
 def test_forward_rejects_inconsistent_plan(small_model, small_prompt):
+    # forward hands the plan to joint_attention, whose checks raise
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
-    with pytest.raises(ValueError, match="hook contract violation"):
-        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook())
+    n = SMALL.joint_len
+    with pytest.raises(ValueError, match=rf"mask shape \({n}, {n + 1}\) does not match scores"):
+        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_mask_cols=1))
+    with pytest.raises(ValueError, match=f"row mismatch: k has {n}, v has {n + 2}"):
+        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_v_rows=2))
 
 
 class _Counter(Hooks):

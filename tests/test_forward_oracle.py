@@ -39,7 +39,8 @@ from bachkit.tensorops import (
     rope_group_slices,
     rope_pair_angles,
 )
-from bachkit.trace import CaptureFlags, TraceRecorder
+from bachkit.trace import TraceRecorder
+from refs import trace_keys
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,
@@ -194,7 +195,8 @@ def test_skip_run_matches_per_head_loop(small, monkeypatch):
 
 def test_observed_run_matches_per_head_loop(small, monkeypatch):
     got, want = _both(monkeypatch, *small,
-                      make_hooks=lambda: TraceRecorder(CaptureFlags(v2t=True, attn_out=True)))
+                      make_hooks=lambda: TraceRecorder(
+                          trace_keys(range(SMALL.steps), range(SMALL.depth))))
     assert got.trace.entries.keys() == want.trace.entries.keys()
     assert len(got.trace.entries) == 2 * SMALL.steps * SMALL.depth
     for key, value in want.trace.entries.items():
@@ -229,8 +231,7 @@ def test_full_desk8_denoise_matches_parent_order_arithmetic(bench, desk_cfg, mon
                                   head=_parent_order_predict_clean)
 
     def run():
-        rec = TraceRecorder(CaptureFlags(v2t=True, attn_out=True,
-                                         steps=frozenset({desk_cfg.tau_mask})))
+        rec = TraceRecorder(trace_keys([desk_cfg.tau_mask], range(bench.model.config.depth)))
         z0 = denoise(bench.model, bench.prompt(0), bench.schedule, 11, hooks=rec,
                      init_clean=bench.scene.noisy_latent(IDENTITY, 0.05, 11))
         return z0, rec.trace

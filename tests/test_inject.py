@@ -1,5 +1,6 @@
 """Layer-input cache accounting, region masks, and fused-attention plans."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_cache_admit_get_and_counter():
     with pytest.raises(ValueError, match="step 3 layer 1 is outside the cache plan"):
         cache.admit(3, 1, x)
     assert sorted(cache.entries) == [(2, 1)]
+
+
+def test_cache_entries_are_not_a_constructor_argument():
+    # entries come from `admit` or `load` only, which hold them to the plan,
+    # the row shape and the budget
+    with pytest.raises(TypeError, match="entries"):
+        KvCache(2, 2, [(0, 0)], budget_bytes=16, entries={(7, 7): np.zeros((5, 5))})
 
 
 def test_cache_entries_share_one_buffer():
@@ -277,15 +285,8 @@ def test_cache_recorder_filters():
 
 
 def test_injector_rejects_bad_schedule(identity, bench, desk_cfg):
-    kw = dict(
-        model=bench.model,
-        layout=bench.layout,
-        identity_cache=identity.cache,
-        identity_trace=identity.trace,
-        mask_layers=desk_cfg.mask_layers,
-        match_layers=desk_cfg.match_layers,
-        kv_layers=desk_cfg.kv_layers,
-    )
-    with pytest.raises(ValueError):
-        Injector(tau_mask=10, tau_match=10, tau_inject=10, **kw)
-    Injector(tau_mask=10, tau_match=10, tau_inject=11, **kw)  # boundary is fine
+    kw = dict(model=bench.model, layout=bench.layout, identity=identity)
+    schedule = dict(tau_mask=10, tau_match=10)
+    with pytest.raises(ValueError, match="tau_inject must come after"):
+        Injector(run_cfg=replace(desk_cfg, tau_inject=10, **schedule), **kw)
+    Injector(run_cfg=replace(desk_cfg, tau_inject=11, **schedule), **kw)  # boundary is fine

@@ -41,6 +41,18 @@ def test_identity_bundle_contents(bench, desk_cfg, identity):
     # readout trace is confined to the readout step
     assert identity.trace.steps() == [desk_cfg.tau_mask]
     assert identity.trace.layers() == list(range(cfg.depth))
+    assert set(identity.trace.entries) == set(desk_cfg.readout_keys())
+
+
+def test_identity_and_frame_record_exactly_the_readout_keys(bench, desk_cfg):
+    # two readout steps and two layer sets that differ, as paper42's layer sets do
+    cfg = dataclasses.replace(desk_cfg, tau_mask=8, tau_match=9, mask_layers=(0, 1, 2, 3),
+                              match_layers=(2, 3, 4, 5))
+    identity = run_identity(bench, cfg, seed=11)
+    want = {(8, l, "v2t") for l in range(4)} | {(9, l, "attn_out") for l in range(2, 6)}
+    assert set(identity.trace.entries) == want == set(cfg.readout_keys())
+    _, injector = run_frame(bench, cfg, identity, seed=21)
+    assert set(injector.own.entries) == want
 
 
 def test_psnr_identical_is_infinite():
@@ -109,7 +121,9 @@ def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, iden
         cfg = dataclasses.replace(desk_cfg, **change)
         with pytest.raises(ValueError, match=message):
             run_frame(bench, cfg, identity, seed=31)
-    assert make_injector(bench, desk_cfg, identity).kv_layers == frozenset(desk_cfg.kv_layers)
+    injector = make_injector(bench, desk_cfg, identity)
+    assert injector.injects == set(desk_cfg.cache_keys(bench.model.config.steps))
+    assert injector.records == set(desk_cfg.readout_keys())
 
 
 def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkeypatch):

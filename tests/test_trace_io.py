@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bachkit.dit import ModelConfig, PromptLayout, StepSchedule, denoise, embed_prompt, init_model
 from bachkit.trace import (
     AttentionTrace,
-    CaptureFlags,
     FIELD_ATTN_OUT,
     FIELD_NAMES,
     FIELD_TAGS,
@@ -224,12 +223,18 @@ def test_container_rejects_repeated_keys(tmp_path):
         read_container(p)
 
 
-def test_capture_flags_wants():
-    flags = CaptureFlags(steps=frozenset({2}), layers=frozenset({0, 1}))
-    assert flags.wants(2, 0) and flags.wants(2, 1)
-    assert not flags.wants(3, 0) and not flags.wants(2, 2)
-    assert not CaptureFlags(v2t=False).wants(0, 0)
-    assert CaptureFlags(attn_out=True).wants(123, 456)
+def test_recorder_keeps_exactly_its_keys():
+    rec = TraceRecorder([(2, 0, "v2t"), (2, 1, "attn_out"), (5, 0, "v2t")])
+    v2t, out = np.zeros((2, 2), dtype=np.float32), np.ones((2, 3), dtype=np.float32)
+    for step in range(7):
+        for layer in range(3):
+            rec.observe(step, layer, v2t=v2t, attn_out=out, x=None)
+    assert sorted(rec.trace.entries) == [(2, 0, "v2t"), (2, 1, "attn_out"), (5, 0, "v2t")]
+    assert rec.trace.get(2, 1, "attn_out") is not out  # a copy, not the hook's view
+    np.testing.assert_array_equal(rec.trace.get(2, 1, "attn_out"), out)
+    rec.observe(9, 9, v2t=v2t, attn_out=out, x=None)  # no key: nothing kept
+    assert len(rec.trace.entries) == 3
+    assert not TraceRecorder([]).keys
 
 
 def test_trace_accessors():
@@ -249,11 +254,7 @@ def test_trace_accessors():
 def test_recorder_capture_and_save(tmp_path):
     model = init_model(SMALL)
     prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
-    flags = CaptureFlags(
-        v2t=True, attn_out=True,
-        steps=frozenset({0, 3}), layers=frozenset({1}),
-    )
-    rec = TraceRecorder(flags)
+    rec = TraceRecorder([(s, 1, name) for s in (0, 3) for name in ("v2t", "attn_out")])
     denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1, hooks=rec)
     keys = sorted(rec.trace.entries)
     assert keys == [(0, 1, "attn_out"), (0, 1, "v2t"), (3, 1, "attn_out"), (3, 1, "v2t")]
