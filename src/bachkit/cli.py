@@ -57,8 +57,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
     p.add_argument("--global-match", action="store_const", const=True,
                    help="match across the whole grid, not per frame")
-    p.add_argument("--recompute-mask-per-step", action="store_const", const=True,
-                   help="refresh mask and match after every step during injection")
     p.add_argument("--scene-seed", type=int, default=1, help="planted scene seed")
     p.add_argument("--scene-sigma", type=float, default=0.05, help="scene noise level")
 
@@ -121,7 +119,6 @@ def _run_config(args) -> RunConfig:
         "seed": args.seed,
         "kv_budget_bytes": args.kv_budget_bytes,
         "global_match": args.global_match,
-        "recompute_mask": args.recompute_mask_per_step,
     }
     if args.config:
         return read_ini(args.config, overrides)
@@ -149,7 +146,7 @@ def _cmd_gen_frame(args) -> int:
     cfg = _run_config(args)
     bench = make_workbench(cfg, scene_seed=args.scene_seed)
     src = Path(args.identity_dir)
-    bundle = IdentityBundle(
+    bundle = None if args.no_inject else IdentityBundle(  # a vanilla run reads no identity
         z0=np.load(src / "identity_z0.npy"),
         trace=AttentionTrace.load(src / "identity_trace.bvtr"),
         cache=KvCache.load(src / "identity_cache.bvtr", budget_bytes=cfg.kv_budget_bytes),

@@ -64,7 +64,6 @@ class RunConfig:
     vital_k: int
     kv_budget_bytes: int | None = None  # 0 or None: unlimited
     global_match: bool = False
-    recompute_mask: bool = False
 
     def __post_init__(self):
         # The one budget rule, for the CLI and INI files alike.
@@ -145,32 +144,45 @@ def default_config(profile: str = "desk8") -> RunConfig:
     return _PROFILE_DEFAULTS[profile]
 
 
+# (section, key) of an INI file -> (RunConfig field, ConfigParser getter).
+_INI_KEYS = {
+    ("model", "profile"): ("profile", "get"),
+    ("model", "seed"): ("seed", "getint"),
+    **{("readout", k): (k, "getint") for k in ("tau_mask", "tau_match", "tau_inject")},
+    **{("readout", k): (k, "getlayers") for k in ("mask_layers", "match_layers", "kv_layers")},
+    ("inject", "kv_budget_bytes"): ("kv_budget_bytes", "getint"),
+    ("inject", "global_match"): ("global_match", "getboolean"),
+    ("vital", "k"): ("vital_k", "getint"),
+}
+
+
 def read_ini(path, overrides: dict | None = None) -> RunConfig:
     """Load a RunConfig from an INI file, starting from its profile's defaults.
 
-    Every key is optional; `overrides` (same key names) wins over the file.
+    Every key is optional; `overrides` (RunConfig field names) win over the
+    file. An unknown key, also one in an unknown section, or a value that
+    does not parse raises a ValueError naming its section and key; a
+    malformed file or a [DEFAULT] section raises a one-line ValueError too.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, converters={"layers": parse_layer_set})
     with open(path) as fh:
-        parser.read_file(fh)
-    profile = parser.get("model", "profile", fallback="desk8")
-    cfg = default_config(profile)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # one line, as every other config error
+            raise ValueError(" ".join(str(exc).split())) from None
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
     kw = {}
-    if parser.has_option("model", "seed"):
-        kw["seed"] = parser.getint("model", "seed")
-    for key in ("tau_mask", "tau_match", "tau_inject"):
-        if parser.has_option("readout", key):
-            kw[key] = parser.getint("readout", key)
-    for key in ("mask_layers", "match_layers", "kv_layers"):
-        if parser.has_option("readout", key):
-            kw[key] = parse_layer_set(parser.get("readout", key))
-    if parser.has_option("inject", "kv_budget_bytes"):
-        kw["kv_budget_bytes"] = parser.getint("inject", "kv_budget_bytes")
-    for key in ("global_match", "recompute_mask"):
-        if parser.has_option("inject", key):
-            kw[key] = parser.getboolean("inject", key)
-    if parser.has_option("vital", "k"):
-        kw["vital_k"] = parser.getint("vital", "k")
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in _INI_KEYS:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+            name, getter = _INI_KEYS[section, key]
+            try:
+                kw[name] = getattr(parser, getter)(section, key)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    cfg = default_config(kw.pop("profile", "desk8"))
     if overrides:
         kw.update({k: v for k, v in overrides.items() if v is not None})
     return replace(cfg, **kw).validate()
@@ -190,7 +202,6 @@ def write_ini(cfg: RunConfig, path) -> None:
     parser["inject"] = {
         "kv_budget_bytes": str(cfg.kv_budget_bytes or 0),
         "global_match": str(cfg.global_match).lower(),
-        "recompute_mask": str(cfg.recompute_mask).lower(),
     }
     parser["vital"] = {"k": str(cfg.vital_k)}
     with open(path, "w") as fh:

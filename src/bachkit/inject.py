@@ -235,13 +235,11 @@ class Injector(Hooks):
     Built from the model, a finished identity run (its layer-input `cache`
     and readout `trace`) and the frame's `RunConfig`, whose key plans decide
     what it records and where it injects. During the frame run it records
-    the frame's own readout entries (with `recompute_mask`, also `v2t` at
-    every later step from `tau_inject - 1`), derives the foreground mask
-    and the cross-generation match map one step before injection begins,
-    then substitutes fused key/value rows at the chosen layers for every
-    later step. With `recompute_mask` the mask and match are refreshed after
-    each step from that step's captures. The region mask is built with them,
-    once per refresh, and shared by every injected layer.
+    the frame's own readout entries and, one step before injection begins,
+    derives once the foreground masks, the cross-generation match map, the
+    injection regions and the region mask from them; it then substitutes
+    fused key/value rows at the chosen layers for every later step. The
+    region mask is shared by every injected layer.
 
     It also keeps `latent_at_inject`, a copy of the latent entering
     `tau_inject`. No step before `tau_inject` is injected, so that latent is
@@ -255,12 +253,8 @@ class Injector(Hooks):
         self.layout = layout
         self.identity = identity
         self.run_cfg = run_cfg
-        steps = model.config.steps
-        self.injects = frozenset(run_cfg.cache_keys(steps))
-        refreshes = range(run_cfg.tau_inject - 1, steps) if run_cfg.recompute_mask else ()
-        self.records = frozenset(run_cfg.readout_keys()) | {
-            (s, l, "v2t") for s in refreshes for l in run_cfg.mask_layers
-        }
+        self.injects = frozenset(run_cfg.cache_keys(model.config.steps))
+        self.records = frozenset(run_cfg.readout_keys())
         self.own = AttentionTrace()
         self.regions: InjectionRegions | None = None
         self.add_mask: np.ndarray | None = None
@@ -268,34 +262,25 @@ class Injector(Hooks):
         self.mask_frame: np.ndarray | None = None
         self.mask_identity: np.ndarray | None = None
         self.latent_at_inject: np.ndarray | None = None
-        self._sim: np.ndarray | None = None
 
     def observe(self, step, layer, *, v2t, attn_out, x) -> None:
         self.own.keep(self.records, step, layer, v2t=v2t, attn_out=attn_out)
 
-    def _similarity(self) -> np.ndarray:
-        if self._sim is None:
-            rc = self.run_cfg
-            self._sim = similarity(
-                self.own.layer_slices(rc.tau_match, rc.match_layers, "attn_out"),
-                self.identity.trace.layer_slices(rc.tau_match, rc.match_layers, "attn_out"),
-            )
-        return self._sim
-
-    def _rebuild(self, mask_step: int) -> None:
-        cfg, rc = self.model.config, self.run_cfg
+    def step_end(self, step: int, z: np.ndarray) -> None:
+        rc = self.run_cfg
+        if step != rc.tau_inject - 1:
+            return
+        self.latent_at_inject = z.copy()
+        cfg = self.model.config
         grid = (self.layout, cfg.frames, cfg.height, cfg.width)
-        frame_slices = self.own.layer_slices(mask_step, rc.mask_layers, "v2t")
-        self.mask_frame = mask_from_slices(frame_slices, *grid)
-        if self.mask_identity is None:
-            ident_slices = self.identity.trace.layer_slices(rc.tau_mask, rc.mask_layers, "v2t")
-            self.mask_identity = mask_from_slices(ident_slices, *grid)
+        runs = (self.own, self.identity.trace)  # the frame's readouts, then the identity's
+        self.mask_frame, self.mask_identity = (
+            mask_from_slices(t.layer_slices(rc.tau_mask, rc.mask_layers, "v2t"), *grid)
+            for t in runs
+        )
+        sim = similarity(*(t.layer_slices(rc.tau_match, rc.match_layers, "attn_out") for t in runs))
         self.match = match_foreground(
-            self._similarity(),
-            self.mask_frame,
-            cfg.frames,
-            cfg.height,
-            cfg.width,
+            sim, self.mask_frame, cfg.frames, cfg.height, cfg.width,
             global_match=rc.global_match,
         )
         self.regions = InjectionRegions.from_masks(
@@ -304,14 +289,6 @@ class Injector(Hooks):
         fg, bg = self.regions.fg, self.regions.bg
         self.add_mask = region_mask(cfg.joint_len, cfg.thw, fg, len(fg), len(bg))
         self.add_mask.flags.writeable = False  # shared by every injected layer
-
-    def step_end(self, step: int, z: np.ndarray) -> None:
-        rc = self.run_cfg
-        if step == rc.tau_inject - 1:
-            self.latent_at_inject = z.copy()
-            self._rebuild(step if rc.recompute_mask else rc.tau_mask)
-        elif rc.recompute_mask and step >= rc.tau_inject:
-            self._rebuild(step)
 
     def inject(self, step, layer, pre_k, pre_v, roped_k) -> InjectionPlan | None:
         if (step, layer) not in self.injects or self.regions is None:

@@ -89,8 +89,8 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
 
 def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
     """Inverse of `write_mask_csv`; errors naming the line of a bad row, a
-    cell outside the (frames, height, width) grid or a cell given twice, and
-    errors on an incomplete table."""
+    cell outside the (frames, height, width) grid, a cell given twice or an
+    `fg` other than 0 or 1, and errors on an incomplete table."""
     out = np.zeros((frames, height, width), dtype=bool)
     seen = np.zeros((frames, height, width), dtype=bool)
     for line, (t, i, j, v) in read_csv_records(
@@ -100,6 +100,8 @@ def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
             raise ValueError(f"mask table line {line}: cell ({t}, {i}, {j}) lies outside the grid")
         if seen[t, i, j]:
             raise ValueError(f"mask table line {line}: a second row for cell ({t}, {i}, {j})")
+        if v not in (0, 1):
+            raise ValueError(f"mask table line {line}: fg {v} is neither 0 nor 1")
         out[t, i, j] = bool(v)
         seen[t, i, j] = True
     if not seen.all():

@@ -138,7 +138,7 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
 def run_frame(
     bench: Workbench,
     run_cfg: RunConfig,
-    identity: IdentityBundle,
+    identity: IdentityBundle | None,
     *,
     seed: int,
     action_seed: int = 1,
@@ -148,8 +148,8 @@ def run_frame(
     """One frame generation against a finished identity run.
 
     With `inject` the identity's cached rows are fused in from the readout
-    step onward; without it the run is vanilla. Both paths share the same
-    noise so the injection is the only difference.
+    step onward; without it the run is vanilla and `identity` is not read.
+    Both paths share the same noise so the injection is the only difference.
     """
     injector = make_injector(bench, run_cfg, identity) if inject else None
     z0 = denoise(

@@ -8,7 +8,6 @@ sequence and fused by the earlier `build_plan`. Both must give the same
 derived rows and the same injected frames.
 """
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -124,19 +123,16 @@ def both_caches(bench, desk_cfg):
     return IdentityBundle(z0=z0, trace=recorder.trace, cache=cache), grab.kv
 
 
-@pytest.mark.parametrize("recompute_mask", [False, True])
-def test_injected_frame_equals_kv_cache_oracle(bench, desk_cfg, both_caches, monkeypatch,
-                                               recompute_mask):
+def test_injected_frame_equals_kv_cache_oracle(bench, desk_cfg, both_caches, monkeypatch):
     bundle, kv = both_caches
-    cfg = dataclasses.replace(desk_cfg, recompute_mask=recompute_mask)
-    got, got_inj = run_frame(bench, cfg, bundle, seed=21)
+    got, got_inj = run_frame(bench, desk_cfg, bundle, seed=21)
 
     def kv_injector(bench_, cfg_, identity):
         return _KvInjector(kv, model=bench_.model, layout=bench_.layout, identity=identity,
                            run_cfg=cfg_)
 
     monkeypatch.setattr(pipeline, "make_injector", kv_injector)
-    want, want_inj = run_frame(bench, cfg, bundle, seed=21)
+    want, want_inj = run_frame(bench, desk_cfg, bundle, seed=21)
     assert isinstance(want_inj, _KvInjector) and not isinstance(got_inj, _KvInjector)
     assert len(want_inj.regions.fg) and len(want_inj.regions.bg)  # injection really engaged
     np.testing.assert_array_equal(got, want)

@@ -187,6 +187,25 @@ def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_gen_frame_without_injection_reads_no_identity(tmp_path, bench, desk_cfg):
+    empty, out = tmp_path / "empty", tmp_path / "f"
+    empty.mkdir()
+    assert main(["gen-frame", "--identity-dir", str(empty), "--out", str(out),
+                 "--seed", "11", "--no-inject"]) == 0
+    want, _ = pipeline.run_frame(bench, desk_cfg, None, seed=12, inject=False)
+    np.testing.assert_array_equal(np.load(out / "frame_z0.npy"), want)
+    assert not (out / "frame_mask.csv").exists()
+
+
+def test_config_file_with_unknown_key_is_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[inject]\nglobal_mtch = true\n")
+    assert main(["run-group", "--config", str(ini), "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == (
+        f"bachkit: error: {ini}: unknown key 'global_mtch' in section [inject]\n")
+
+
 def test_dump_trace_rejects_unknown_tag_in_one_line(tmp_path, capsys):
     p = tmp_path / "tag9.bvtr"
     p.write_bytes(

@@ -81,6 +81,29 @@ def test_ini_roundtrip(tmp_path):
     assert read_ini(p) == cfg
 
 
+def test_ini_refuses_unknown_keys_bad_values_and_malformed_files(tmp_path):
+    p = tmp_path / "run.ini"
+    for text, message in [
+        ("[inject]\nglobal_mtch = true\n", r"unknown key 'global_mtch' in section \[inject\]"),
+        ("[readout]\ntau_injct = 3\n", r"unknown key 'tau_injct' in section \[readout\]"),
+        ("[inject]\nrecompute_mask = true\n",
+         r"unknown key 'recompute_mask' in section \[inject\]"),
+        ("[injection]\nglobal_match = true\n",
+         r"unknown key 'global_match' in section \[injection\]"),
+        ("[DEFAULT]\nseed = 3\n", r"unknown section \[DEFAULT\]"),
+        ("[inject]\nkv_budget_bytes = 0  ; note\n",
+         r"\[inject\] kv_budget_bytes: invalid literal"),
+        ("[inject]\nglobal_match = maybe\n", r"\[inject\] global_match: Not a boolean: maybe"),
+        ("[model]\nseed = 5%\n", r"\[model\] seed: invalid literal .* '5%'"),
+        ("seed = 3\n", "File contains no section headers"),
+        ("[model]\nseed = 3\nseed = 4\n", "option 'seed' in section 'model' already exists"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_ini(p)
+        assert "\n" not in str(exc.value)
+
+
 def test_ini_partial_file_fills_from_profile(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[model]\nprofile = desk8\n\n[readout]\ntau_inject = 20\n")

@@ -152,6 +152,14 @@ def test_mask_csv_rejects_repeated_cells_and_bad_rows_naming_the_line(tmp_path):
             read_mask_csv(p, 1, 1, 2)
 
 
+def test_mask_csv_rejects_fg_other_than_zero_or_one(tmp_path):
+    p = tmp_path / "fg.csv"
+    for v in (7, -3, 2):
+        p.write_text(f"frame,h,w,fg\n0,0,0,1\n0,0,1,{v}\n")
+        with pytest.raises(ValueError, match=f"mask table line 3: fg {v} is neither 0 nor 1"):
+            read_mask_csv(p, 1, 1, 2)
+
+
 def test_mask_csv_rejects_incomplete(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("frame,h,w,fg\n0,0,0,1\n")
