@@ -50,7 +50,6 @@ from .vital import (
     LayerReport,
     aesthetic_score,
     embed_similarity_score,
-    generate_skipped,
     sweep_layers,
     sweep_layers_embed,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "embed_prompt",
     "embed_similarity_score",
     "exact_fraction",
-    "generate_skipped",
     "init_model",
     "joint_attention",
     "make_scene",

@@ -51,8 +51,9 @@ from .vital import LayerReport, sweep_layers, sweep_layers_embed, variance_score
 
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     """Shared flags, given after the command name."""
-    p.add_argument("--config", help="INI run configuration (exclusive with --profile)")
-    p.add_argument("--profile", choices=["desk8", "paper42"], help="built-in defaults")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="INI run configuration (exclusive with --profile)")
+    source.add_argument("--profile", choices=["desk8", "paper42"], help="built-in defaults")
     p.add_argument("--seed", type=int, help="base run seed")
     p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
     p.add_argument("--global-match", action="store_const", const=True,
@@ -113,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    if args.config and args.profile:
-        raise SystemExit("choose either --config or --profile, not both")
     overrides = {
         "seed": args.seed,
         "kv_budget_bytes": args.kv_budget_bytes,
@@ -227,13 +226,13 @@ def _cmd_select(args) -> int:
     cfg = _run_config(args)
     if args.what == "vital":
         if not args.report:
-            raise SystemExit("select vital needs --report")
+            raise ValueError("select vital needs --report")
         report = LayerReport.read_csv(args.report)
         chosen = select_vital(report.drops(), args.k or cfg.vital_k)
         print(format_layer_set(chosen))
         return 0
     if not args.grid:
-        raise SystemExit(f"select {args.what} needs --grid")
+        raise ValueError(f"select {args.what} needs --grid")
     grid = AnalysisGrid.read_csv(args.grid)
     if args.what == "tau":
         layers = parse_layer_set(args.layers) if args.layers else None
@@ -258,7 +257,7 @@ def _cmd_dump_trace(args) -> int:
 def _cmd_report(args) -> int:
     path = Path(args.dir) / "report.txt"
     if not path.exists():
-        raise SystemExit(f"no report at {path}")
+        raise ValueError(f"no report at {path}")
     print(path.read_text().rstrip())
     for p in sorted(Path(args.dir).iterdir()):
         if p.is_file():

@@ -1,7 +1,7 @@
 """Miniature joint-sequence diffusion transformer with trace hooks.
 
 The denoiser runs full self-attention over the concatenated video+text token
-sequence, exposes per-layer attention internals to observation hooks, accepts
+sequence, hands observation hooks the per-layer entries they ask for, accepts
 key/value substitution from injection hooks, and supports skipping a single
 block. Weights are generated from a counter-based PRNG keyed by
 (seed, layer, role), so a config identifies a model bit-exactly.
@@ -284,21 +284,31 @@ class InjectionPlan:
     add_mask: np.ndarray
 
 
+#: Fields a hook can ask `forward` for, in the order it forms them per layer.
+OBSERVED_FIELDS = ("v2t", "attn_out", "x")
+
+
 class Hooks:
     """Observation / injection callbacks for `forward` and `denoise`.
 
-    `observe` sees per-layer attention internals and `x`, the layer's
-    (joint_len, C) input, from which its pre-rotary keys (`x * qk_gain`) and
-    values (`x @ w_value`) follow (views; copy to retain). `inject` may
-    return an InjectionPlan to substitute fused key/value rows before
-    attention; returning None leaves the layer untouched. `step_end` fires
-    after each Euler update with `z`, the latent that update produced: the
-    state entering step `step + 1`, as a read-only view (copy to retain). The
-    base class is a no-op, and pure observation must never change generated
-    values.
+    `keys` is the hook's plan: the (step, layer, field) entries it observes.
+    `forward` forms an entry only when `keys` holds it and hands it to
+    `observe(step, layer, name, value)`, one call per entry, as a view (copy
+    to retain). The fields are "v2t", the head-averaged video-to-text weights
+    (THW, text_len); "attn_out", the attention output's video rows (THW, C);
+    and "x", the layer input's video rows (THW, C), from which the layer's
+    pre-rotary keys (`x * qk_gain`) and values (`x @ w_value`) follow.
+    `inject` may return an InjectionPlan to substitute fused key/value rows
+    before attention; returning None leaves the layer untouched. `step_end`
+    fires after each Euler update with `z`, the latent that update produced:
+    the state entering step `step + 1`, as a read-only view (copy to
+    retain). The base class plans no entries and does nothing, and pure
+    observation must never change generated values.
     """
 
-    def observe(self, step: int, layer: int, *, v2t, attn_out, x) -> None:
+    keys: frozenset = frozenset()
+
+    def observe(self, step: int, layer: int, name: str, value: np.ndarray) -> None:
         pass
 
     def inject(self, step: int, layer: int, pre_k, pre_v, roped_k) -> InjectionPlan | None:
@@ -309,14 +319,18 @@ class Hooks:
 
 
 class ChainedHooks(Hooks):
-    """Fan-out to several hooks; at most one may inject per (step, layer)."""
+    """Fan-out to several hooks. The keys are the union of theirs, and each
+    entry goes only to the hooks whose keys hold it; at most one hook may
+    inject per (step, layer)."""
 
     def __init__(self, *hooks: Hooks):
         self.hooks = [h for h in hooks if h is not None]
+        self.keys = frozenset().union(*(h.keys for h in self.hooks))
 
-    def observe(self, step, layer, **kw):
+    def observe(self, step, layer, name, value):
         for h in self.hooks:
-            h.observe(step, layer, **kw)
+            if (step, layer, name) in h.keys:
+                h.observe(step, layer, name, value)
 
     def inject(self, step, layer, pre_k, pre_v, roped_k):
         plan = None
@@ -417,10 +431,10 @@ def forward(
 ) -> np.ndarray:
     """One denoiser evaluation over the joint sequence.
 
-    Runs `depth` residual blocks (block `skip` replaced by identity), lets
-    hooks observe per-layer (head-averaged video-to-text weights, attention
-    output, layer input) and substitute fused key/value rows, then converts
-    the clean-latent snap into a noise prediction at noise level `sigma`.
+    Runs `depth` residual blocks (block `skip` replaced by identity), hands
+    hooks the (step, layer, field) entries their keys plan and lets them
+    substitute fused key/value rows, then converts the clean-latent snap
+    into a noise prediction at noise level `sigma`.
 
     Returns:
         Noise prediction shaped like `z_video`.
@@ -455,13 +469,14 @@ def forward(
         att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)
         attn = att.out
         if hooks is not None:
-            hooks.observe(
-                t,
-                layer,
-                v2t=att.head_mean(slice(0, thw), slice(thw, thw + cfg.text_len)),
-                attn_out=attn[:thw],
-                x=x,
-            )
+            for name in OBSERVED_FIELDS:
+                if (t, layer, name) not in hooks.keys:
+                    continue
+                if name == "v2t":
+                    value = att.head_mean(slice(0, thw), slice(thw, thw + cfg.text_len))
+                else:
+                    value = (attn if name == "attn_out" else x)[:thw]
+                hooks.observe(t, layer, name, value)
 
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2

@@ -140,15 +140,15 @@ def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):
 
 
 class CacheRecorder(Hooks):
-    """Hook that admits the video rows of a layer's input into a cache
-    exactly when (step, layer) is a key of the cache's plan."""
+    """Hook that admits the video rows of a layer's input into a cache: its
+    keys are the "x" entries of the cache plan's (step, layer) pairs."""
 
     def __init__(self, cache: KvCache):
         self.cache = cache
+        self.keys = frozenset((s, l, "x") for s, l in cache.plan)
 
-    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        if (step, layer) in self.cache.slots:
-            self.cache.admit(step, layer, x[: self.cache.rows])
+    def observe(self, step, layer, name, value) -> None:
+        self.cache.admit(step, layer, value)
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ class Injector(Hooks):
         self.identity = identity
         self.run_cfg = run_cfg
         self.injects = frozenset(run_cfg.cache_keys(model.config.steps))
-        self.records = frozenset(run_cfg.readout_keys())
+        self.keys = frozenset(run_cfg.readout_keys())
         self.own = AttentionTrace()
         self.regions: InjectionRegions | None = None
         self.add_mask: np.ndarray | None = None
@@ -263,8 +263,8 @@ class Injector(Hooks):
         self.mask_identity: np.ndarray | None = None
         self.latent_at_inject: np.ndarray | None = None
 
-    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        self.own.keep(self.records, step, layer, v2t=v2t, attn_out=attn_out)
+    def observe(self, step, layer, name, value) -> None:
+        self.own.put(step, layer, name, value.copy())
 
     def step_end(self, step: int, z: np.ndarray) -> None:
         rc = self.run_cfg

@@ -138,12 +138,6 @@ class AttentionTrace:
     def has(self, step: int, layer: int, name: str) -> bool:
         return (step, layer, name) in self.entries
 
-    def keep(self, keys, step: int, layer: int, **fields: np.ndarray) -> None:
-        """Put a copy of each of `fields` whose (step, layer, name) is in `keys`."""
-        for name, value in fields.items():
-            if (step, layer, name) in keys:
-                self.put(step, layer, name, value.copy())
-
     def layer_slices(self, step: int, layers, name: str) -> list[np.ndarray]:
         return [self.get(step, layer, name) for layer in layers]
 
@@ -167,13 +161,21 @@ class AttentionTrace:
 
 
 class TraceRecorder(Hooks):
-    """Observation hook that records exactly the (step, layer, field) entries
-    in `keys` into an AttentionTrace, with field "v2t" or "attn_out"; never
-    alters the run."""
+    """Observation hook whose keys are its plan: it records a copy of each
+    (step, layer, field) entry in `keys` into an AttentionTrace, and never
+    alters the run.
+
+    Raises:
+        ValueError: naming the first key whose field is not a trace field.
+    """
 
     def __init__(self, keys):
+        keys = tuple(keys)
+        for key in keys:
+            if key[2] not in FIELD_TAGS:
+                raise ValueError(f"trace key {key} names no field of {sorted(FIELD_TAGS)}")
         self.keys = frozenset(keys)
         self.trace = AttentionTrace()
 
-    def observe(self, step, layer, *, v2t, attn_out, x) -> None:
-        self.trace.keep(self.keys, step, layer, v2t=v2t, attn_out=attn_out)
+    def observe(self, step, layer, name, value) -> None:
+        self.trace.put(step, layer, name, value.copy())

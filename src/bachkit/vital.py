@@ -42,7 +42,7 @@ class FrameEmbedder:
         self.frame_shape = (int(h), int(w))
         self.proj = rng.standard_normal((int(dim), int(h) * int(w)))
 
-    def embed(self, frame: np.ndarray) -> np.ndarray:
+    def __call__(self, frame: np.ndarray) -> np.ndarray:
         f = np.asarray(frame, dtype=np.float64)
         if f.shape != self.frame_shape:
             raise ValueError(f"frame shape {f.shape} does not match {self.frame_shape}")
@@ -51,8 +51,6 @@ class FrameEmbedder:
         if n == 0.0:
             raise ValueError("frame embeds to the zero vector")
         return v / n
-
-    __call__ = embed
 
 
 def aesthetic_score(video: np.ndarray, scorer) -> float:
@@ -71,20 +69,6 @@ def embed_similarity_score(video: np.ndarray, reference: np.ndarray, embedder) -
     return float(np.mean([embedder(fa) @ embedder(fb) for fa, fb in zip(a, b)]))
 
 
-def generate_skipped(
-    model: Model,
-    prompt_embedding: np.ndarray,
-    schedule,
-    seed: int,
-    layer: int | None = None,
-    init_clean: np.ndarray | None = None,
-) -> np.ndarray:
-    """Denoise with one layer bypassed (or none) and decode the result."""
-    skip = None if layer is None else int(layer)
-    z0 = denoise(model, prompt_embedding, schedule, seed, skip=skip, init_clean=init_clean)
-    return decode_video(z0)
-
-
 def collect_skip_runs(
     model: Model,
     prompt_embedding: np.ndarray,
@@ -96,14 +80,12 @@ def collect_skip_runs(
     """Decoded baseline (key None) plus one single-skip video per layer."""
     if layers is None:
         layers = range(model.config.depth)
-    runs: dict[int | None, np.ndarray] = {
-        None: generate_skipped(model, prompt_embedding, schedule, seed, None, init_clean)
-    }
-    for layer in layers:
-        runs[int(layer)] = generate_skipped(
-            model, prompt_embedding, schedule, seed, int(layer), init_clean
+    return {
+        skip: decode_video(
+            denoise(model, prompt_embedding, schedule, seed, skip=skip, init_clean=init_clean)
         )
-    return runs
+        for skip in [None, *map(int, layers)]
+    }
 
 
 @dataclass(frozen=True)

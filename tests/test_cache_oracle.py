@@ -27,27 +27,22 @@ from bachkit.trace import TraceRecorder
 
 
 class _KvGrab(Hooks):
-    """Keeps the pre-rotary K/V rows `forward` hands to injection hooks, and
-    the layer inputs it hands to observers; injects nothing."""
+    """Keeps, at the (step, layer) pairs of `steps` x `layers`, the pre-rotary
+    K/V rows `forward` hands to injection hooks and the layer inputs' video
+    rows it hands to observers; injects nothing."""
 
-    def __init__(self, steps=None, layers=None):
-        self.steps, self.layers = steps, layers
+    def __init__(self, steps, layers):
+        self.keys = frozenset((s, l, "x") for s in steps for l in layers)
         self.kv: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.x: dict[tuple[int, int], np.ndarray] = {}
 
-    def _wants(self, step, layer):
-        return (self.steps is None or step in self.steps) and (
-            self.layers is None or layer in self.layers
-        )
-
     def inject(self, step, layer, pre_k, pre_v, roped_k):
-        if self._wants(step, layer):
+        if (step, layer, "x") in self.keys:
             self.kv[(step, layer)] = (pre_k.copy(), pre_v.copy())
         return None
 
-    def observe(self, step, layer, *, v2t, attn_out, x):
-        if self._wants(step, layer):
-            self.x[(step, layer)] = x.copy()
+    def observe(self, step, layer, name, value):
+        self.x[(step, layer)] = value.copy()
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,8 +53,9 @@ def _desk8_layer_captures():
     rng = np.random.default_rng(42)
     z = rng.standard_normal((cfg.frames, cfg.height, cfg.width, cfg.channels)).astype(DTYPE)
     text = 3 * rng.standard_normal((cfg.text_len, cfg.channels)).astype(DTYPE)
-    grab = _KvGrab()
+    grab = _KvGrab(steps=[3], layers=range(cfg.depth))
     forward(model, z, text, 3, hooks=grab)
+    assert sorted(grab.x) == sorted(grab.kv) == [(3, l) for l in range(cfg.depth)]
     return model, grab
 
 
@@ -74,7 +70,7 @@ def test_derived_rows_equal_forward_kv_rows(data):
         dtype=np.int64,
     )
     pre_k, pre_v = grab.kv[(3, layer)]
-    k, v = identity_kv(grab.x[(3, layer)][:thw].copy(), rows, model.layers[layer])
+    k, v = identity_kv(grab.x[(3, layer)], rows, model.layers[layer])
     np.testing.assert_array_equal(k, pre_k[rows])
     np.testing.assert_array_equal(v, pre_v[rows])
 
@@ -111,7 +107,7 @@ def both_caches(bench, desk_cfg):
     steps = range(desk_cfg.tau_inject, cfg.steps)
     cache = KvCache(cfg.thw, cfg.channels, desk_cfg.cache_keys(cfg.steps))
     recorder = TraceRecorder(desk_cfg.readout_keys())
-    grab = _KvGrab(steps=frozenset(steps), layers=frozenset(desk_cfg.kv_layers))
+    grab = _KvGrab(steps=steps, layers=desk_cfg.kv_layers)
     z0 = denoise(
         bench.model, bench.prompt(0), bench.schedule, 11,
         hooks=ChainedHooks(recorder, CacheRecorder(cache), grab),

@@ -1,9 +1,13 @@
 """Model construction, the denoising loop, hooks, and the decode path."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bachkit.dit import (
+    OBSERVED_FIELDS,
+    ChainedHooks,
     Hooks,
     InjectionPlan,
     ModelConfig,
@@ -20,7 +24,7 @@ from bachkit.dit import (
     invert_decode,
     patch_shape,
 )
-from bachkit.tensorops import DTYPE
+from bachkit.tensorops import DTYPE, Attention
 from refs import without_layer
 
 SMALL = ModelConfig(
@@ -136,16 +140,26 @@ def test_forward_rejects_inconsistent_plan(small_model, small_prompt):
         forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_v_rows=2))
 
 
+_EVERY_ENTRY = frozenset(
+    itertools.product(range(SMALL.steps), range(SMALL.depth), OBSERVED_FIELDS)
+)
+_SHAPES = {
+    "v2t": (SMALL.thw, SMALL.text_len),
+    "attn_out": (SMALL.thw, SMALL.channels),
+    "x": (SMALL.thw, SMALL.channels),  # the layer input's video rows
+}
+
+
 class _Counter(Hooks):
+    keys = _EVERY_ENTRY
+
     def __init__(self):
         self.observed = []
         self.steps_ended = []
 
-    def observe(self, step, layer, *, v2t, attn_out, x):
-        self.observed.append((step, layer))
-        assert v2t.shape == (SMALL.thw, SMALL.text_len)
-        assert attn_out.shape == (SMALL.thw, SMALL.channels)
-        assert x.shape == (SMALL.joint_len, SMALL.channels)
+    def observe(self, step, layer, name, value):
+        self.observed.append((step, layer, name))
+        assert value.shape == _SHAPES[name]
 
     def step_end(self, step, z):
         self.steps_ended.append(step)
@@ -156,10 +170,52 @@ def test_hooks_see_every_step_and_layer(small_model, small_prompt):
     sched = StepSchedule.linear(SMALL.steps)
     counter = _Counter()
     denoise(small_model, small_prompt, sched, seed=2, hooks=counter)
-    assert counter.observed == [
-        (s, l) for s in range(SMALL.steps) for l in range(SMALL.depth)
-    ]
+    assert counter.observed == list(
+        itertools.product(range(SMALL.steps), range(SMALL.depth), OBSERVED_FIELDS)
+    )
     assert counter.steps_ended == list(range(SMALL.steps))
+
+
+class _Planned(Hooks):
+    """Logs every entry it is handed; plans `keys`."""
+
+    def __init__(self, keys, log):
+        self.keys = frozenset(keys)
+        self.log = log
+
+    def observe(self, step, layer, name, value):
+        self.log.append((self, (step, layer, name)))
+
+
+def test_forward_forms_only_the_planned_entries(small_model, small_prompt, monkeypatch):
+    head_means = []
+    head_mean = Attention.head_mean
+
+    def counted(self, *args):
+        head_means.append(args)
+        return head_mean(self, *args)
+
+    monkeypatch.setattr(Attention, "head_mean", counted)
+    sched = StepSchedule.linear(SMALL.steps)
+    log = []
+    hook = _Planned({(3, 0, "x"), (2, 1, "v2t")}, log)
+    plain = denoise(small_model, small_prompt, sched, seed=2)
+    np.testing.assert_array_equal(denoise(small_model, small_prompt, sched, seed=2, hooks=hook),
+                                  plain)
+    assert log == [(hook, (2, 1, "v2t")), (hook, (3, 0, "x"))]
+    assert len(head_means) == 1
+
+    # a chain hands each entry only to the hook that planned it
+    log.clear()
+    a = _Planned({(1, 2, "attn_out"), (4, 0, "v2t")}, log)
+    b = _Planned({(4, 0, "v2t"), (5, 1, "x")}, log)
+    c = _Planned(set(), log)
+    chain = ChainedHooks(a, None, b, c)
+    assert chain.keys == a.keys | b.keys
+    denoise(small_model, small_prompt, sched, seed=2, hooks=chain)
+    assert log == [(a, (1, 2, "attn_out")), (a, (4, 0, "v2t")), (b, (4, 0, "v2t")),
+                   (b, (5, 1, "x"))]
+    assert len(head_means) == 2  # formed once for both hooks
 
 
 class _Latents(Hooks):
@@ -175,14 +231,15 @@ class _Latents(Hooks):
 
 
 class _Captures(Hooks):
-    """Copies of everything `observe` is handed, the layer input `x` included."""
+    """Copies of every entry of every field, the layer input `x` included."""
+
+    keys = _EVERY_ENTRY
 
     def __init__(self):
         self.entries = {}
 
-    def observe(self, step, layer, *, v2t, attn_out, x):
-        for name, a in (("v2t", v2t), ("attn_out", attn_out), ("x", x)):
-            self.entries[(step, layer, name)] = a.copy()
+    def observe(self, step, layer, name, value):
+        self.entries[(step, layer, name)] = value.copy()
 
 
 def test_resumed_denoise_equals_full_run_at_every_step(small_model, small_prompt):
@@ -224,8 +281,10 @@ def test_v2t_rows_are_probabilities(small_model, small_prompt):
     caught = {}
 
     class Grab(Hooks):
-        def observe(self, step, layer, *, v2t, attn_out, x):
-            caught[(step, layer)] = v2t
+        keys = frozenset({(0, 0, "v2t")})
+
+        def observe(self, step, layer, name, value):
+            caught[(step, layer)] = value
 
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
     forward(small_model, z, small_prompt, 0, hooks=Grab())

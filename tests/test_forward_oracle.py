@@ -136,8 +136,11 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
             sl = w_h[:thw, thw : thw + cfg.text_len]
             v2t_sum = sl.copy() if v2t_sum is None else v2t_sum + sl
         if hooks is not None:
-            hooks.observe(t, layer, v2t=(v2t_sum / DTYPE(cfg.heads)).astype(DTYPE),
-                          attn_out=attn[:thw], x=x)
+            entries = {"v2t": (v2t_sum / DTYPE(cfg.heads)).astype(DTYPE),
+                       "attn_out": attn[:thw], "x": x[:thw]}
+            for name, value in entries.items():
+                if (t, layer, name) in hooks.keys:
+                    hooks.observe(t, layer, name, value)
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2
     x0_hat = head(model, x[:thw], z_text)
@@ -195,10 +198,10 @@ def test_skip_run_matches_per_head_loop(small, monkeypatch):
 
 def test_observed_run_matches_per_head_loop(small, monkeypatch):
     got, want = _both(monkeypatch, *small,
-                      make_hooks=lambda: TraceRecorder(
-                          trace_keys(range(SMALL.steps), range(SMALL.depth))))
+                      make_hooks=lambda: TraceRecorder(trace_keys(
+                          range(SMALL.steps), range(SMALL.depth), ("v2t", "attn_out", "x"))))
     assert got.trace.entries.keys() == want.trace.entries.keys()
-    assert len(got.trace.entries) == 2 * SMALL.steps * SMALL.depth
+    assert len(got.trace.entries) == 3 * SMALL.steps * SMALL.depth
     for key, value in want.trace.entries.items():
         np.testing.assert_array_equal(got.trace.entries[key], value, err_msg=str(key))
 

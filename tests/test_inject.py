@@ -17,9 +17,9 @@ from bachkit.inject import (
     entry_nbytes,
     region_mask,
 )
-from bachkit.dit import LayerWeights
+from bachkit.dit import ChainedHooks, LayerWeights, forward
 from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
-from bachkit.trace import FIELD_V2T, FIELD_X, write_container
+from bachkit.trace import FIELD_V2T, FIELD_X, TraceRecorder, write_container
 from refs import write_kv_cache_of_earlier_format
 
 
@@ -271,17 +271,21 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     assert plan.add_mask.shape == (joint_len, joint_len + 4)
 
 
-def test_cache_recorder_filters():
-    cache = KvCache(rows=3, channels=2, plan=[(1, 0), (2, 0)])
-    rec = CacheRecorder(cache)  # admits exactly the plan's keys
-    x = np.arange(10, dtype=DTYPE).reshape(5, 2)  # 3 video rows, 2 text rows
-    kw = dict(v2t=None, attn_out=None, x=x)
-    rec.observe(0, 0, **kw)
-    rec.observe(1, 0, **kw)
-    rec.observe(1, 1, **kw)
-    rec.observe(2, 0, **kw)
-    assert sorted(cache.entries) == [(1, 0), (2, 0)]
-    np.testing.assert_array_equal(cache.get(1, 0), x[:3])  # video rows only
+def test_cache_recorder_plans_the_cache_keys(bench):
+    cfg = bench.model.config
+    cache = KvCache(cfg.thw, cfg.channels, plan=[(1, 0), (2, 3)])
+    rec = CacheRecorder(cache)
+    assert rec.keys == {(1, 0, "x"), (2, 3, "x")}  # the layer inputs of the plan's keys
+    every = TraceRecorder((s, l, "x") for s in range(3) for l in range(cfg.depth))
+    z = np.random.default_rng(5).standard_normal(
+        (cfg.frames, cfg.height, cfg.width, cfg.channels)).astype(DTYPE)
+    for step in range(3):
+        forward(bench.model, z, bench.prompt(0), step, hooks=ChainedHooks(rec, every))
+    assert sorted(cache.entries) == [(1, 0), (2, 3)]
+    for step, layer in cache.plan:  # the video rows of the layer input, copied
+        np.testing.assert_array_equal(cache.get(step, layer), every.trace.get(step, layer, "x"))
+    with pytest.raises(ValueError, match="step 1 layer 1 is outside the cache plan"):
+        rec.observe(1, 1, "x", cache.get(1, 0))
 
 
 def test_injector_rejects_bad_schedule(identity, bench, desk_cfg):

@@ -8,7 +8,7 @@ import pytest
 
 import bachkit.dit as dit
 from bachkit.dit import PromptLayout, StepSchedule, init_model
-from bachkit.inject import CacheBudgetError, KvCache, entry_nbytes
+from bachkit.inject import CacheBudgetError, CacheRecorder, Injector, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
 import bachkit.pipeline as pipeline
 from bachkit.pipeline import (
@@ -23,7 +23,8 @@ from bachkit.pipeline import (
     write_group_outputs,
 )
 from bachkit.scene import FRAME
-from bachkit.trace import AttentionTrace
+from bachkit.tensorops import Attention
+from bachkit.trace import AttentionTrace, TraceRecorder
 
 
 def test_identity_budget_prechecked_before_any_step(bench, desk_cfg):
@@ -123,7 +124,7 @@ def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, iden
             run_frame(bench, cfg, identity, seed=31)
     injector = make_injector(bench, desk_cfg, identity)
     assert injector.injects == set(desk_cfg.cache_keys(bench.model.config.steps))
-    assert injector.records == set(desk_cfg.readout_keys())
+    assert injector.keys == set(desk_cfg.readout_keys())
 
 
 def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkeypatch):
@@ -206,6 +207,32 @@ def test_ablated_group_resumes_each_vanilla_run(bench, desk_cfg, monkeypatch):
     # identity, k injected runs, k vanilla runs from tau_inject on
     assert calls["forward"] == steps + k * steps + k * (steps - cfg.tau_inject)
     assert calls["denoise"] == 2 * k + 1
+
+
+def test_ablated_group_forms_only_the_planned_entries(bench, desk_cfg, monkeypatch):
+    calls = Counter()
+
+    def counted(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(Attention, "head_mean")
+    for cls in (TraceRecorder, CacheRecorder, Injector):
+        counted(cls, "observe")
+    frames = 5
+    run_group(bench, desk_cfg, seed_identity=11, frame_seeds=range(21, 21 + frames), ablate=True)
+    # the identity and each injected frame read the readout keys; vanilla runs observe nothing
+    runs = 1 + frames
+    assert calls["Attention.head_mean"] == runs * len(desk_cfg.mask_layers) == 48
+    assert calls["CacheRecorder.observe"] == len(desk_cfg.cache_keys(bench.model.config.steps))
+    assert calls["TraceRecorder.observe"] == len(desk_cfg.readout_keys())
+    assert calls["Injector.observe"] == frames * len(desk_cfg.readout_keys())
+    assert sum(v for k, v in calls.items() if k.endswith(".observe")) == 252
 
 
 def test_frame_without_ablation_has_no_gain(bench, desk_cfg, identity):

@@ -1,5 +1,6 @@
 """Binary trace container format and capture plumbing."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bachkit.dit import ModelConfig, PromptLayout, StepSchedule, denoise, embed_prompt, init_model
+from bachkit.dit import (
+    ChainedHooks,
+    ModelConfig,
+    PromptLayout,
+    StepSchedule,
+    denoise,
+    embed_prompt,
+    init_model,
+)
 from bachkit.trace import (
     AttentionTrace,
     FIELD_ATTN_OUT,
@@ -224,17 +233,29 @@ def test_container_rejects_repeated_keys(tmp_path):
 
 
 def test_recorder_keeps_exactly_its_keys():
-    rec = TraceRecorder([(2, 0, "v2t"), (2, 1, "attn_out"), (5, 0, "v2t")])
-    v2t, out = np.zeros((2, 2), dtype=np.float32), np.ones((2, 3), dtype=np.float32)
-    for step in range(7):
-        for layer in range(3):
-            rec.observe(step, layer, v2t=v2t, attn_out=out, x=None)
-    assert sorted(rec.trace.entries) == [(2, 0, "v2t"), (2, 1, "attn_out"), (5, 0, "v2t")]
-    assert rec.trace.get(2, 1, "attn_out") is not out  # a copy, not the hook's view
-    np.testing.assert_array_equal(rec.trace.get(2, 1, "attn_out"), out)
-    rec.observe(9, 9, v2t=v2t, attn_out=out, x=None)  # no key: nothing kept
-    assert len(rec.trace.entries) == 3
+    keys = [(2, 0, "v2t"), (2, 1, "attn_out"), (5, 0, "v2t"), (6, 2, "x")]
+    rec = TraceRecorder(keys)
+    assert rec.keys == set(keys)
+    every = TraceRecorder(itertools.product(range(SMALL.steps), range(SMALL.depth), FIELD_TAGS))
+    model = init_model(SMALL)
+    prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
+    denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1,
+            hooks=ChainedHooks(rec, every))
+    assert sorted(rec.trace.entries) == sorted(keys)
+    assert len(every.trace.entries) == SMALL.steps * SMALL.depth * len(FIELD_TAGS)
+    for key in keys:
+        got = rec.trace.get(*key)
+        assert got.base is None  # a copy, not the hook's view
+        assert got is not every.trace.get(*key)
+        np.testing.assert_array_equal(got, every.trace.get(*key))
     assert not TraceRecorder([]).keys
+
+
+def test_recorder_refuses_a_field_nobody_forms():
+    with pytest.raises(ValueError, match=r"trace key \(0, 0, 'v2T'\) names no field"):
+        TraceRecorder([(0, 0, "v2t"), (0, 0, "v2T"), (1, 0, "k")])
+    with pytest.raises(ValueError, match=r"\(3, 1, 'k'\)"):
+        TraceRecorder(iter([(3, 1, "k")]))
 
 
 def test_trace_accessors():

@@ -11,7 +11,6 @@ from bachkit.vital import (
     aesthetic_score,
     collect_skip_runs,
     embed_similarity_score,
-    generate_skipped,
     report_from_runs,
     sweep_layers,
     sweep_layers_embed,
@@ -110,7 +109,7 @@ def test_embed_similarity_matches_per_frame_cosine():
         embed_similarity_score(a, b[:2], e)
 
 
-def test_generate_skipped_decodes_and_differs(runs):
+def test_skip_runs_decode_and_differ(runs):
     assert set(runs) == {None, 0, 1, 2, 3}
     baseline = runs[None]
     assert baseline.shape == (2, 3 * 3, 3 * 4)  # decoded patches
@@ -118,8 +117,10 @@ def test_generate_skipped_decodes_and_differs(runs):
         assert not np.array_equal(runs[layer], baseline)
     model = init_model(CFG)
     prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
-    again = generate_skipped(model, prompt, StepSchedule.linear(CFG.steps), 3, layer=1)
-    np.testing.assert_array_equal(again, runs[1])
+    again = collect_skip_runs(model, prompt, StepSchedule.linear(CFG.steps), 3, layers=[1])
+    assert list(again) == [None, 1]
+    np.testing.assert_array_equal(again[None], baseline)
+    np.testing.assert_array_equal(again[1], runs[1])
 
 
 def test_sweep_constant_scorer_all_drops_zero():
