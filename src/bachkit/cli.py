@@ -114,16 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {
+    """The config file or profile, with the run flags given on top of it."""
+    cfg = read_ini(args.config) if args.config else default_config(args.profile or "desk8")
+    flags = {
         "seed": args.seed,
         "kv_budget_bytes": args.kv_budget_bytes,
         "global_match": args.global_match,
     }
-    if args.config:
-        return read_ini(args.config, overrides)
-    cfg = default_config(args.profile or "desk8")
-    kw = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **kw).validate() if kw else cfg
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_gen_identity(args) -> int:

@@ -49,9 +49,17 @@ def format_layer_set(layers) -> str:
     return ",".join(parts)
 
 
+def _known_profile(name: str) -> str:
+    if name not in PROFILES:
+        raise ValueError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
+    return name
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one consistency run group needs besides the scene."""
+    """Everything one consistency run group needs besides the scene. It is
+    valid when made, by `replace` too: a field outside its profile's depth,
+    steps or ranges, or an unknown profile, raises a ValueError."""
 
     profile: str
     seed: int
@@ -62,34 +70,11 @@ class RunConfig:
     match_layers: tuple[int, ...]
     kv_layers: tuple[int, ...]
     vital_k: int
-    kv_budget_bytes: int | None = None  # 0 or None: unlimited
+    kv_budget_bytes: int = 0  # 0 means unlimited
     global_match: bool = False
 
     def __post_init__(self):
-        # The one budget rule, for the CLI and INI files alike.
-        if self.kv_budget_bytes is not None and self.kv_budget_bytes < 0:
-            raise ValueError(f"kv_budget_bytes={self.kv_budget_bytes} is negative; 0 means unlimited")
-        if self.kv_budget_bytes == 0:
-            object.__setattr__(self, "kv_budget_bytes", None)
-
-    def model_config(self) -> ModelConfig:
-        return PROFILES[self.profile]
-
-    def cache_keys(self, steps: int) -> tuple[tuple[int, int], ...]:
-        """(step, layer) keys the identity caches and a frame run injects at:
-        every step from `tau_inject` up to `steps`, every kv layer."""
-        return tuple((s, l) for s in range(self.tau_inject, steps) for l in self.kv_layers)
-
-    def readout_keys(self) -> tuple[tuple[int, int, str], ...]:
-        """(step, layer, field) entries the mask and match read from each run:
-        `v2t` at `tau_mask` for the mask layers, then `attn_out` at
-        `tau_match` for the match layers."""
-        return tuple((self.tau_mask, l, "v2t") for l in self.mask_layers) + tuple(
-            (self.tau_match, l, "attn_out") for l in self.match_layers
-        )
-
-    def validate(self) -> "RunConfig":
-        cfg = self.model_config()
+        cfg = PROFILES[_known_profile(self.profile)]
         for name, layers in (
             ("mask_layers", self.mask_layers),
             ("match_layers", self.match_layers),
@@ -109,7 +94,24 @@ class RunConfig:
             raise ValueError("tau_inject must come after tau_mask and tau_match")
         if not 1 <= self.vital_k <= cfg.depth:
             raise ValueError(f"vital_k={self.vital_k} outside 1..{cfg.depth}")
-        return self
+        if self.kv_budget_bytes < 0:
+            raise ValueError(f"kv_budget_bytes={self.kv_budget_bytes} is negative; 0 means unlimited")
+
+    def model_config(self) -> ModelConfig:
+        return PROFILES[self.profile]
+
+    def cache_keys(self, steps: int) -> tuple[tuple[int, int], ...]:
+        """(step, layer) keys the identity caches and a frame run injects at:
+        every step from `tau_inject` up to `steps`, every kv layer."""
+        return tuple((s, l) for s in range(self.tau_inject, steps) for l in self.kv_layers)
+
+    def readout_keys(self) -> tuple[tuple[int, int, str], ...]:
+        """(step, layer, field) entries the mask and match read from each run:
+        `v2t` at `tau_mask` for the mask layers, then `attn_out` at
+        `tau_match` for the match layers."""
+        return tuple((self.tau_mask, l, "v2t") for l in self.mask_layers) + tuple(
+            (self.tau_match, l, "attn_out") for l in self.match_layers
+        )
 
 
 _PROFILE_DEFAULTS = {
@@ -139,12 +141,10 @@ _PROFILE_DEFAULTS = {
 
 
 def default_config(profile: str = "desk8") -> RunConfig:
-    if profile not in _PROFILE_DEFAULTS:
-        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILE_DEFAULTS)}")
-    return _PROFILE_DEFAULTS[profile]
+    return _PROFILE_DEFAULTS[_known_profile(profile)]
 
 
-# (section, key) of an INI file -> (RunConfig field, ConfigParser getter).
+# (section, key) of an INI file -> (RunConfig field, ConfigParser getter), in file order.
 _INI_KEYS = {
     ("model", "profile"): ("profile", "get"),
     ("model", "seed"): ("seed", "getint"),
@@ -155,14 +155,17 @@ _INI_KEYS = {
     ("vital", "k"): ("vital_k", "getint"),
 }
 
+# ConfigParser getter -> the formatter it inverts; `str` inverts the others.
+_INI_FORMATS = {"getlayers": format_layer_set, "getboolean": lambda value: str(value).lower()}
 
-def read_ini(path, overrides: dict | None = None) -> RunConfig:
+
+def read_ini(path) -> RunConfig:
     """Load a RunConfig from an INI file, starting from its profile's defaults.
 
-    Every key is optional; `overrides` (RunConfig field names) win over the
-    file. An unknown key, also one in an unknown section, or a value that
-    does not parse raises a ValueError naming its section and key; a
-    malformed file or a [DEFAULT] section raises a one-line ValueError too.
+    Every key is optional. An unknown key, also one in an unknown section,
+    or a value that does not parse raises a ValueError naming its section
+    and key; a malformed file or a [DEFAULT] section raises a one-line
+    ValueError too.
     """
     parser = configparser.ConfigParser(interpolation=None, converters={"layers": parse_layer_set})
     with open(path) as fh:
@@ -182,27 +185,15 @@ def read_ini(path, overrides: dict | None = None) -> RunConfig:
                 kw[name] = getattr(parser, getter)(section, key)
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-    cfg = default_config(kw.pop("profile", "desk8"))
-    if overrides:
-        kw.update({k: v for k, v in overrides.items() if v is not None})
-    return replace(cfg, **kw).validate()
+    return replace(default_config(kw.pop("profile", "desk8")), **kw)
 
 
 def write_ini(cfg: RunConfig, path) -> None:
+    """Write every `_INI_KEYS` entry of `cfg`; `read_ini` reads it back equal."""
+    sections: dict[str, dict[str, str]] = {}
+    for (section, key), (name, getter) in _INI_KEYS.items():
+        sections.setdefault(section, {})[key] = _INI_FORMATS.get(getter, str)(getattr(cfg, name))
     parser = configparser.ConfigParser()
-    parser["model"] = {"profile": cfg.profile, "seed": str(cfg.seed)}
-    parser["readout"] = {
-        "tau_mask": str(cfg.tau_mask),
-        "tau_match": str(cfg.tau_match),
-        "tau_inject": str(cfg.tau_inject),
-        "mask_layers": format_layer_set(cfg.mask_layers),
-        "match_layers": format_layer_set(cfg.match_layers),
-        "kv_layers": format_layer_set(cfg.kv_layers),
-    }
-    parser["inject"] = {
-        "kv_budget_bytes": str(cfg.kv_budget_bytes or 0),
-        "global_match": str(cfg.global_match).lower(),
-    }
-    parser["vital"] = {"k": str(cfg.vital_k)}
+    parser.read_dict(sections)
     with open(path, "w") as fh:
         parser.write(fh)

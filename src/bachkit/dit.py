@@ -45,8 +45,8 @@ from .tensorops import (
 # attention outputs stay pixel-specific; sigma_max keeps the per-pixel flip
 # probability of the prompt snap negligible over a full run.
 SIGMA_MAX_DEFAULT = 0.5
-SIGNATURE_AMP_DEFAULT = 3.0
-TEXTURE_AMP_DEFAULT = 6.0
+SIGNATURE_AMP = 3.0
+TEXTURE_AMP = 6.0
 
 # Denoising-head snap temperatures.
 BETA_TEXT = 0.5
@@ -528,8 +528,18 @@ def denoise(
 
     Raises:
         ValueError: if `start` is given with `init_clean`, names a step
-            outside 0..step_count, or holds a latent of another shape.
+            outside 0..step_count, or holds a latent of another shape; or,
+            before step 0, naming the first hook key outside the run.
     """
+    if hooks is not None:
+        steps, layers = range(schedule.step_count), range(model.config.depth)
+        outside = [k for k in hooks.keys
+                   if k[0] not in steps or k[1] not in layers or k[2] not in OBSERVED_FIELDS]
+        if outside:
+            raise ValueError(
+                f"hook key {min(outside)} is outside the run: steps 0..{len(steps) - 1}, "
+                f"layers 0..{len(layers) - 1}, fields {OBSERVED_FIELDS}"
+            )
     if start is None:
         first, z = 0, initial_latent(model.config, schedule, seed, init_clean)
     else:
@@ -568,9 +578,9 @@ def embed_prompt(
     rows are zero. Without a scene, each segment carries a seeded unit vector
     on the signature channels.
     """
+    amp = DTYPE(SIGNATURE_AMP)
     if scene is not None:
         channels = scene.channels
-        amp = DTYPE(scene.signature_amp)
         bg = amp * scene.bg_signature
         fg = amp * scene.fg_signature
         act = amp * scene.action_vector(seed)
@@ -578,7 +588,6 @@ def embed_prompt(
         if channels is None:
             raise ValueError("channels required without a scene")
         plan = channel_plan(channels)
-        amp = DTYPE(SIGNATURE_AMP_DEFAULT)
 
         def seg_vector(tag: int) -> np.ndarray:
             rng = _rng(seed, tag, _ROLE_EMBED)

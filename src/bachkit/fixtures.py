@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import default_config
+from .dit import _rng
 from .select import AnalysisGrid
 
 
@@ -66,7 +67,7 @@ def paper_vital_drops() -> dict[int, float]:
 
 def random_grid(seed: int, n_steps: int = 12, n_layers: int = 9) -> AnalysisGrid:
     """Uniform random score table on the unit interval."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xF1])))
+    rng = _rng(seed, 0xF1)
     return AnalysisGrid(
         steps=tuple(range(n_steps)),
         layers=tuple(range(n_layers)),
@@ -76,6 +77,6 @@ def random_grid(seed: int, n_steps: int = 12, n_layers: int = 9) -> AnalysisGrid
 
 def random_drops(seed: int, depth: int = 16) -> dict[int, float]:
     """Random per-layer drops (may include ties at zero)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xF2])))
+    rng = _rng(seed, 0xF2)
     vals = np.round(rng.random(depth), 2)
     return {l: float(vals[l]) for l in range(depth)}

@@ -49,7 +49,8 @@ class KvCache:
     The plan decides both what the cache admits and what it costs: a key
     outside it is refused, and the whole plan is held to `budget_bytes` when
     the cache is made, so an undersized budget fails before any run starts
-    and before any buffer exists. Admitted rows are copied into the plan
+    and before any buffer exists. A budget of 0 admits any plan; a negative
+    budget is a ValueError. Admitted rows are copied into the plan
     key's slot of one (len(plan), rows, channels) buffer, allocated at the
     first admission, so the cache is one allocation that is returned whole
     when it is dropped. `entries` maps each admitted key to its slot.
@@ -58,13 +59,15 @@ class KvCache:
     rows: int
     channels: int
     plan: tuple[tuple[int, int], ...]
-    budget_bytes: int | None = None
+    budget_bytes: int = 0
     entries: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
+        if self.budget_bytes < 0:
+            raise ValueError(f"budget_bytes={self.budget_bytes} is negative; 0 means unlimited")
         need = len(self.plan) * entry_nbytes(self.rows, self.channels)
-        if self.budget_bytes is not None and need > self.budget_bytes:
+        if self.budget_bytes and need > self.budget_bytes:
             raise CacheBudgetError(
                 f"cache plan needs {need} bytes ({len(self.plan)} entries of "
                 f"{self.rows}x{self.channels} rows), budget is {self.budget_bytes}"
@@ -104,7 +107,7 @@ class KvCache:
         write_container([(s, l, FIELD_X, x) for (s, l), x in self.entries.items()], path)
 
     @classmethod
-    def load(cls, path, budget_bytes: int | None = None) -> "KvCache":
+    def load(cls, path, budget_bytes: int = 0) -> "KvCache":
         """Read a saved cache; its plan is the saved keys, and the records
         are stored as read (views of the container's one buffer), not copied.
 
@@ -248,7 +251,6 @@ class Injector(Hooks):
     """
 
     def __init__(self, *, model: Model, layout, identity, run_cfg):
-        run_cfg.validate()
         self.model = model
         self.layout = layout
         self.identity = identity

@@ -50,8 +50,7 @@ class MatchMap:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(MATCH_HEADER)
-            for row in self.rows:
-                w.writerow([int(v) for v in row])
+            w.writerows(self.rows.tolist())
 
     @classmethod
     def read_csv(cls, path, frames: int, height: int, width: int) -> "MatchMap":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dit import (
-    SIGNATURE_AMP_DEFAULT,
-    TEXTURE_AMP_DEFAULT,
+    SIGNATURE_AMP,
+    TEXTURE_AMP,
     _rng,
     channel_plan,
     detail_direction,
@@ -28,7 +28,7 @@ from .tensorops import DTYPE, rope_group_slices
 #: Scale of the background shading field. Each variant draws its own base
 #: level plus per-pixel jitter, so two independently generated videos have
 #: visibly different backgrounds that cache injection can pull together.
-DETAIL_AMP_DEFAULT = 2.0
+DETAIL_AMP = 2.0
 
 IDENTITY = "identity"
 FRAME = "frame"
@@ -84,9 +84,6 @@ class Scene:
     bg_signature: np.ndarray  # (channels,) unit
     fg_signature: np.ndarray  # (channels,) unit, orthogonal to bg
     seed: int
-    signature_amp: float = SIGNATURE_AMP_DEFAULT
-    texture_amp: float = TEXTURE_AMP_DEFAULT
-    detail_amp: float = DETAIL_AMP_DEFAULT
 
     def _origins(self, variant: str) -> np.ndarray:
         if variant == IDENTITY:
@@ -109,7 +106,7 @@ class Scene:
     def detail_field(self, variant: str) -> np.ndarray:
         """Per-pixel background shading coefficients, (THW,).
 
-        Each variant has its own base level in [0.7, 1.3] times `detail_amp`
+        Each variant has its own base level in [0.7, 1.3] times `DETAIL_AMP`
         plus small per-pixel jitter; the base gap between variants is the
         planted background discrepancy.
         """
@@ -117,7 +114,7 @@ class Scene:
         n = self.frames * self.height * self.width
         base = 0.7 + 0.6 * rng.random()
         jitter = 0.15 * (2.0 * rng.random(n) - 1.0)
-        return (self.detail_amp * (base + jitter)).astype(DTYPE)
+        return (DETAIL_AMP * (base + jitter)).astype(DTYPE)
 
     def clean_latent(self, variant: str) -> np.ndarray:
         """Noise-free latent of one variant, (frames, height, width, channels).
@@ -129,15 +126,15 @@ class Scene:
         variants are bitwise-equal content.
         """
         dims = (self.frames, self.height, self.width, self.channels)
-        z = np.tile((self.signature_amp * self.bg_signature).astype(DTYPE), dims[:3] + (1,))
+        z = np.tile((SIGNATURE_AMP * self.bg_signature).astype(DTYPE), dims[:3] + (1,))
         coeff = self.detail_field(variant) * (~self.mask(variant)).reshape(-1)
         z += (coeff[:, None] * detail_direction(self.channels)[None, :]).reshape(z.shape)
         subject = texture_dictionary(*dims)
-        fg_vec = (self.signature_amp * self.fg_signature).astype(DTYPE)
+        fg_vec = (SIGNATURE_AMP * self.fg_signature).astype(DTYPE)
         t, dh, dw = self._offsets()
         o = self._origins(variant)
         rel_flat = (t * self.height + dh) * self.width + dw
-        z[t, o[t, 0] + dh, o[t, 1] + dw] = fg_vec + self.texture_amp * subject[rel_flat]
+        z[t, o[t, 0] + dh, o[t, 1] + dw] = fg_vec + TEXTURE_AMP * subject[rel_flat]
         return z
 
     def noisy_latent(self, variant: str, sigma: float, seed: int = 0) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dit import Model, decode_video, denoise, patch_shape
+from .dit import Model, _rng, decode_video, denoise, patch_shape
 from .select import read_csv_records
 
 _EMBED_TAG = 0xE3B  # stream tag for the fixed projection draw
@@ -38,7 +38,7 @@ class FrameEmbedder:
 
     def __init__(self, frame_shape: tuple[int, int], dim: int = 32, seed: int = 0):
         h, w = frame_shape
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _EMBED_TAG])))
+        rng = _rng(seed, _EMBED_TAG)
         self.frame_shape = (int(h), int(w))
         self.proj = rng.standard_normal((int(dim), int(h) * int(w)))
 
@@ -148,11 +148,10 @@ def sweep_layers(
     schedule,
     seed: int,
     scorer,
-    layers=None,
     init_clean: np.ndarray | None = None,
 ) -> LayerReport:
-    """Skip sweep graded by mean frame score (`aesthetic_score`)."""
-    runs = collect_skip_runs(model, prompt_embedding, schedule, seed, layers, init_clean)
+    """Skip sweep over every layer, graded by mean frame score (`aesthetic_score`)."""
+    runs = collect_skip_runs(model, prompt_embedding, schedule, seed, init_clean=init_clean)
     return report_from_runs(runs, lambda z: aesthetic_score(z, scorer))
 
 
@@ -161,19 +160,17 @@ def sweep_layers_embed(
     prompt_embedding: np.ndarray,
     schedule,
     seed: int,
-    embedder=None,
-    layers=None,
     init_clean: np.ndarray | None = None,
 ) -> LayerReport:
-    """Skip sweep graded by embedding similarity to the unskipped baseline.
+    """Skip sweep over every layer, graded by embedding similarity to the
+    unskipped baseline under a `FrameEmbedder` seeded with `seed`.
 
     The baseline scores 1 by construction, so a layer's drop is one minus
     the similarity its removal leaves behind.
     """
-    runs = collect_skip_runs(model, prompt_embedding, schedule, seed, layers, init_clean)
-    if embedder is None:
-        mc = model.config
-        ph, pw = patch_shape(mc.channels)
-        embedder = FrameEmbedder((mc.height * ph, mc.width * pw), seed=seed)
+    runs = collect_skip_runs(model, prompt_embedding, schedule, seed, init_clean=init_clean)
+    mc = model.config
+    ph, pw = patch_shape(mc.channels)
+    embedder = FrameEmbedder((mc.height * ph, mc.width * pw), seed=seed)
     base = runs[None]
     return report_from_runs(runs, lambda z: embed_similarity_score(z, base, embedder))

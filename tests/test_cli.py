@@ -1,5 +1,6 @@
 """End-to-end command flows through the argparse entry point."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import bachkit.pipeline as pipeline
-from bachkit.cli import main
+from bachkit.cli import _build_parser, _run_config, main
+from bachkit.config import default_config, read_ini
 from bachkit.select import AnalysisGrid
 from bachkit.trace import MAGIC, VERSION, AttentionTrace
 from bachkit.vital import LayerReport, LayerScore
@@ -171,13 +173,28 @@ def test_budget_zero_is_unlimited_and_negative_is_one_line(tmp_path, monkeypatch
     for flags in (["--kv-budget-bytes", "0"], ["--config", str(ini)]):
         assert main(["gen-identity", "--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err == "bachkit: error: stopped before compute\n"
-    assert seen == [None, None]  # the cache plan passed its budget check on both paths
+    assert seen == [0, 0]  # the cache plan passed its budget check on both paths
     ini.write_text("[inject]\nkv_budget_bytes = -5\n")
     for flags in (["--kv-budget-bytes", "-5"], ["--config", str(ini)]):
         assert main(["gen-identity", "--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err == (
             "bachkit: error: kv_budget_bytes=-5 is negative; 0 means unlimited\n")
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("source", ["--config", "--profile"])
+def test_flags_beat_the_config_source(tmp_path, source):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nprofile = paper42\nseed = 4\n\n"
+                   "[inject]\nkv_budget_bytes = 77\nglobal_match = true\n")
+    base = ["gen-identity", source, str(ini) if source == "--config" else "paper42"]
+    file_cfg = read_ini(ini) if source == "--config" else default_config("paper42")
+    parse = _build_parser().parse_args
+    assert _run_config(parse(base)) == file_cfg  # a flag left out keeps the source's value
+    cfg = _run_config(parse(base + ["--seed", "99", "--kv-budget-bytes", "0"]))
+    assert cfg == dataclasses.replace(file_cfg, seed=99, kv_budget_bytes=0)
+    cfg = _run_config(parse(base + ["--global-match"]))
+    assert cfg == dataclasses.replace(file_cfg, global_match=True)
 
 
 def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):

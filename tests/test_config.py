@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import bachkit.config as config
 from bachkit.config import (
     RunConfig,
     default_config,
@@ -12,6 +13,7 @@ from bachkit.config import (
     read_ini,
     write_ini,
 )
+from bachkit.inject import KvCache
 
 
 def test_parse_layer_set():
@@ -44,7 +46,7 @@ def test_layer_set_roundtrip():
 
 
 def test_desk_profile_defaults():
-    cfg = default_config("desk8").validate()
+    cfg = default_config("desk8")
     assert (cfg.tau_mask, cfg.tau_match, cfg.tau_inject) == (10, 10, 11)
     assert cfg.mask_layers == tuple(range(8))
     assert cfg.match_layers == tuple(range(8))
@@ -55,7 +57,7 @@ def test_desk_profile_defaults():
 
 
 def test_reference_profile_defaults():
-    cfg = default_config("paper42").validate()
+    cfg = default_config("paper42")
     assert cfg.mask_layers == tuple(range(5, 20))
     assert cfg.match_layers == tuple(range(1, 16))
     assert cfg.kv_layers == (0, 1, 11, 12, 13, 14, 15, 17, 19, 20, 21, 23, 29, 34, 41)
@@ -76,6 +78,33 @@ def test_ini_roundtrip(tmp_path):
         kv_budget_bytes=123456,
         global_match=True,
     )
+    p = tmp_path / "run.ini"
+    write_ini(cfg, p)
+    assert read_ini(p) == cfg
+
+
+@pytest.mark.parametrize("profile", ["desk8", "paper42"])
+@pytest.mark.parametrize("budget", [0, 4096])
+def test_ini_roundtrip_sets_every_key(tmp_path, profile, budget):
+    base = default_config(profile)
+    depth = base.model_config().depth
+    cfg = dataclasses.replace(
+        base,
+        seed=base.seed + 5,
+        tau_mask=base.tau_mask - 2,
+        tau_match=base.tau_match - 1,
+        tau_inject=base.tau_inject + 3,
+        mask_layers=(0, 2, depth - 1),
+        match_layers=(1, 3, 4, depth - 2),
+        kv_layers=(2, depth - 3),
+        vital_k=base.vital_k - 1,
+        kv_budget_bytes=budget,
+        global_match=not base.global_match,
+    )
+    names = [name for name, _ in config._INI_KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    kept = {n for n in names if getattr(cfg, n) == getattr(base, n)}
+    assert kept == ({"profile", "kv_budget_bytes"} if budget == 0 else {"profile"})
     p = tmp_path / "run.ini"
     write_ini(cfg, p)
     assert read_ini(p) == cfg
@@ -113,24 +142,25 @@ def test_ini_partial_file_fills_from_profile(tmp_path):
     assert cfg.kv_layers == (1, 3, 5, 7)
 
 
-def test_ini_overrides_beat_file(tmp_path):
-    p = tmp_path / "run.ini"
-    write_ini(default_config("desk8"), p)
-    cfg = read_ini(p, overrides={"seed": 99, "tau_inject": None})
-    assert cfg.seed == 99
-    assert cfg.tau_inject == 11  # None overrides are ignored
+def _desk8_cache(budget: int) -> KvCache:
+    """An identity cache of desk8's whole plan under `budget`; raises if refused."""
+    cfg = default_config("desk8")
+    mc = cfg.model_config()
+    return KvCache(mc.thw, mc.channels, cfg.cache_keys(mc.steps), budget_bytes=budget)
 
 
 def test_ini_budget_zero_means_unlimited(tmp_path):
     p = tmp_path / "run.ini"
     write_ini(default_config("desk8"), p)  # writes kv_budget_bytes = 0
     assert "kv_budget_bytes = 0" in p.read_text()
-    assert read_ini(p).kv_budget_bytes is None
+    assert read_ini(p).kv_budget_bytes == 0
+    assert len(_desk8_cache(read_ini(p).kv_budget_bytes).plan) == 39 * 4  # the plan is admitted
 
 
 def test_budget_zero_means_unlimited_and_negative_is_refused(tmp_path):
     base = default_config("desk8")
-    assert dataclasses.replace(base, kv_budget_bytes=0).kv_budget_bytes is None
+    assert base.kv_budget_bytes == 0
+    assert len(_desk8_cache(dataclasses.replace(base, kv_budget_bytes=0).kv_budget_bytes).plan)
     assert dataclasses.replace(base, kv_budget_bytes=5).kv_budget_bytes == 5
     with pytest.raises(ValueError, match="kv_budget_bytes=-5 is negative; 0 means unlimited"):
         dataclasses.replace(base, kv_budget_bytes=-5)
@@ -138,24 +168,20 @@ def test_budget_zero_means_unlimited_and_negative_is_refused(tmp_path):
     p.write_text("[inject]\nkv_budget_bytes = -1\n")
     with pytest.raises(ValueError, match="kv_budget_bytes=-1 is negative"):
         read_ini(p)
-    assert read_ini(p, overrides={"kv_budget_bytes": 0}).kv_budget_bytes is None
 
 
-def test_validate_rejects_bad_fields():
+def test_config_rejects_bad_fields_when_made():
     base = default_config("desk8")
     cases = [
         (dict(mask_layers=(0, 8)), "mask_layers"),
         (dict(kv_layers=(-1,)), "kv_layers"),
+        (dict(kv_layers=(99,), tau_inject=5), "kv_layers"),
         (dict(tau_mask=50), "tau_mask"),
         (dict(tau_inject=5), "tau_inject"),
         (dict(vital_k=0), "vital_k"),
         (dict(vital_k=9), "vital_k"),
+        (dict(profile="desk9"), r"unknown profile 'desk9'; choose from \['desk8', 'paper42'\]"),
     ]
     for kw, needle in cases:
         with pytest.raises(ValueError, match=needle):
-            dataclasses.replace(base, **kw).validate()
-
-
-def test_validate_returns_self():
-    cfg = default_config("paper42")
-    assert cfg.validate() is cfg
+            dataclasses.replace(base, **kw)  # raises here, so no run can start from it

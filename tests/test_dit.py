@@ -1,10 +1,13 @@
 """Model construction, the denoising loop, hooks, and the decode path."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+import bachkit.dit as dit
+from bachkit.config import default_config
 from bachkit.dit import (
     OBSERVED_FIELDS,
     ChainedHooks,
@@ -24,7 +27,9 @@ from bachkit.dit import (
     invert_decode,
     patch_shape,
 )
+from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.tensorops import DTYPE, Attention
+from bachkit.trace import TraceRecorder
 from refs import without_layer
 
 SMALL = ModelConfig(
@@ -263,6 +268,29 @@ def test_resumed_denoise_equals_full_run_at_every_step(small_model, small_prompt
         for key, a in rec.entries.items():
             np.testing.assert_array_equal(a, whole.entries[key])
         assert resumed is not z  # the caller's latent is never handed back
+
+
+def test_denoise_refuses_hook_keys_outside_the_run(small_model, small_prompt, monkeypatch):
+    monkeypatch.setattr(dit, "forward", lambda *a, **k: pytest.fail("a step ran"))
+    unknown_field = Hooks()
+    unknown_field.keys = frozenset({(1, 1, "pre_k")})
+    cache = KvCache(SMALL.thw, SMALL.channels, [(2, 0), (2, SMALL.depth)])
+    cases = [
+        (TraceRecorder([(0, 99, "v2t"), (70, 0, "x")]), (0, 99, "v2t")),
+        (TraceRecorder([(0, 0, "v2t"), (SMALL.steps, 0, "x")]), (SMALL.steps, 0, "x")),
+        (TraceRecorder([(-1, 0, "attn_out")]), (-1, 0, "attn_out")),
+        (CacheRecorder(cache), (2, SMALL.depth, "x")),
+        # desk8's readout keys lie at step 10, after this 8-step schedule
+        (Injector(model=small_model, layout=LAYOUT, identity=None,
+                  run_cfg=default_config("desk8")), (10, 0, "attn_out")),
+        (ChainedHooks(TraceRecorder([(0, 0, "v2t")]), unknown_field), (1, 1, "pre_k")),
+    ]
+    for hooks, key in cases:
+        with pytest.raises(ValueError, match=re.escape(
+            f"hook key {key} is outside the run: steps 0..{SMALL.steps - 1}, "
+            f"layers 0..{SMALL.depth - 1}, fields {OBSERVED_FIELDS}"
+        )):
+            denoise(small_model, small_prompt, StepSchedule.linear(SMALL.steps), 5, hooks=hooks)
 
 
 def test_resumed_denoise_validates_start(small_model, small_prompt):

@@ -107,6 +107,20 @@ def test_budget_rejects_before_admission(monkeypatch):
     assert cache.nbytes == 2 * one
 
 
+def test_budget_zero_admits_any_plan_and_negative_is_refused(tmp_path):
+    plan = [(s, l) for s in range(50) for l in range(8)]
+    cache = KvCache(rows=4, channels=2, plan=plan, budget_bytes=0)
+    for key in plan:
+        cache.admit(*key, np.ones((4, 2), dtype=DTYPE))
+    assert cache.nbytes == len(plan) * entry_nbytes(4, 2)
+    cache.save(tmp_path / "cache.bvtr")
+    assert KvCache.load(tmp_path / "cache.bvtr", budget_bytes=0).plan == tuple(plan)
+    for load in (lambda b: KvCache(4, 2, plan, budget_bytes=b),
+                 lambda b: KvCache.load(tmp_path / "cache.bvtr", budget_bytes=b)):
+        with pytest.raises(ValueError, match="^budget_bytes=-1 is negative; 0 means unlimited$"):
+            load(-1)
+
+
 def test_cache_save_load(tmp_path):
     rng = np.random.default_rng(1)
     plan = [(11, 0), (11, 2), (12, 0), (12, 2)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bachkit.dit import detail_direction, texture_dictionary
+from bachkit.dit import SIGNATURE_AMP, TEXTURE_AMP, detail_direction, texture_dictionary
 from bachkit.scene import FRAME, IDENTITY, make_scene
 
 
@@ -96,17 +96,17 @@ def _loop_correspondence(sc):
 
 def _loop_clean_latent(sc, variant):
     dims = (sc.frames, sc.height, sc.width, sc.channels)
-    z = np.tile((sc.signature_amp * sc.bg_signature).astype(np.float32), dims[:3] + (1,))
+    z = np.tile((SIGNATURE_AMP * sc.bg_signature).astype(np.float32), dims[:3] + (1,))
     coeff = sc.detail_field(variant) * (~sc.mask(variant)).reshape(-1)
     z += (coeff[:, None] * detail_direction(sc.channels)[None, :]).reshape(z.shape)
     subject = texture_dictionary(*dims)
-    fg_vec = (sc.signature_amp * sc.fg_signature).astype(np.float32)
+    fg_vec = (SIGNATURE_AMP * sc.fg_signature).astype(np.float32)
     origins = sc.origins_identity if variant == IDENTITY else sc.origins_frame
     for t, (oh, ow) in enumerate(origins):
         for dh in range(sc.rect_h):
             for dw in range(sc.rect_w):
                 rel_flat = (t * sc.height + dh) * sc.width + dw
-                z[t, oh + dh, ow + dw] = fg_vec + sc.texture_amp * subject[rel_flat]
+                z[t, oh + dh, ow + dw] = fg_vec + TEXTURE_AMP * subject[rel_flat]
     return z
 
 
