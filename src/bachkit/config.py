@@ -75,27 +75,34 @@ class RunConfig:
 
     def __post_init__(self):
         cfg = PROFILES[_known_profile(self.profile)]
-        for name, layers in (
-            ("mask_layers", self.mask_layers),
-            ("match_layers", self.match_layers),
-            ("kv_layers", self.kv_layers),
-        ):
-            bad = [l for l in layers if not 0 <= l < cfg.depth]
-            if bad:
-                raise ValueError(f"{name} {bad} outside 0..{cfg.depth - 1}")
-        for name, tau in (
-            ("tau_mask", self.tau_mask),
-            ("tau_match", self.tau_match),
-            ("tau_inject", self.tau_inject),
-        ):
-            if not 0 <= tau < cfg.steps:
-                raise ValueError(f"{name}={tau} outside 0..{cfg.steps - 1}")
+        self.check_fits(cfg.depth, cfg.steps)
         if self.tau_inject <= max(self.tau_mask, self.tau_match):
             raise ValueError("tau_inject must come after tau_mask and tau_match")
         if not 1 <= self.vital_k <= cfg.depth:
             raise ValueError(f"vital_k={self.vital_k} outside 1..{cfg.depth}")
         if self.kv_budget_bytes < 0:
             raise ValueError(f"kv_budget_bytes={self.kv_budget_bytes} is negative; 0 means unlimited")
+
+    def check_fits(self, depth: int, steps: int) -> None:
+        """Raise a ValueError naming the first layer set with a layer outside
+        0..depth-1, or the first readout or injection step outside 0..steps-1.
+        A run checks this against its model, whose depth and steps may differ
+        from the profile's, before any compute."""
+        for name, layers in (
+            ("mask_layers", self.mask_layers),
+            ("match_layers", self.match_layers),
+            ("kv_layers", self.kv_layers),
+        ):
+            bad = [l for l in layers if not 0 <= l < depth]
+            if bad:
+                raise ValueError(f"{name} {bad} outside 0..{depth - 1}")
+        for name, tau in (
+            ("tau_mask", self.tau_mask),
+            ("tau_match", self.tau_match),
+            ("tau_inject", self.tau_inject),
+        ):
+            if not 0 <= tau < steps:
+                raise ValueError(f"{name}={tau} outside 0..{steps - 1}")
 
     def model_config(self) -> ModelConfig:
         return PROFILES[self.profile]
@@ -165,7 +172,8 @@ def read_ini(path) -> RunConfig:
     Every key is optional. An unknown key, also one in an unknown section,
     or a value that does not parse raises a ValueError naming its section
     and key; a malformed file or a [DEFAULT] section raises a one-line
-    ValueError too.
+    ValueError too, and so does a config `RunConfig` refuses (an unknown
+    profile, a layer or step outside it, ...), prefixed with `path: `.
     """
     parser = configparser.ConfigParser(interpolation=None, converters={"layers": parse_layer_set})
     with open(path) as fh:
@@ -185,7 +193,10 @@ def read_ini(path) -> RunConfig:
                 kw[name] = getattr(parser, getter)(section, key)
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-    return replace(default_config(kw.pop("profile", "desk8")), **kw)
+    try:
+        return replace(default_config(kw.pop("profile", "desk8")), **kw)
+    except ValueError as exc:  # the RunConfig's own checks, and an unknown profile
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_ini(cfg: RunConfig, path) -> None:

@@ -14,7 +14,10 @@ on frame keys only.
 
 from __future__ import annotations
 
+import mmap
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .dit import Hooks, InjectionPlan, LayerWeights, Model
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
-from .trace import FIELD_X, AttentionTrace, read_container, write_container
+from .trace import FIELD_X, AttentionTrace, read_entry, read_table, write_container
 
 
 def entry_nbytes(rows: int, channels: int) -> int:
@@ -52,15 +55,17 @@ class KvCache:
     and before any buffer exists. A budget of 0 admits any plan; a negative
     budget is a ValueError. Admitted rows are copied into the plan
     key's slot of one (len(plan), rows, channels) buffer, allocated at the
-    first admission, so the cache is one allocation that is returned whole
-    when it is dropped. `entries` maps each admitted key to its slot.
+    first admission as an anonymous memory mapping, so the cache is one
+    allocation that is returned to the system whole when it is dropped.
+    `entries` maps each admitted key to its slot; in a loaded cache it maps
+    each saved key to its place in the file (see `load`).
     """
 
     rows: int
     channels: int
     plan: tuple[tuple[int, int], ...]
     budget_bytes: int = 0
-    entries: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
+    entries: Mapping[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
@@ -92,7 +97,13 @@ class KvCache:
         """Copy one layer input's (rows, channels) video rows into its slot."""
         key = self._key(step, layer, x_rows.shape)
         if self._buffer is None:
-            self._buffer = np.empty((len(self.plan), self.rows, self.channels), dtype=DTYPE)
+            # Mapped, not malloc'ed: freeing a malloc block this large raises
+            # glibc's mmap threshold to its size, and later temporaries then
+            # land on a heap that is not returned to the system.
+            nbytes = len(self.plan) * entry_nbytes(self.rows, self.channels)
+            self._buffer = np.ndarray(
+                (len(self.plan), self.rows, self.channels), DTYPE, mmap.mmap(-1, nbytes)
+            )
         slot = self._buffer[self.slots[key]]
         slot[...] = x_rows
         self.entries[key] = slot
@@ -108,28 +119,57 @@ class KvCache:
 
     @classmethod
     def load(cls, path, budget_bytes: int = 0) -> "KvCache":
-        """Read a saved cache; its plan is the saved keys, and the records
-        are stored as read (views of the container's one buffer), not copied.
+        """Check a saved cache's entry table; its plan is the saved keys.
+
+        No payload is held: each entry is read from the file when `get` or
+        `entries[key]` asks for it, as a fresh read-only array, while `in`,
+        `len` and iteration use the table only. A frame run, which reads
+        each entry once, so holds one entry at a time.
 
         Raises:
-            ValueError: for an empty container, for one holding records other
-                than layer inputs, or for records of unequal shape. A cache
-                of the earlier format (separate K and V records) has tags the
-                container reader no longer knows, and is refused by it.
+            ValueError: for a table `read_table` refuses, for an empty
+                container, for one holding records other than layer inputs,
+                or for records of unequal shape. A cache of the earlier
+                format (separate K and V records) has tags the container
+                reader no longer knows, and is refused by it. When an entry
+                is read from a file cut since, "container truncated".
             CacheBudgetError: when the saved plan exceeds `budget_bytes`.
         """
-        recs = read_container(path)
-        if not recs:
+        with open(path, "rb") as fh:
+            table = read_table(fh)
+        if not table:
             raise ValueError("cache container is empty")
-        tags = {tag for _, _, tag, _ in recs}
+        tags = {e.tag for e in table}
         if tags != {FIELD_X}:
             raise ValueError(f"cache container holds unexpected fields {sorted(tags - {FIELD_X})}")
-        rows, channels = recs[0][3].shape
-        plan = tuple((step, layer) for step, layer, _, _ in recs)
-        cache = cls(rows=rows, channels=channels, plan=plan, budget_bytes=budget_bytes)
-        for step, layer, _, x in recs:
-            cache.entries[cache._key(step, layer, x.shape)] = x
+        plan = tuple((e.step, e.layer) for e in table)
+        cache = cls(rows=table[0].rows, channels=table[0].cols, plan=plan, budget_bytes=budget_bytes)
+        for e in table:
+            cache._key(e.step, e.layer, (e.rows, e.cols))
+        # absolute: entries are read later, after a possible change of directory
+        cache.entries = _SavedEntries(Path(path).absolute(), table)
         return cache
+
+
+class _SavedEntries(Mapping):
+    """A saved cache's (step, layer) entries: the checked table is held, and
+    an entry's payload is read from the file each time it is looked up."""
+
+    def __init__(self, path: Path, table):
+        self._path = path
+        self._table = {(e.step, e.layer): e for e in table}
+
+    def __getitem__(self, key) -> np.ndarray:
+        return read_entry(self._path, self._table[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._table
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):

@@ -94,11 +94,13 @@ def run_identity(
     """Generate the identity while tracing readouts and caching layer inputs.
 
     The trace holds exactly `run_cfg.readout_keys()`, and the cache's plan
-    is `run_cfg.cache_keys(steps)`. The cache checks that plan against the
-    budget when it is made, before the run starts, so an undersized budget
-    fails fast instead of mid-generation.
+    is `run_cfg.cache_keys(steps)`. Before the run starts, the config is
+    checked against the model's depth and steps (`RunConfig.check_fits`) and
+    the cache checks its plan against the budget, so a layer or step outside
+    the model or an undersized budget fails fast instead of mid-generation.
     """
     cfg = bench.model.config
+    run_cfg.check_fits(cfg.depth, cfg.steps)
     cache = KvCache(cfg.thw, cfg.channels, run_cfg.cache_keys(cfg.steps),
                     budget_bytes=run_cfg.kv_budget_bytes)
     recorder = TraceRecorder(run_cfg.readout_keys())
@@ -114,12 +116,14 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
     """The injection hook of one frame run.
 
     Raises:
-        ValueError: if the identity cache's rows are not this model's
-            (THW, C) video rows, or naming the first entry the run would read
-            that the identity lacks: the cache plan's rows, then the readout
-            entries. The checks run before any compute.
+        ValueError: if a layer or step of `run_cfg` lies outside the model
+            (`RunConfig.check_fits`), if the identity cache's rows are not
+            this model's (THW, C) video rows, or naming the first entry the
+            run would read that the identity lacks: the cache plan's rows,
+            then the readout entries. The checks run before any compute.
     """
     cfg = bench.model.config
+    run_cfg.check_fits(cfg.depth, cfg.steps)
     cache = identity.cache
     if (cache.rows, cache.channels) != (cfg.thw, cfg.channels):
         raise ValueError(
@@ -312,10 +316,12 @@ def capture_trace(
     attn_out: bool = False,
     action_seed: int = 0,
 ) -> AttentionTrace:
-    """Full-run capture of video-to-text slices (and optionally outputs)."""
+    """Full-run capture of one field at every (step, layer): the video-to-text
+    slices (`v2t`, what `mask_grid` reads), or with `attn_out` the attention
+    outputs only (what `match_grid` reads)."""
     cfg = bench.model.config
-    fields = ("v2t", "attn_out") if attn_out else ("v2t",)
-    recorder = TraceRecorder(itertools.product(range(cfg.steps), range(cfg.depth), fields))
+    field = "attn_out" if attn_out else "v2t"
+    recorder = TraceRecorder(itertools.product(range(cfg.steps), range(cfg.depth), (field,)))
     denoise(
         bench.model, bench.prompt(action_seed), bench.schedule, seed,
         hooks=recorder,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,58 +64,107 @@ def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> No
             fh.write(a.tobytes())
 
 
-def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
-    """Read back (step, layer, field-tag, matrix) entries from a container.
+class TableEntry(NamedTuple):
+    """One checked entry of a container's table; `offset` counts from the
+    start of the file."""
 
-    The entry table is checked before any payload is read: every tag must be
-    a known field, the (step, layer, tag) keys must be strictly increasing,
-    and the payloads must lie back to back in table order from offset 0 and
-    end exactly at the end of the file, as `write_container` lays them out.
-    The payloads are then read with one call into one read-only buffer, and
-    every matrix is a view of it, so a container's data is held once, in one
-    allocation.
+    step: int
+    layer: int
+    tag: int
+    rows: int
+    cols: int
+    offset: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows * self.cols * 4
+
+
+def read_table(fh) -> list[TableEntry]:
+    """Read and check the header and entry table of the container open in `fh`.
+
+    Every tag must be a known field, the (step, layer, tag) keys must be
+    strictly increasing, and the payloads must lie back to back in table
+    order from the end of the table and end exactly at the end of the file,
+    as `write_container` lays them out. No payload is read; `fh` is left at
+    the first one.
 
     Raises:
         ValueError: for a bad magic or version, an unknown field tag, keys
             out of order or repeated, a truncated file, misplaced payloads or
             trailing bytes.
     """
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
+        raise ValueError("not a trace container (bad magic)")
+    _, version, _, count = _HEADER.unpack(head)
+    if version != VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    table_end = _HEADER.size + count * _ENTRY.size
+    size = os.fstat(fh.fileno()).st_size
+    if table_end > size:
+        raise ValueError("container truncated")
+    table = list(_ENTRY.iter_unpack(fh.read(count * _ENTRY.size)))
+    out = []
+    payload_end = 0
+    for i, (step, layer, tag, _, rows, cols, off) in enumerate(table):
+        if tag not in FIELD_NAMES:
+            raise ValueError(f"entry {i} has unknown field tag {tag}")
+        if i and table[i - 1][:3] >= (step, layer, tag):
+            raise ValueError(
+                f"entry {i} key {(step, layer, tag)} does not follow entry {i - 1} key "
+                f"{table[i - 1][:3]}: keys must be strictly increasing"
+            )
+        if off != payload_end:
+            raise ValueError(f"entry {i} payload at offset {off}, expected {payload_end}")
+        out.append(TableEntry(step, layer, tag, rows, cols, table_end + off))
+        payload_end += out[-1].nbytes
+    if table_end + payload_end > size:
+        raise ValueError("container truncated")
+    if table_end + payload_end < size:
+        raise ValueError(f"{size - table_end - payload_end} trailing bytes after the payloads")
+    return out
+
+
+def read_entry(path, entry: TableEntry) -> np.ndarray:
+    """Read one checked entry's matrix from the container at `path` into a
+    fresh read-only array.
+
+    Raises:
+        ValueError: when the file no longer holds the whole payload.
+    """
+    a = np.empty((entry.rows, entry.cols), dtype="<f4")
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size or head[:4] != MAGIC:
-            raise ValueError("not a trace container (bad magic)")
-        _, version, _, count = _HEADER.unpack(head)
-        if version != VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        table_end = _HEADER.size + count * _ENTRY.size
-        size = os.fstat(fh.fileno()).st_size
-        if table_end > size:
+        fh.seek(entry.offset)
+        if fh.readinto(a) != entry.nbytes:
             raise ValueError("container truncated")
-        table = list(_ENTRY.iter_unpack(fh.read(count * _ENTRY.size)))
-        payload_end = 0
-        for i, (step, layer, tag, _, rows, cols, off) in enumerate(table):
-            if tag not in FIELD_NAMES:
-                raise ValueError(f"entry {i} has unknown field tag {tag}")
-            if i and table[i - 1][:3] >= (step, layer, tag):
-                raise ValueError(
-                    f"entry {i} key {(step, layer, tag)} does not follow entry {i - 1} key "
-                    f"{table[i - 1][:3]}: keys must be strictly increasing"
-                )
-            if off != payload_end:
-                raise ValueError(f"entry {i} payload at offset {off}, expected {payload_end}")
-            payload_end += rows * cols * 4
-        if table_end + payload_end > size:
-            raise ValueError("container truncated")
-        if table_end + payload_end < size:
-            raise ValueError(f"{size - table_end - payload_end} trailing bytes after the payloads")
-        payload = np.empty(payload_end, dtype=np.uint8)
-        if fh.readinto(payload) != payload_end:
+    a = a.astype(DTYPE, copy=False)
+    a.flags.writeable = False
+    return a
+
+
+def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
+    """Read back (step, layer, field-tag, matrix) entries from a container.
+
+    The entry table is checked by `read_table` before any payload is read.
+    The payloads are then read with one call into one read-only buffer, and
+    every matrix is a view of it, so a container's data is held once, in one
+    allocation.
+
+    Raises:
+        ValueError: as `read_table`, or for a file cut while it is read.
+    """
+    with open(path, "rb") as fh:
+        table = read_table(fh)
+        start = fh.tell()
+        payload = np.empty(sum(e.nbytes for e in table), dtype=np.uint8)
+        if fh.readinto(payload) != payload.size:
             raise ValueError("container truncated")
     payload.flags.writeable = False
     out = []
-    for step, layer, tag, _, rows, cols, off in table:
-        a = np.frombuffer(payload, "<f4", rows * cols, off).reshape(rows, cols)
-        out.append((step, layer, tag, a.astype(DTYPE, copy=False)))
+    for e in table:
+        a = np.frombuffer(payload, "<f4", e.rows * e.cols, e.offset - start).reshape(e.rows, e.cols)
+        out.append((e.step, e.layer, e.tag, a.astype(DTYPE, copy=False)))
     return out
 
 

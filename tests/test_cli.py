@@ -175,10 +175,10 @@ def test_budget_zero_is_unlimited_and_negative_is_one_line(tmp_path, monkeypatch
         assert capsys.readouterr().err == "bachkit: error: stopped before compute\n"
     assert seen == [0, 0]  # the cache plan passed its budget check on both paths
     ini.write_text("[inject]\nkv_budget_bytes = -5\n")
-    for flags in (["--kv-budget-bytes", "-5"], ["--config", str(ini)]):
+    for flags, source in ((["--kv-budget-bytes", "-5"], ""), (["--config", str(ini)], f"{ini}: ")):
         assert main(["gen-identity", "--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err == (
-            "bachkit: error: kv_budget_bytes=-5 is negative; 0 means unlimited\n")
+            f"bachkit: error: {source}kv_budget_bytes=-5 is negative; 0 means unlimited\n")
     assert len(seen) == 2
 
 

@@ -142,6 +142,20 @@ def test_ini_partial_file_fills_from_profile(tmp_path):
     assert cfg.kv_layers == (1, 3, 5, 7)
 
 
+def test_ini_config_errors_name_the_file(tmp_path):
+    # a value RunConfig refuses names its file, as a value that does not parse does
+    p = tmp_path / "run.ini"
+    for text, message in [
+        ("[readout]\ntau_inject = 5\n", "tau_inject must come after tau_mask and tau_match"),
+        ("[model]\nprofile = desk9\n", "unknown profile 'desk9'; choose from ['desk8', 'paper42']"),
+        ("[readout]\nkv_layers = 1,99\n", "kv_layers [99] outside 0..7"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_ini(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+
 def _desk8_cache(budget: int) -> KvCache:
     """An identity cache of desk8's whole plan under `budget`; raises if refused."""
     cfg = default_config("desk8")

@@ -1,5 +1,6 @@
 """Layer-input cache accounting, region masks, and fused-attention plans."""
 
+import mmap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -72,6 +73,7 @@ def test_cache_entries_share_one_buffer():
     base = next(iter(cache.entries.values())).base
     assert base is not None and all(a.base is base for a in cache.entries.values())
     assert base.shape == (len(plan), 5, 4) and base.dtype == DTYPE
+    assert isinstance(base.base, mmap.mmap)  # mapped, so dropping the cache unmaps it
     for i, key in enumerate(plan):  # each key's rows sit in its plan slot
         np.testing.assert_array_equal(base[i], rows[key])
         np.testing.assert_array_equal(cache.get(*key), rows[key])
@@ -94,6 +96,7 @@ def test_budget_rejects_before_admission(monkeypatch):
     plan = [(0, 0), (0, 1)]
     with monkeypatch.context() as m:  # the plan is refused before any buffer exists
         m.setattr(np, "empty", lambda *a, **k: pytest.fail("buffer allocated over budget"))
+        m.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("buffer mapped over budget"))
         with pytest.raises(CacheBudgetError,
                            match=rf"^cache plan needs {2 * one} bytes \(2 entries of 4x2 rows\), "
                                  rf"budget is {one}$"):
@@ -141,15 +144,46 @@ def test_cache_save_load(tmp_path):
         np.testing.assert_array_equal(back.entries[key], x)
         assert back.entries[key].dtype == DTYPE and not back.entries[key].flags.writeable
 
-    def root(a):
-        while a.base is not None:
-            a = a.base
-        return a
+    # each read is a fresh array of its own: the loaded cache holds no payload
+    a, b = back.get(11, 0), back.entries[(11, 0)]
+    assert a is not b and a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
-    # the records are views of one buffer holding the payloads once
-    buffers = {id(root(a)): root(a) for a in back.entries.values()}
-    assert len(buffers) == 1
-    assert next(iter(buffers.values())).nbytes == 3 * entry_nbytes(5, 4)
+
+def test_loaded_cache_reads_entries_only_when_asked(tmp_path):
+    rng = np.random.default_rng(3)
+    plan = [(11, 0), (11, 2), (12, 0)]
+    cache = KvCache(rows=5, channels=4, plan=plan)
+    for key in plan:
+        cache.admit(*key, rng.random((5, 4)).astype(DTYPE))
+    p = tmp_path / "cache.bvtr"
+    cache.save(p)
+    back = KvCache.load(p)
+    one = entry_nbytes(5, 4)
+    payload_at = p.stat().st_size - 3 * one
+    new = -np.arange(60, dtype=DTYPE).reshape(3, 5, 4)
+    with open(p, "r+b") as fh:  # overwrite every payload after the load
+        fh.seek(payload_at)
+        fh.write(new.tobytes())
+
+    def table_only():
+        assert len(back.entries) == 3 and list(back.entries) == plan and back.plan == tuple(plan)
+        assert (12, 0) in back.entries and (12, 2) not in back.entries
+        assert back.nbytes == 3 * one
+
+    table_only()
+    for i, key in enumerate(plan):  # read from the file as it is now
+        np.testing.assert_array_equal(back.get(*key), new[i])
+    with open(p, "r+b") as fh:  # cut inside the second payload
+        fh.truncate(payload_at + one + 8)
+    table_only()
+    np.testing.assert_array_equal(back.get(11, 0), new[0])
+    for key in plan[1:]:
+        with pytest.raises(ValueError, match="^container truncated$"):
+            back.get(*key)
+        with pytest.raises(ValueError, match="^container truncated$"):
+            back.entries[key]
+    with pytest.raises(KeyError, match="no rows for step 12 layer 2"):
+        back.get(12, 2)
 
 
 def test_cache_load_checks_shape_and_budget(tmp_path):

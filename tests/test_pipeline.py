@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bachkit.dit as dit
+import bachkit.inject as inject
 from bachkit.dit import PromptLayout, StepSchedule, init_model
 from bachkit.inject import CacheBudgetError, CacheRecorder, Injector, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
@@ -125,6 +126,63 @@ def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, iden
     injector = make_injector(bench, desk_cfg, identity)
     assert injector.injects == set(desk_cfg.cache_keys(bench.model.config.steps))
     assert injector.keys == set(desk_cfg.readout_keys())
+
+
+def _short_bench(bench, steps: int):
+    """`bench` with a model and schedule of `steps` steps."""
+    mc = dataclasses.replace(bench.model.config, steps=steps)
+    return dataclasses.replace(bench, model=init_model(mc), schedule=StepSchedule.linear(steps))
+
+
+def test_runs_check_the_config_against_the_model_before_compute(bench, desk_cfg, identity,
+                                                               monkeypatch):
+    short = _short_bench(bench, 6)
+    shallow = dataclasses.replace(
+        bench, model=init_model(dataclasses.replace(bench.model.config, depth=4)))
+    cases = [
+        (short, dict(tau_mask=2, tau_match=2, tau_inject=40), r"^tau_inject=40 outside 0\.\.5$"),
+        (shallow, {}, r"^mask_layers \[4, 5, 6, 7\] outside 0\.\.3$"),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "denoise", lambda *a, **k: pytest.fail("denoising started"))
+        for model_bench, change, message in cases:
+            cfg = dataclasses.replace(desk_cfg, **change)  # valid for the desk8 profile
+            with pytest.raises(ValueError, match=message):
+                run_identity(model_bench, cfg, seed=11)
+            with pytest.raises(ValueError, match=message):
+                make_injector(model_bench, cfg, identity)
+    # readouts at step 2 and injection from step 3 fit a 6-step model
+    cfg = dataclasses.replace(desk_cfg, tau_mask=2, tau_match=2, tau_inject=3)
+    short_identity = run_identity(short, cfg, seed=11)
+    assert len(short_identity.cache.plan) == 3 * len(cfg.kv_layers)
+    _, injector = run_frame(short, cfg, short_identity, seed=21)
+    assert injector.regions is not None and injector.match is not None
+
+
+def test_frame_run_reads_each_saved_cache_entry_once(bench, desk_cfg, identity, tmp_path,
+                                                     monkeypatch):
+    identity.cache.save(tmp_path / "cache.bvtr")
+    loaded = dataclasses.replace(identity, cache=KvCache.load(tmp_path / "cache.bvtr"))
+    reads = Counter()
+    read_entry = inject.read_entry
+
+    def counted(path, entry):
+        reads[entry.step, entry.layer] += 1
+        return read_entry(path, entry)
+
+    monkeypatch.setattr(inject, "read_entry", counted)
+    z_loaded, _ = run_frame(bench, desk_cfg, loaded, seed=21)
+    assert reads == Counter(desk_cfg.cache_keys(bench.model.config.steps))
+    z_held, _ = run_frame(bench, desk_cfg, identity, seed=21)
+    np.testing.assert_array_equal(z_loaded, z_held)
+
+
+def test_capture_trace_records_one_field(bench):
+    short = _short_bench(bench, 3)
+    depth = short.model.config.depth
+    for attn_out, name in ((False, "v2t"), (True, "attn_out")):
+        trace = pipeline.capture_trace(short, FRAME, seed=5, attn_out=attn_out)
+        assert set(trace.entries) == {(s, l, name) for s in range(3) for l in range(depth)}
 
 
 def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkeypatch):

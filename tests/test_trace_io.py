@@ -1,6 +1,7 @@
 """Binary trace container format and capture plumbing."""
 
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from bachkit.dit import (
     embed_prompt,
     init_model,
 )
+from bachkit.inject import KvCache
 from bachkit.trace import (
     AttentionTrace,
     FIELD_ATTN_OUT,
@@ -75,22 +77,25 @@ def test_container_exact_bytes(tmp_path):
     assert p.read_bytes() == want
 
 
+def _refused(path, match):
+    """The trace reader and the cache loader both refuse `path`, with one message."""
+    for read in (read_container, KvCache.load):
+        with pytest.raises(ValueError, match=match):
+            read(path)
+
+
 def test_container_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bvtr"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        read_container(p)
+    _refused(p, "magic")
     p.write_bytes(struct.pack("<4sHHI", MAGIC, 9, 0, 0))
-    with pytest.raises(ValueError, match="version"):
-        read_container(p)
+    _refused(p, "version")
     good = struct.pack("<4sHHI", MAGIC, VERSION, 0, 1)
     good += struct.pack("<IIHHIIQ", 0, 0, FIELD_V2T, 0, 8, 8, 0)
     p.write_bytes(good)  # promises 256 payload bytes, delivers none
-    with pytest.raises(ValueError, match="truncated"):
-        read_container(p)
+    _refused(p, "truncated")
     p.write_bytes(good[:20])  # the entry table itself ends early
-    with pytest.raises(ValueError, match="truncated"):
-        read_container(p)
+    _refused(p, "truncated")
 
 
 # Field layout of the header and of one table entry: (format, offset) pairs.
@@ -114,8 +119,7 @@ def test_container_rejects_unknown_tag_before_payload(tmp_path):
     p = tmp_path / "t.bvtr"
     # the table promises a payload the file lacks: the tag is rejected first
     p.write_bytes(_table_bytes([(0, 0, FIELD_V2T, 1, 1), (0, 1, 9, 1000, 1000)]))
-    with pytest.raises(ValueError, match="entry 1 has unknown field tag 9"):
-        read_container(p)
+    _refused(p, "entry 1 has unknown field tag 9")
     p.write_bytes(_table_bytes([(0, 0, 9, 1, 1)]) + b"\x00" * 4)
     with pytest.raises(ValueError, match="entry 0 has unknown field tag 9"):
         AttentionTrace.load(p)
@@ -131,11 +135,9 @@ def test_container_requires_back_to_back_payloads(tmp_path):
         bad = bytearray(good)
         struct.pack_into("<Q", bad, second_offset, off)
         p.write_bytes(bytes(bad))
-        with pytest.raises(ValueError, match="entry 1 payload at offset"):
-            read_container(p)
+        _refused(p, "entry 1 payload at offset")
     p.write_bytes(good + b"\x00")
-    with pytest.raises(ValueError, match="1 trailing bytes"):
-        read_container(p)
+    _refused(p, "1 trailing bytes")
 
 
 _entries = st.lists(
@@ -154,12 +156,15 @@ def fuzz_path(tmp_path_factory):
 
 
 def _check_hostile(path, data, expected):
-    """Reading `data` gives `expected` or raises ValueError, no other error;
-    `expected` None means it must raise."""
+    """Reading `data` gives `expected` or raises ValueError, no other error,
+    and then loading it as a cache raises the same; `expected` None means it
+    must raise."""
     path.write_bytes(data)
     try:
         got = read_container(path)
-    except ValueError:
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):  # one table check for both
+            KvCache.load(path)
         return
     assert expected is not None, "read a container holding an unknown field tag"
     assert [e[:3] for e in got] == [e[:3] for e in expected]
@@ -223,13 +228,12 @@ def test_container_rejects_repeated_keys(tmp_path):
     assert not p.exists()  # rejected before the file is opened
     # a hand-written table repeating a key, then one out of order
     p.write_bytes(_table_bytes([(0, 0, FIELD_V2T, 1, 1), (0, 0, FIELD_V2T, 1000, 1000)]))
-    with pytest.raises(ValueError, match=r"entry 1 key \(0, 0, 1\) does not follow entry 0 key"):
-        read_container(p)  # before the missing payload is read
+    # refused before the missing payload is read
+    _refused(p, r"entry 1 key \(0, 0, 1\) does not follow entry 0 key")
     with pytest.raises(ValueError, match="strictly increasing"):
         AttentionTrace.load(p)
     p.write_bytes(_table_bytes([(2, 0, FIELD_V2T, 1, 1), (1, 5, FIELD_V2T, 1, 1)]) + bytes(8))
-    with pytest.raises(ValueError, match=r"entry 1 key \(1, 5, 1\) does not follow entry 0 key \(2, 0, 1\)"):
-        read_container(p)
+    _refused(p, r"entry 1 key \(1, 5, 1\) does not follow entry 0 key \(2, 0, 1\)")
 
 
 def test_recorder_keeps_exactly_its_keys():
