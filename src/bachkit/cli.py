@@ -45,7 +45,7 @@ from .select import (
     select_tau_match,
     select_vital,
 )
-from .trace import FIELD_NAMES, AttentionTrace, read_container
+from .trace import AttentionTrace, read_container
 from .vital import LayerReport, sweep_layers, sweep_layers_embed, variance_scorer
 
 
@@ -246,8 +246,9 @@ def _cmd_select(args) -> int:
 def _cmd_dump_trace(args) -> int:
     entries = read_container(args.path)
     print("step layer field    rows cols")
-    for step, layer, tag, a in entries:
-        print(f"{step:4d} {layer:5d} {FIELD_NAMES[tag]:<8} {a.shape[0]:4d} {a.shape[1]:4d}")
+    for step, layer, name in entries:
+        rows, cols = entries.shape((step, layer, name))
+        print(f"{step:4d} {layer:5d} {name:<8} {rows:4d} {cols:4d}")
     print(f"{len(entries)} entries")
     return 0
 

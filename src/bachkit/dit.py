@@ -627,14 +627,3 @@ def decode_video(latent: np.ndarray) -> np.ndarray:
     patches = y.reshape(t, h, w, ph, pw)
     return patches.transpose(0, 1, 3, 2, 4).reshape(t, h * ph, w * pw).astype(DTYPE)
 
-
-def invert_decode(video: np.ndarray, channels: int) -> np.ndarray:
-    """Inverse of `decode_video` (up to float round-off)."""
-    ph, pw = patch_shape(channels)
-    t, hp, wp = video.shape
-    h, w = hp // ph, wp // pw
-    patches = video.reshape(t, h, ph, w, pw).transpose(0, 1, 3, 2, 4)
-    y = np.arctanh(np.clip((patches.reshape(-1, channels) - 0.5) * 2.0, -1 + 1e-7, 1 - 1e-7))
-    mix = _orthogonal(channels, _rng(_DECODE_SEED, channels))
-    z = (y / DECODE_GAIN) @ mix
-    return z.reshape(t, h, w, channels).astype(DTYPE)

@@ -1,8 +1,7 @@
-"""Deterministic selector fixtures and random grids for validation.
+"""Deterministic selector fixtures.
 
 The paper42 fixtures are separable score tables shaped so the selection
 rules land exactly on that profile's published readout step and layer sets.
-Random grids exercise the same rules against brute-force scans.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import default_config
-from .dit import _rng
 from .select import AnalysisGrid
 
 
@@ -64,19 +62,3 @@ def paper_vital_drops() -> dict[int, float]:
             drops[l] = 0.30 - 0.001 * l
     return drops
 
-
-def random_grid(seed: int, n_steps: int = 12, n_layers: int = 9) -> AnalysisGrid:
-    """Uniform random score table on the unit interval."""
-    rng = _rng(seed, 0xF1)
-    return AnalysisGrid(
-        steps=tuple(range(n_steps)),
-        layers=tuple(range(n_layers)),
-        values=rng.random((n_steps, n_layers)),
-    )
-
-
-def random_drops(seed: int, depth: int = 16) -> dict[int, float]:
-    """Random per-layer drops (may include ties at zero)."""
-    rng = _rng(seed, 0xF2)
-    vals = np.round(rng.random(depth), 2)
-    return {l: float(vals[l]) for l in range(depth)}

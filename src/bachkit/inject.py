@@ -14,10 +14,7 @@ on frame keys only.
 
 from __future__ import annotations
 
-import mmap
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +22,7 @@ from .dit import Hooks, InjectionPlan, LayerWeights, Model
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
-from .trace import FIELD_X, AttentionTrace, read_entry, read_table, write_container
+from .trace import AttentionTrace, EntryStore, read_container, write_container
 
 
 def entry_nbytes(rows: int, channels: int) -> int:
@@ -52,20 +49,18 @@ class KvCache:
     The plan decides both what the cache admits and what it costs: a key
     outside it is refused, and the whole plan is held to `budget_bytes` when
     the cache is made, so an undersized budget fails before any run starts
-    and before any buffer exists. A budget of 0 admits any plan; a negative
-    budget is a ValueError. Admitted rows are copied into the plan
-    key's slot of one (len(plan), rows, channels) buffer, allocated at the
-    first admission as an anonymous memory mapping, so the cache is one
-    allocation that is returned to the system whole when it is dropped.
-    `entries` maps each admitted key to its slot; in a loaded cache it maps
-    each saved key to its place in the file (see `load`).
+    and before any file exists. A budget of 0 admits any plan; a negative
+    budget is a ValueError. `entries` is an `EntryStore` keyed by (step,
+    layer): admitted rows are written to its temporary file, and a loaded
+    cache's are the saved file's (see `load`), so the process holds only
+    the entry table and each entry while it is read.
     """
 
     rows: int
     channels: int
     plan: tuple[tuple[int, int], ...]
     budget_bytes: int = 0
-    entries: Mapping[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
+    entries: EntryStore = field(init=False, default_factory=lambda: EntryStore("x"))
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
@@ -77,8 +72,7 @@ class KvCache:
                 f"cache plan needs {need} bytes ({len(self.plan)} entries of "
                 f"{self.rows}x{self.channels} rows), budget is {self.budget_bytes}"
             )
-        self.slots = {key: i for i, key in enumerate(self.plan)}  # plan key -> buffer index
-        self._buffer: np.ndarray | None = None
+        self._planned = frozenset(self.plan)
 
     @property
     def nbytes(self) -> int:
@@ -87,26 +81,15 @@ class KvCache:
     def _key(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
         """The key of an entry of `shape`, once the plan and its shape allow it."""
         key = (int(step), int(layer))
-        if key not in self.slots:
+        if key not in self._planned:
             raise ValueError(f"step {step} layer {layer} is outside the cache plan")
         if shape != (self.rows, self.channels):
             raise ValueError(f"cache rows must be {(self.rows, self.channels)}, got {shape}")
         return key
 
     def admit(self, step: int, layer: int, x_rows: np.ndarray) -> None:
-        """Copy one layer input's (rows, channels) video rows into its slot."""
-        key = self._key(step, layer, x_rows.shape)
-        if self._buffer is None:
-            # Mapped, not malloc'ed: freeing a malloc block this large raises
-            # glibc's mmap threshold to its size, and later temporaries then
-            # land on a heap that is not returned to the system.
-            nbytes = len(self.plan) * entry_nbytes(self.rows, self.channels)
-            self._buffer = np.ndarray(
-                (len(self.plan), self.rows, self.channels), DTYPE, mmap.mmap(-1, nbytes)
-            )
-        slot = self._buffer[self.slots[key]]
-        slot[...] = x_rows
-        self.entries[key] = slot
+        """Write one layer input's (rows, channels) video rows to the cache."""
+        self.entries.put(self._key(step, layer, x_rows.shape), x_rows)
 
     def get(self, step: int, layer: int) -> np.ndarray:
         key = (int(step), int(layer))
@@ -115,16 +98,16 @@ class KvCache:
         return self.entries[key]
 
     def save(self, path) -> None:
-        write_container([(s, l, FIELD_X, x) for (s, l), x in self.entries.items()], path)
+        write_container(self.entries, path)
 
     @classmethod
     def load(cls, path, budget_bytes: int = 0) -> "KvCache":
-        """Check a saved cache's entry table; its plan is the saved keys.
+        """Open a saved cache; its plan is the saved keys.
 
-        No payload is held: each entry is read from the file when `get` or
-        `entries[key]` asks for it, as a fresh read-only array, while `in`,
-        `len` and iteration use the table only. A frame run, which reads
-        each entry once, so holds one entry at a time.
+        Only the checked entry table is held: each entry is read from the
+        file when `get` or `entries[key]` asks for it, as a fresh read-only
+        array, while `in`, `len` and iteration use the table only. A frame
+        run reads each entry once, so holds one entry at a time.
 
         Raises:
             ValueError: for a table `read_table` refuses, for an empty
@@ -135,41 +118,15 @@ class KvCache:
                 is read from a file cut since, "container truncated".
             CacheBudgetError: when the saved plan exceeds `budget_bytes`.
         """
-        with open(path, "rb") as fh:
-            table = read_table(fh)
-        if not table:
+        store = read_container(path, "x")
+        if not store:
             raise ValueError("cache container is empty")
-        tags = {e.tag for e in table}
-        if tags != {FIELD_X}:
-            raise ValueError(f"cache container holds unexpected fields {sorted(tags - {FIELD_X})}")
-        plan = tuple((e.step, e.layer) for e in table)
-        cache = cls(rows=table[0].rows, channels=table[0].cols, plan=plan, budget_bytes=budget_bytes)
-        for e in table:
-            cache._key(e.step, e.layer, (e.rows, e.cols))
-        # absolute: entries are read later, after a possible change of directory
-        cache.entries = _SavedEntries(Path(path).absolute(), table)
+        rows, channels = store.shape(next(iter(store)))
+        cache = cls(rows=rows, channels=channels, plan=tuple(store), budget_bytes=budget_bytes)
+        for key in store:
+            cache._key(*key, store.shape(key))
+        cache.entries = store
         return cache
-
-
-class _SavedEntries(Mapping):
-    """A saved cache's (step, layer) entries: the checked table is held, and
-    an entry's payload is read from the file each time it is looked up."""
-
-    def __init__(self, path: Path, table):
-        self._path = path
-        self._table = {(e.step, e.layer): e for e in table}
-
-    def __getitem__(self, key) -> np.ndarray:
-        return read_entry(self._path, self._table[key])
-
-    def __contains__(self, key) -> bool:
-        return key in self._table
-
-    def __iter__(self):
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):
@@ -306,7 +263,7 @@ class Injector(Hooks):
         self.latent_at_inject: np.ndarray | None = None
 
     def observe(self, step, layer, name, value) -> None:
-        self.own.put(step, layer, name, value.copy())
+        self.own.put(step, layer, name, value)
 
     def step_end(self, step: int, z: np.ndarray) -> None:
         rc = self.run_cfg

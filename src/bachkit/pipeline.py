@@ -44,12 +44,22 @@ SCENE_SIGMA_DEFAULT = 0.05
 
 @dataclass(frozen=True)
 class Workbench:
-    """One model plus the planted scene and prompt layout it generates from."""
+    """One model plus the planted scene and prompt layout it generates from.
+
+    Raises:
+        ValueError: for a schedule of other than the model's step count,
+            which every run plans by.
+    """
 
     model: Model
     scene: Scene
     layout: PromptLayout
     schedule: StepSchedule
+
+    def __post_init__(self):
+        steps = self.model.config.steps
+        if self.schedule.step_count != steps:
+            raise ValueError(f"schedule has {self.schedule.step_count} steps, the model {steps}")
 
     def prompt(self, action_seed: int = 0) -> np.ndarray:
         return embed_prompt(self.layout, self.scene, seed=action_seed)

@@ -4,15 +4,18 @@ A trace holds per-(step, layer) attention internals captured during a
 denoising run: head-averaged video-to-text weight slices and attention
 outputs. Traces and layer-input caches round-trip bit-exactly
 through a small binary container (magic "BVTR"): a fixed-size little-endian
-entry table followed by raw float32 payloads.
+entry table followed by raw float32 payloads. Recorded and loaded entries
+alike live in a container-layout file (`EntryStore`), not in memory.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,53 +38,10 @@ _HEADER = struct.Struct("<4sHHI")
 _ENTRY = struct.Struct("<IIHHIIQ")
 
 
-def write_container(entries: list[tuple[int, int, int, np.ndarray]], path) -> None:
-    """Write (step, layer, field-tag, matrix) entries; sorted, f32 LE.
-
-    Raises:
-        ValueError: before anything is written, for an entry that is not a
-            matrix, an unknown tag or a (step, layer, tag) key given twice.
-    """
-    norm = []
-    for step, layer, tag, arr in entries:
-        a = np.ascontiguousarray(arr, dtype=DTYPE)
-        if a.ndim != 2:
-            raise ValueError(f"container entries must be matrices, got shape {a.shape}")
-        if tag not in FIELD_NAMES:
-            raise ValueError(f"unknown field tag {tag}")
-        norm.append((int(step), int(layer), int(tag), a))
-    norm.sort(key=lambda e: e[:3])
-    for prev, cur in zip(norm, norm[1:]):
-        if prev[:3] == cur[:3]:
-            raise ValueError(f"two entries have the key (step, layer, tag) {cur[:3]}")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(norm)))
-        offset = 0
-        for step, layer, tag, a in norm:
-            fh.write(_ENTRY.pack(step, layer, tag, 0, a.shape[0], a.shape[1], offset))
-            offset += a.nbytes
-        for _, _, _, a in norm:
-            fh.write(a.tobytes())
-
-
-class TableEntry(NamedTuple):
-    """One checked entry of a container's table; `offset` counts from the
-    start of the file."""
-
-    step: int
-    layer: int
-    tag: int
-    rows: int
-    cols: int
-    offset: int
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows * self.cols * 4
-
-
-def read_table(fh) -> list[TableEntry]:
-    """Read and check the header and entry table of the container open in `fh`.
+def read_table(fh) -> list[tuple[int, int, int, int, int, int]]:
+    """Read and check the header and entry table of the container open in
+    `fh`: its (step, layer, tag, rows, cols, offset) entries, the offset
+    counted from the start of the file.
 
     Every tag must be a known field, the (step, layer, tag) keys must be
     strictly increasing, and the payloads must lie back to back in table
@@ -117,8 +77,8 @@ def read_table(fh) -> list[TableEntry]:
             )
         if off != payload_end:
             raise ValueError(f"entry {i} payload at offset {off}, expected {payload_end}")
-        out.append(TableEntry(step, layer, tag, rows, cols, table_end + off))
-        payload_end += out[-1].nbytes
+        out.append((step, layer, tag, rows, cols, table_end + off))
+        payload_end += rows * cols * 4
     if table_end + payload_end > size:
         raise ValueError("container truncated")
     if table_end + payload_end < size:
@@ -126,58 +86,148 @@ def read_table(fh) -> list[TableEntry]:
     return out
 
 
-def read_entry(path, entry: TableEntry) -> np.ndarray:
-    """Read one checked entry's matrix from the container at `path` into a
-    fresh read-only array.
+class EntryStore(Mapping):
+    """Container entries in a file, with only their table in memory.
+
+    A recorded store writes each entry when it is put to an unlinked
+    temporary file, made at the first put; `read_container` opens a saved
+    container as a read-only store. Memory holds each key's (offset, rows,
+    cols) only: `in`, `len` and iteration read no payload, and a lookup reads
+    one entry into a fresh read-only array. The file is closed when the
+    store is dropped. Keys are (step, layer, field name), or (step, layer)
+    in a store of the one field `field`.
+    """
+
+    def __init__(self, field: str | None = None):
+        self.field = field
+        self._table: dict[tuple, tuple[int, int, int]] = {}
+        self._file = None
+        self._end = 0
+        self._writable = True
+
+    def _attach(self, fh) -> None:
+        self._file = fh
+        weakref.finalize(self, fh.close)
+
+    def _container_key(self, key) -> tuple[int, int, int]:
+        """(step, layer, field tag); a ValueError for an unknown field."""
+        step, layer, *rest = key
+        name = rest[0] if self.field is None else self.field
+        if name not in FIELD_TAGS:
+            raise ValueError(f"unknown trace field {name!r}")
+        return step, layer, FIELD_TAGS[name]
+
+    def put(self, key, value) -> None:
+        """Write the matrix `value` as the entry at `key`, in place of an
+        entry of the same shape.
+
+        Raises:
+            ValueError: in a loaded store, for an unknown field or a value
+                that is not a matrix.
+        """
+        if not self._writable:
+            raise ValueError("a loaded container is read-only")
+        self._container_key(key)
+        a = np.ascontiguousarray(value, dtype=DTYPE)
+        if a.ndim != 2:
+            raise ValueError(f"container entries must be matrices, got shape {a.shape}")
+        if self._file is None:
+            self._attach(tempfile.TemporaryFile())
+        held = self._table.get(key)
+        offset = held[0] if held is not None and held[1:] == a.shape else self._end
+        if os.pwrite(self._file.fileno(), a, offset) != a.nbytes:
+            raise OSError(f"short write of a {a.nbytes}-byte entry")
+        self._table[key] = (offset, *a.shape)
+        self._end = max(self._end, offset + a.nbytes)
+
+    def shape(self, key) -> tuple[int, int]:
+        return self._table[key][1:]
+
+    def __getitem__(self, key) -> np.ndarray:
+        offset, rows, cols = self._table[key]
+        a = np.empty((rows, cols), dtype="<f4")
+        if os.preadv(self._file.fileno(), [a], offset) != a.nbytes:
+            raise ValueError("container truncated")
+        a = a.astype(DTYPE, copy=False)
+        a.flags.writeable = False
+        return a
+
+    def __contains__(self, key) -> bool:
+        return key in self._table
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def save(self, path) -> None:
+        """Write the header, the table in (step, layer, tag) order, then the
+        payloads one entry at a time. A loaded store saved over its own file
+        leaves it as it is; one whose file was cut since raises ValueError."""
+        if not self._writable and os.path.exists(path):
+            if os.path.samefile(path, self._file.fileno()):
+                return
+        keys = sorted(self._table, key=self._container_key)
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(keys)))
+            offset = 0
+            for key in keys:
+                _, rows, cols = self._table[key]
+                fh.write(_ENTRY.pack(*self._container_key(key), 0, rows, cols, offset))
+                offset += rows * cols * 4
+            for key in keys:
+                fh.write(self[key])
+
+
+def write_container(entries, path) -> None:
+    """Write a store, or (step, layer, field-tag, matrix) entries, as a
+    container at `path`: sorted, f32 LE.
 
     Raises:
-        ValueError: when the file no longer holds the whole payload.
+        ValueError: before `path` is opened, for an entry that is not a
+            matrix, an unknown tag or a (step, layer, tag) key given twice.
     """
-    a = np.empty((entry.rows, entry.cols), dtype="<f4")
-    with open(path, "rb") as fh:
-        fh.seek(entry.offset)
-        if fh.readinto(a) != entry.nbytes:
-            raise ValueError("container truncated")
-    a = a.astype(DTYPE, copy=False)
-    a.flags.writeable = False
-    return a
+    if not isinstance(entries, EntryStore):
+        store = EntryStore()
+        for step, layer, tag, arr in entries:
+            if tag not in FIELD_NAMES:
+                raise ValueError(f"unknown field tag {tag}")
+            key = (int(step), int(layer), FIELD_NAMES[tag])
+            if key in store:
+                raise ValueError(f"two entries have the key (step, layer, tag) {key[:2] + (tag,)}")
+            store.put(key, arr)
+        entries = store
+    entries.save(path)
 
 
-def read_container(path) -> list[tuple[int, int, int, np.ndarray]]:
-    """Read back (step, layer, field-tag, matrix) entries from a container.
-
-    The entry table is checked by `read_table` before any payload is read.
-    The payloads are then read with one call into one read-only buffer, and
-    every matrix is a view of it, so a container's data is held once, in one
-    allocation.
-
-    Raises:
-        ValueError: as `read_table`, or for a file cut while it is read.
-    """
-    with open(path, "rb") as fh:
-        table = read_table(fh)
-        start = fh.tell()
-        payload = np.empty(sum(e.nbytes for e in table), dtype=np.uint8)
-        if fh.readinto(payload) != payload.size:
-            raise ValueError("container truncated")
-    payload.flags.writeable = False
-    out = []
-    for e in table:
-        a = np.frombuffer(payload, "<f4", e.rows * e.cols, e.offset - start).reshape(e.rows, e.cols)
-        out.append((e.step, e.layer, e.tag, a.astype(DTYPE, copy=False)))
-    return out
+def read_container(path, field: str | None = None) -> EntryStore:
+    """Open the container at `path` as a read-only store, once `read_table`
+    has checked its table; no payload is read until an entry is looked up.
+    With `field`, keys are (step, layer) pairs, and an entry of another field
+    is a ValueError."""
+    store = EntryStore(field)
+    store._attach(open(path, "rb"))
+    store._writable = False
+    table = read_table(store._file)
+    other = sorted({e[2] for e in table} - {FIELD_TAGS[field]}) if field else []
+    if other:
+        raise ValueError(f"{field!r} container holds unexpected fields {other}")
+    for step, layer, tag, rows, cols, offset in table:
+        key = (step, layer) if field else (step, layer, FIELD_NAMES[tag])
+        store._table[key] = (offset, rows, cols)
+    return store
 
 
 @dataclass
 class AttentionTrace:
-    """Captured attention internals keyed by (step, layer, field name)."""
+    """Captured attention internals keyed by (step, layer, field name), in a
+    file-backed `EntryStore`."""
 
-    entries: dict[tuple[int, int, str], np.ndarray] = field(default_factory=dict)
+    entries: EntryStore = field(default_factory=EntryStore)
 
     def put(self, step: int, layer: int, name: str, value: np.ndarray) -> None:
-        if name not in FIELD_TAGS:
-            raise ValueError(f"unknown trace field {name!r}")
-        self.entries[(step, layer, name)] = value
+        self.entries.put((step, layer, name), value)
 
     def get(self, step: int, layer: int, name: str) -> np.ndarray:
         key = (step, layer, name)
@@ -198,22 +248,17 @@ class AttentionTrace:
         return sorted({k[1] for k in self.entries})
 
     def save(self, path) -> None:
-        write_container(
-            [(s, l, FIELD_TAGS[n], a) for (s, l, n), a in self.entries.items()], path
-        )
+        write_container(self.entries, path)
 
     @classmethod
     def load(cls, path) -> "AttentionTrace":
-        trace = cls()
-        for step, layer, tag, a in read_container(path):
-            trace.put(step, layer, FIELD_NAMES[tag], a)
-        return trace
+        return cls(read_container(path))
 
 
 class TraceRecorder(Hooks):
-    """Observation hook whose keys are its plan: it records a copy of each
-    (step, layer, field) entry in `keys` into an AttentionTrace, and never
-    alters the run.
+    """Observation hook whose keys are its plan: it records each (step,
+    layer, field) entry in `keys` into an AttentionTrace, and never alters
+    the run.
 
     Raises:
         ValueError: naming the first key whose field is not a trace field.
@@ -228,4 +273,4 @@ class TraceRecorder(Hooks):
         self.trace = AttentionTrace()
 
     def observe(self, step, layer, name, value) -> None:
-        self.trace.put(step, layer, name, value.copy())
+        self.trace.put(step, layer, name, value)

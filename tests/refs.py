@@ -5,6 +5,11 @@ without one block. `frame_digest` and `planted_scorer` rig a skip sweep so
 that only runs reproducing tabulated frames bit for bit register a drop.
 `write_kv_cache_of_earlier_format` makes the cache files that readers must
 refuse. `trace_keys` spells out the keys of a whole-run trace.
+`invert_decode` undoes `decode_video`. `random_grid` and `random_drops`
+are the random tables that selection rules are checked on against
+brute-force scans. `write_container_of_entries` is the
+container writer for a list of entries that holds them all in memory, the
+layout a store's save must reproduce byte for byte.
 """
 
 import hashlib
@@ -14,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from bachkit.dit import Model
+from bachkit.dit import DECODE_GAIN, _DECODE_SEED, Model, _orthogonal, _rng, patch_shape
+from bachkit.select import AnalysisGrid
 from bachkit.tensorops import DTYPE
 from bachkit.trace import MAGIC, VERSION
 
@@ -58,3 +64,47 @@ def write_kv_cache_of_earlier_format(path, step: int, layer: int, rows: int, col
 def trace_keys(steps, layers, fields=("v2t", "attn_out")) -> list[tuple[int, int, str]]:
     """Every (step, layer, field) key over the given steps and layers."""
     return list(itertools.product(steps, layers, fields))
+
+
+def invert_decode(video: np.ndarray, channels: int) -> np.ndarray:
+    """Inverse of `decode_video` (up to float round-off)."""
+    ph, pw = patch_shape(channels)
+    t, hp, wp = video.shape
+    h, w = hp // ph, wp // pw
+    patches = video.reshape(t, h, ph, w, pw).transpose(0, 1, 3, 2, 4)
+    y = np.arctanh(np.clip((patches.reshape(-1, channels) - 0.5) * 2.0, -1 + 1e-7, 1 - 1e-7))
+    mix = _orthogonal(channels, _rng(_DECODE_SEED, channels))
+    z = (y / DECODE_GAIN) @ mix
+    return z.reshape(t, h, w, channels).astype(DTYPE)
+
+
+def write_container_of_entries(entries, path) -> None:
+    """Write distinct (step, layer, field-tag, matrix) entries as a container:
+    header, table in key order, then the payloads, float32."""
+    entries = sorted(entries, key=lambda e: e[:3])
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sHHI", MAGIC, VERSION, 0, len(entries)))
+        offset = 0
+        for step, layer, tag, a in entries:
+            rows, cols = a.shape
+            fh.write(struct.pack("<IIHHIIQ", step, layer, tag, 0, rows, cols, offset))
+            offset += rows * cols * 4
+        for *_, a in entries:
+            fh.write(np.ascontiguousarray(a, dtype=DTYPE).tobytes())
+
+
+def random_grid(seed: int, n_steps: int = 12, n_layers: int = 9) -> AnalysisGrid:
+    """Uniform random score table on the unit interval."""
+    rng = _rng(seed, 0xF1)
+    return AnalysisGrid(
+        steps=tuple(range(n_steps)),
+        layers=tuple(range(n_layers)),
+        values=rng.random((n_steps, n_layers)),
+    )
+
+
+def random_drops(seed: int, depth: int = 16) -> dict[int, float]:
+    """Random per-layer drops (may include ties at zero)."""
+    rng = _rng(seed, 0xF2)
+    vals = np.round(rng.random(depth), 2)
+    return {l: float(vals[l]) for l in range(depth)}

@@ -25,13 +25,7 @@ from bachkit.dit import (
     embed_prompt,
     init_model,
 )
-from bachkit.fixtures import (
-    paper_mask_grid,
-    paper_match_grid,
-    paper_vital_drops,
-    random_drops,
-    random_grid,
-)
+from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from bachkit.inject import (
     CacheBudgetError,
     KvCache,
@@ -62,7 +56,7 @@ from bachkit.select import (
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
 from bachkit.trace import TraceRecorder
 from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
-from refs import frame_digest, planted_scorer, trace_keys
+from refs import frame_digest, planted_scorer, random_drops, random_grid, trace_keys
 
 
 def _brute_attention(q, k, v, mask=None):

@@ -24,13 +24,12 @@ from bachkit.dit import (
     forward,
     init_model,
     initial_latent,
-    invert_decode,
     patch_shape,
 )
 from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.tensorops import DTYPE, Attention
 from bachkit.trace import TraceRecorder
-from refs import without_layer
+from refs import invert_decode, without_layer
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,

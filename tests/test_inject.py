@@ -1,6 +1,7 @@
 """Layer-input cache accounting, region masks, and fused-attention plans."""
 
-import mmap
+import os
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 
@@ -64,19 +65,24 @@ def test_cache_entries_are_not_a_constructor_argument():
 
 
 def test_cache_entries_share_one_buffer():
+    # the one buffer is the cache store's unlinked temporary file: each
+    # admission writes there, and memory holds the entry table only
     plan = [(s, l) for s in (11, 12) for l in (0, 2)]
     cache = KvCache(rows=5, channels=4, plan=plan)
     rng = np.random.default_rng(2)
     rows = {key: rng.random((5, 4)).astype(DTYPE) for key in plan[::-1]}
     for (s, l), x in rows.items():
         cache.admit(s, l, x)
-    base = next(iter(cache.entries.values())).base
-    assert base is not None and all(a.base is base for a in cache.entries.values())
-    assert base.shape == (len(plan), 5, 4) and base.dtype == DTYPE
-    assert isinstance(base.base, mmap.mmap)  # mapped, so dropping the cache unmaps it
-    for i, key in enumerate(plan):  # each key's rows sit in its plan slot
-        np.testing.assert_array_equal(base[i], rows[key])
+    fd = cache.entries._file.fileno()
+    st = os.fstat(fd)
+    assert st.st_nlink == 0  # unlinked, so dropping the cache frees it
+    assert st.st_size == len(plan) * entry_nbytes(5, 4)
+    held = np.frombuffer(os.pread(fd, st.st_size, 0), DTYPE).reshape(len(plan), 5, 4)
+    for i, key in enumerate(rows):  # each key's rows sit where it was admitted
+        np.testing.assert_array_equal(held[i], rows[key])
         np.testing.assert_array_equal(cache.get(*key), rows[key])
+    a, b = cache.get(11, 0), cache.entries[(11, 0)]
+    assert a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
 
 def test_cache_counter_random_admissions():
@@ -96,7 +102,7 @@ def test_budget_rejects_before_admission(monkeypatch):
     plan = [(0, 0), (0, 1)]
     with monkeypatch.context() as m:  # the plan is refused before any buffer exists
         m.setattr(np, "empty", lambda *a, **k: pytest.fail("buffer allocated over budget"))
-        m.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("buffer mapped over budget"))
+        m.setattr(tempfile, "TemporaryFile", lambda *a, **k: pytest.fail("file made over budget"))
         with pytest.raises(CacheBudgetError,
                            match=rf"^cache plan needs {2 * one} bytes \(2 entries of 4x2 rows\), "
                                  rf"budget is {one}$"):

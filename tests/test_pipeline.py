@@ -1,18 +1,19 @@
 """Group drivers: budgeted identity runs, background PSNR, artifact layout."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import bachkit.dit as dit
-import bachkit.inject as inject
 from bachkit.dit import PromptLayout, StepSchedule, init_model
 from bachkit.inject import CacheBudgetError, CacheRecorder, Injector, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
 import bachkit.pipeline as pipeline
 from bachkit.pipeline import (
+    Workbench,
     make_injector,
     mask_grid,
     match_grid,
@@ -25,7 +26,7 @@ from bachkit.pipeline import (
 )
 from bachkit.scene import FRAME
 from bachkit.tensorops import Attention
-from bachkit.trace import AttentionTrace, TraceRecorder
+from bachkit.trace import AttentionTrace, EntryStore, TraceRecorder
 
 
 def test_identity_budget_prechecked_before_any_step(bench, desk_cfg):
@@ -164,17 +165,44 @@ def test_frame_run_reads_each_saved_cache_entry_once(bench, desk_cfg, identity, 
     identity.cache.save(tmp_path / "cache.bvtr")
     loaded = dataclasses.replace(identity, cache=KvCache.load(tmp_path / "cache.bvtr"))
     reads = Counter()
-    read_entry = inject.read_entry
+    read = EntryStore.__getitem__
 
-    def counted(path, entry):
-        reads[entry.step, entry.layer] += 1
-        return read_entry(path, entry)
+    def counted(store, key):
+        if store is loaded.cache.entries:
+            reads[key] += 1
+        return read(store, key)
 
-    monkeypatch.setattr(inject, "read_entry", counted)
+    monkeypatch.setattr(EntryStore, "__getitem__", counted)
     z_loaded, _ = run_frame(bench, desk_cfg, loaded, seed=21)
     assert reads == Counter(desk_cfg.cache_keys(bench.model.config.steps))
     z_held, _ = run_frame(bench, desk_cfg, identity, seed=21)
     np.testing.assert_array_equal(z_loaded, z_held)
+
+
+def test_workbench_refuses_a_schedule_of_other_length(bench):
+    short = _short_bench(bench, 6)  # model and schedule replaced together
+    assert short.schedule.step_count == short.model.config.steps == 6
+    with pytest.raises(ValueError, match="^schedule has 50 steps, the model 6$"):
+        Workbench(short.model, bench.scene, bench.layout, bench.schedule)
+    with pytest.raises(ValueError, match="^schedule has 6 steps, the model 50$"):
+        dataclasses.replace(bench, schedule=short.schedule)
+
+
+def test_recorded_runs_hold_no_payload_in_memory(bench, desk_cfg):
+    runs = {
+        "capture_trace": lambda: pipeline.capture_trace(bench, FRAME, seed=5, attn_out=True),
+        "run_identity": lambda: run_identity(bench, desk_cfg, seed=11),
+    }
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            before = tracemalloc.get_traced_memory()[0]
+            kept = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert held < 1_000_000, f"{name} holds {held} bytes"
+            del kept
+    finally:
+        tracemalloc.stop()
 
 
 def test_capture_trace_records_one_field(bench):

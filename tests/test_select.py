@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from bachkit.fixtures import (
-    paper_mask_grid,
-    paper_match_grid,
-    paper_vital_drops,
-    random_drops,
-    random_grid,
-)
+from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from bachkit.select import (
     AnalysisGrid,
     COST,
@@ -20,6 +14,7 @@ from bachkit.select import (
     select_vital,
 )
 from bachkit.vital import LayerReport, LayerScore
+from refs import random_drops, random_grid
 
 
 def scan_tau_mask(curve):

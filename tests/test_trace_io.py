@@ -1,6 +1,9 @@
-"""Binary trace container format and capture plumbing."""
+"""Binary trace container format, its file-backed entry store, and capture
+plumbing."""
 
+import gc
 import itertools
+import os
 import re
 import struct
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refs import write_container_of_entries
 
 from bachkit.dit import (
     ChainedHooks,
@@ -21,6 +25,7 @@ from bachkit.dit import (
 from bachkit.inject import KvCache
 from bachkit.trace import (
     AttentionTrace,
+    EntryStore,
     FIELD_ATTN_OUT,
     FIELD_NAMES,
     FIELD_TAGS,
@@ -46,6 +51,12 @@ def test_field_tables_consistent():
     assert {FIELD_TAGS[n] for n in FIELD_NAMES.values()} == set(FIELD_NAMES)
 
 
+def _read_entries(path):
+    """(step, layer, tag, matrix) entries of the container at `path`, in file
+    order, each read now."""
+    return [(s, l, FIELD_TAGS[n], a) for (s, l, n), a in read_container(path).items()]
+
+
 def test_container_roundtrip_sorts_entries(tmp_path):
     rng = np.random.default_rng(0)
     entries = [
@@ -55,7 +66,7 @@ def test_container_roundtrip_sorts_entries(tmp_path):
     ]
     p = tmp_path / "t.bvtr"
     write_container(entries, p)
-    back = read_container(p)
+    back = _read_entries(p)
     assert [(s, l, t) for s, l, t, _ in back] == [
         (0, 0, FIELD_X), (0, 2, FIELD_ATTN_OUT), (5, 1, FIELD_V2T)
     ]
@@ -161,7 +172,7 @@ def _check_hostile(path, data, expected):
     must raise."""
     path.write_bytes(data)
     try:
-        got = read_container(path)
+        got = _read_entries(path)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):  # one table check for both
             KvCache.load(path)
@@ -180,7 +191,7 @@ def test_truncated_container_reads_back_or_raises_value_error(fuzz_path, entries
         [(s, l, t, rng.random((r, c)).astype(np.float32)) for s, l, t, r, c in entries], fuzz_path
     )
     data = fuzz_path.read_bytes()
-    expected = read_container(fuzz_path)
+    expected = _read_entries(fuzz_path)
     _check_hostile(fuzz_path, data[: cut % (len(data) + 1)], expected)
 
 
@@ -192,7 +203,7 @@ def test_overwritten_table_field_reads_back_or_raises_value_error(fuzz_path, ent
         fuzz_path,
     )
     raw = bytearray(fuzz_path.read_bytes())
-    expected = read_container(fuzz_path)
+    expected = _read_entries(fuzz_path)
     # (entry or None for the header, field index, format, byte offset)
     fields = [(None, j, f, o) for j, (f, o) in enumerate(_HEADER_FIELDS)]
     for i in range(len(expected)):
@@ -291,3 +302,118 @@ def test_recorder_capture_and_save(tmp_path):
     assert sorted(back.entries) == keys
     for key, arr in rec.trace.entries.items():
         np.testing.assert_array_equal(back.entries[key], arr)
+
+
+def _random_trace_and_cache(rng):
+    """A recorded trace and cache, entries put out of key order, the cache
+    filling part of its plan, and one entry of each overwritten (the trace's
+    by a matrix of another shape); with the (step, layer, tag, matrix)
+    entries each should save."""
+    plan = [(s, l) for s in (3, 4) for l in (0, 2, 5)]
+    cache = KvCache(rows=6, channels=4, plan=plan)
+    x = {}
+    for key in plan[::-2]:
+        x[key] = rng.random((6, 4)).astype(np.float32)
+        cache.admit(*key, x[key])
+    x[plan[-1]] = -x[plan[-1]]
+    cache.admit(*plan[-1], x[plan[-1]])
+    trace = AttentionTrace()
+    t = {}
+    for s, l in plan[::-1]:
+        for name, cols in (("v2t", 3), ("attn_out", 4)):
+            t[s, l, name] = rng.random((5, cols)).astype(np.float32)
+            trace.put(s, l, name, t[s, l, name])
+    t[3, 2, "v2t"] = rng.random((2, 7)).astype(np.float32)
+    trace.put(3, 2, "v2t", t[3, 2, "v2t"])
+    return (trace, [(s, l, FIELD_TAGS[n], a) for (s, l, n), a in t.items()]), \
+        (cache, [(s, l, FIELD_X, a) for (s, l), a in x.items()])
+
+
+def test_store_save_is_byte_identical_to_the_in_memory_writer(tmp_path):
+    for i, (recorded, entries) in enumerate(_random_trace_and_cache(np.random.default_rng(4))):
+        want, got, listed = (tmp_path / f"{name}{i}.bvtr" for name in ("want", "got", "listed"))
+        write_container_of_entries(entries, want)
+        recorded.save(got)
+        write_container(entries, listed)
+        assert got.read_bytes() == listed.read_bytes() == want.read_bytes()
+        loaded = type(recorded).load(got)
+        again = tmp_path / f"again{i}.bvtr"
+        loaded.save(again)
+        assert again.read_bytes() == want.read_bytes()
+        loaded.save(got)  # over its own file: left as it is
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_store_reads_are_fresh_and_read_only(tmp_path):
+    store = EntryStore()
+    src = np.arange(6, dtype=np.float32).reshape(2, 3)
+    store.put((0, 0, "v2t"), src)
+    src[0, 0] = -1  # the store holds what was put, not the caller's array
+    a, b = store[(0, 0, "v2t")], store[(0, 0, "v2t")]
+    assert a is not b and not np.shares_memory(a, b)
+    assert a.flags.owndata and not a.flags.writeable and a.dtype == np.float32
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    assert a[0, 0] == 0
+    store.put((0, 0, "v2t"), src)  # an overwrite leaves earlier reads as they were
+    assert a[0, 0] == 0 and store[(0, 0, "v2t")][0, 0] == -1
+    p = tmp_path / "s.bvtr"
+    write_container(store, p)
+    loaded = read_container(p)
+    c, d = loaded[(0, 0, "v2t")], loaded[(0, 0, "v2t")]
+    assert not np.shares_memory(c, d) and not c.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.put((1, 0, "v2t"), src)
+
+
+def test_store_membership_length_and_iteration_read_no_payload(tmp_path, monkeypatch):
+    (trace, _), (cache, _) = _random_trace_and_cache(np.random.default_rng(6))
+    trace.save(tmp_path / "t.bvtr")
+    cache.save(tmp_path / "c.bvtr")
+    loaded_trace = AttentionTrace.load(tmp_path / "t.bvtr")
+    loaded_cache = KvCache.load(tmp_path / "c.bvtr")
+    monkeypatch.setattr(os, "preadv", lambda *a: pytest.fail("a payload was read"))
+    monkeypatch.setattr(os, "pread", lambda *a: pytest.fail("a payload was read"))
+    for t in (trace, loaded_trace):
+        assert len(t.entries) == 12 and (3, 2, "v2t") in t.entries and (3, 2, "x") not in t.entries
+        assert sorted(t.entries) == sorted(trace.entries)
+        assert t.steps() == [3, 4] and t.layers() == [0, 2, 5] and t.has(4, 5, "attn_out")
+        assert t.entries.shape((3, 2, "v2t")) == (2, 7)
+    for c in (cache, loaded_cache):
+        assert len(c.entries) == 3 and c.nbytes == 3 * 6 * 4 * 4
+        assert sorted(c.entries) == [(3, 2), (4, 0), (4, 5)] and (3, 0) not in c.entries
+
+
+def test_loaded_trace_entry_cut_from_its_file_raises_container_truncated(tmp_path):
+    (trace, _), _ = _random_trace_and_cache(np.random.default_rng(7))
+    p = tmp_path / "t.bvtr"
+    trace.save(p)
+    back = AttentionTrace.load(p)
+    last = list(back.entries)[-1]  # the last payload in the file
+    os.truncate(p, p.stat().st_size - 4)
+    assert len(back.entries) == 12  # the table was checked when it was opened
+    with pytest.raises(ValueError, match="^container truncated$"):
+        back.get(*last)
+    with pytest.raises(ValueError, match="^container truncated$"):
+        back.save(tmp_path / "copy.bvtr")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_stores_close_their_files(tmp_path):
+    def open_files():
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.collect()  # stores other tests left in reference cycles
+    before = open_files()
+    recorders = [TraceRecorder([(0, 0, "v2t")]) for _ in range(200)]
+    assert open_files() == before  # a store makes its file at the first put
+    for rec in recorders:
+        rec.observe(0, 0, "v2t", np.ones((2, 2), dtype=np.float32))
+    assert open_files() == before + 200
+    recorders[0].trace.save(tmp_path / "t.bvtr")
+    del recorders, rec
+    assert open_files() == before
+    loaded = [AttentionTrace.load(tmp_path / "t.bvtr") for _ in range(200)]
+    assert open_files() == before + 200
+    del loaded
+    assert open_files() == before
