@@ -3,21 +3,19 @@
 Each candidate layer is bypassed for a full generation; the decoded video
 is graded against the unskipped baseline. Layers whose removal hurts the
 score most are the vital ones — the set worth caching when memory is
-limited. The default grader embeds each frame with a fixed random
+limited. The grader embeds each frame with a fixed random
 projection and scores mean cosine similarity to the baseline, so the
 baseline itself grades 1 and every drop is the similarity lost.
 """
 
 import argparse
 
-from bachkit import default_config, make_workbench, select_vital, sweep_layers, sweep_layers_embed
+from bachkit import default_config, make_workbench, select_vital, sweep_layers_embed
 from bachkit.scene import IDENTITY
-from bachkit.vital import variance_scorer
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scorer", choices=["embed", "variance"], default="embed")
     ap.add_argument("-k", type=int, default=4)
     args = ap.parse_args()
 
@@ -25,12 +23,8 @@ def main() -> None:
     wb = make_workbench(cfg, scene_seed=1)
     init = wb.scene.noisy_latent(IDENTITY, 0.05, cfg.seed)
 
-    if args.scorer == "embed":
-        report = sweep_layers_embed(wb.model, wb.prompt(0), wb.schedule, cfg.seed,
-                                    init_clean=init)
-    else:
-        report = sweep_layers(wb.model, wb.prompt(0), wb.schedule, cfg.seed,
-                              variance_scorer(), init_clean=init)
+    report = sweep_layers_embed(wb.model, wb.prompt(0), wb.schedule, cfg.seed,
+                                init_clean=init)
 
     print(f"baseline score: {report.baseline:.6f}")
     print("layer  score_skip   drop")

@@ -50,7 +50,6 @@ from .vital import (
     LayerReport,
     aesthetic_score,
     embed_similarity_score,
-    sweep_layers,
     sweep_layers_embed,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "select_vital",
     "similarity",
     "softmax_average",
-    "sweep_layers",
     "sweep_layers_embed",
     "write_group_outputs",
     "write_ini",

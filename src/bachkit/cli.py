@@ -46,7 +46,15 @@ from .select import (
     select_vital,
 )
 from .trace import AttentionTrace, read_container
-from .vital import LayerReport, sweep_layers, sweep_layers_embed, variance_scorer
+from .vital import LayerReport, sweep_layers_embed
+
+
+def _seed(text: str) -> int:
+    """A seed flag's value; anything but a non-negative integer is a usage
+    error naming the flag."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
@@ -58,7 +66,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
     p.add_argument("--global-match", action="store_const", const=True,
                    help="match across the whole grid, not per frame")
-    p.add_argument("--scene-seed", type=int, default=1, help="planted scene seed")
+    p.add_argument("--scene-seed", type=_seed, default=1, help="planted scene seed")
     p.add_argument("--scene-sigma", type=float, default=0.05, help="scene noise level")
 
 
@@ -77,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp)
     sp.add_argument("--identity-dir", required=True, help="directory written by gen-identity")
     sp.add_argument("--out", default="bachkit-out", help="output directory")
-    sp.add_argument("--action-seed", type=int, default=1, help="action segment seed")
+    sp.add_argument("--action-seed", type=_seed, default=1, help="action segment seed")
     sp.add_argument("--no-inject", action="store_true", help="run vanilla instead of injecting")
 
     sp = sub.add_parser("run-group", help="identity plus injected frames, full artifact set")
@@ -91,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(sp)
     sp.add_argument("what", choices=["mask", "match", "vital"])
     sp.add_argument("--out", default="bachkit-out", help="output directory")
-    sp.add_argument("--scorer", choices=["embed", "variance"], default="embed",
-                    help="grading family for the layer-skip sweep")
 
     sp = sub.add_parser("select", help="apply a selection rule to a stored table")
     _add_global_flags(sp)
@@ -209,12 +215,8 @@ def _cmd_analyze(args) -> int:
               f"{out / 'grid_match.csv'}")
     else:
         init = bench.scene.noisy_latent(IDENTITY, args.scene_sigma, cfg.seed)
-        if args.scorer == "embed":
-            report = sweep_layers_embed(bench.model, bench.prompt(0), bench.schedule,
-                                        cfg.seed, init_clean=init)
-        else:
-            report = sweep_layers(bench.model, bench.prompt(0), bench.schedule,
-                                  cfg.seed, variance_scorer(), init_clean=init)
+        report = sweep_layers_embed(bench.model, bench.prompt(0), bench.schedule,
+                                    cfg.seed, init_clean=init)
         report.write_csv(out / "layer_report.csv")
         print(f"layer report ({len(report.scores)} layers): {out / 'layer_report.csv'}")
     return 0

@@ -58,8 +58,9 @@ def _known_profile(name: str) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one consistency run group needs besides the scene. It is
-    valid when made, by `replace` too: a field outside its profile's depth,
-    steps or ranges, or an unknown profile, raises a ValueError."""
+    valid when made, by `replace` too: a negative seed, a field outside its
+    profile's depth, steps or ranges, or an unknown profile, raises a
+    ValueError."""
 
     profile: str
     seed: int
@@ -75,6 +76,8 @@ class RunConfig:
 
     def __post_init__(self):
         cfg = PROFILES[_known_profile(self.profile)]
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} is negative")
         self.check_fits(cfg.depth, cfg.steps)
         if self.tau_inject <= max(self.tau_mask, self.tau_match):
             raise ValueError("tau_inject must come after tau_mask and tau_match")

@@ -201,7 +201,7 @@ def build_plan(
     weights: LayerWeights,
     regions: InjectionRegions,
     positions,
-    add_mask: np.ndarray | None = None,
+    add_mask: np.ndarray,
 ) -> InjectionPlan:
     """Fuse natural frame keys/values with identity rows derived from the cache.
 
@@ -214,18 +214,13 @@ def build_plan(
     position-free and enter unencoded.
 
     `positions` are the video tokens' (THW, 3) grid positions or their
-    `RotaryTable`. `add_mask` is the `region_mask` of `regions`; it is built
-    here when not given.
+    `RotaryTable`. `add_mask` is the `region_mask` of `regions`.
     """
     cached_rows = np.concatenate([regions.identity_rows, regions.bg])
     pre_k_id, v_id = identity_kv(cached_x, cached_rows, weights)
     key_positions = positions[np.concatenate([regions.fg, regions.bg])]
     k = np.concatenate([roped_k, rope_encode(pre_k_id, key_positions)], axis=0)
     v = np.concatenate([pre_v, v_id], axis=0)
-    if add_mask is None:
-        add_mask = region_mask(
-            roped_k.shape[0], len(positions), regions.fg, len(regions.fg), len(regions.bg)
-        )
     return InjectionPlan(k=k, v=v, add_mask=add_mask)
 
 

@@ -65,22 +65,14 @@ class Workbench:
         return embed_prompt(self.layout, self.scene, seed=action_seed)
 
 
-def make_workbench(
-    run_cfg: RunConfig,
-    *,
-    scene_seed: int = 1,
-    rect_h: int = 3,
-    rect_w: int = 3,
-    layout: PromptLayout = DEFAULT_LAYOUT,
-) -> Workbench:
+def make_workbench(run_cfg: RunConfig, *, scene_seed: int) -> Workbench:
+    """The profile's model, a scene with a 3x3 planted rectangle, and
+    `DEFAULT_LAYOUT`."""
     cfg = run_cfg.model_config()
     return Workbench(
         model=init_model(cfg),
-        scene=make_scene(
-            cfg.frames, cfg.height, cfg.width, cfg.channels,
-            rect_h=rect_h, rect_w=rect_w, seed=scene_seed,
-        ),
-        layout=layout,
+        scene=make_scene(cfg.frames, cfg.height, cfg.width, cfg.channels, seed=scene_seed),
+        layout=DEFAULT_LAYOUT,
         schedule=StepSchedule.linear(cfg.steps),
     )
 
@@ -230,7 +222,6 @@ def run_group(
     frame_seeds,
     scene_sigma: float = SCENE_SIGMA_DEFAULT,
     ablate: bool = False,
-    identity: IdentityBundle | None = None,
 ) -> GroupReport:
     """Drive one identity and one injected run per frame seed.
 
@@ -242,9 +233,14 @@ def run_group(
     vanilla frame, bitwise equal to `run_frame(inject=False)`. Background
     fidelity is measured on the computed joint-background region against the
     decoded identity.
+
+    Raises:
+        ValueError: for no frame seeds, before any compute.
     """
-    if identity is None:
-        identity = run_identity(bench, run_cfg, seed=seed_identity, scene_sigma=scene_sigma)
+    frame_seeds = list(frame_seeds)
+    if not frame_seeds:
+        raise ValueError("a group needs at least one frame seed")
+    identity = run_identity(bench, run_cfg, seed=seed_identity, scene_sigma=scene_sigma)
     vid_identity = decode_video(identity.z0)
     channels = bench.model.config.channels
     results = []

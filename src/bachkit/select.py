@@ -65,13 +65,17 @@ class AnalysisGrid:
         return float(self.values[self.steps.index(step), self.layers.index(layer)])
 
     def step_curve(self, layers=None) -> np.ndarray:
-        """Per-step mean over a layer subset (default: all layers)."""
+        """Per-step mean over a layer subset (default: all layers). A
+        ValueError names the subset's layers the grid lacks, and its own."""
         if layers is None:
             return self.values.mean(axis=1)
-        cols = [self.layers.index(int(l)) for l in layers]
-        if not cols:
+        layers = [int(l) for l in layers]
+        if not layers:
             raise ValueError("empty layer subset")
-        return self.values[:, cols].mean(axis=1)
+        missing = [l for l in layers if l not in self.layers]
+        if missing:
+            raise ValueError(f"grid has no layer {missing}; its layers are {list(self.layers)}")
+        return self.values[:, [self.layers.index(l) for l in layers]].mean(axis=1)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

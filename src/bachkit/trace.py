@@ -180,25 +180,12 @@ class EntryStore(Mapping):
                 fh.write(self[key])
 
 
-def write_container(entries, path) -> None:
-    """Write a store, or (step, layer, field-tag, matrix) entries, as a
-    container at `path`: sorted, f32 LE.
-
-    Raises:
-        ValueError: before `path` is opened, for an entry that is not a
-            matrix, an unknown tag or a (step, layer, tag) key given twice.
-    """
-    if not isinstance(entries, EntryStore):
-        store = EntryStore()
-        for step, layer, tag, arr in entries:
-            if tag not in FIELD_NAMES:
-                raise ValueError(f"unknown field tag {tag}")
-            key = (int(step), int(layer), FIELD_NAMES[tag])
-            if key in store:
-                raise ValueError(f"two entries have the key (step, layer, tag) {key[:2] + (tag,)}")
-            store.put(key, arr)
-        entries = store
-    entries.save(path)
+def write_container(store: EntryStore, path) -> None:
+    """Write `store` as a container at `path`: sorted, f32 LE. Anything but
+    an `EntryStore` is a TypeError, raised before `path` is opened."""
+    if not isinstance(store, EntryStore):
+        raise TypeError(f"write_container takes an EntryStore, not {type(store).__name__}")
+    store.save(path)
 
 
 def read_container(path, field: str | None = None) -> EntryStore:

@@ -5,10 +5,11 @@ the same noise and decoded, and a scalar score grades the result. A layer's
 importance is the score drop relative to the unskipped baseline; the most
 vital layers are the top of that ranking.
 
-Two scoring families are provided. Frame scorers grade each decoded frame
-independently and are averaged over the video (`aesthetic_score`); the
-embedding family projects frames to unit vectors and grades a skip run by
-its mean cosine similarity to the baseline video (`embed_similarity_score`).
+A skip run is graded by its mean per-frame cosine similarity to the
+baseline video under a fixed frame projection (`embed_similarity_score`),
+as Stable Flow finds vital layers. `report_from_runs` grades collected
+runs by any video score; `aesthetic_score` averages a frame scorer over
+the video, for graders that look at single frames.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ from .dit import Model, _rng, decode_video, denoise, patch_shape
 from .select import read_csv_records
 
 _EMBED_TAG = 0xE3B  # stream tag for the fixed projection draw
-
-
-def variance_scorer():
-    """Frame scorer: spatial variance of the frame. Zero iff the frame is flat."""
-
-    def score(frame: np.ndarray) -> float:
-        return float(np.var(np.asarray(frame, dtype=np.float64)))
-
-    return score
 
 
 class FrameEmbedder:
@@ -140,19 +132,6 @@ def report_from_runs(runs: dict[int | None, np.ndarray], video_score) -> LayerRe
         for layer, z in sorted((k, v) for k, v in runs.items() if k is not None)
     )
     return LayerReport(baseline=baseline, scores=scores)
-
-
-def sweep_layers(
-    model: Model,
-    prompt_embedding: np.ndarray,
-    schedule,
-    seed: int,
-    scorer,
-    init_clean: np.ndarray | None = None,
-) -> LayerReport:
-    """Skip sweep over every layer, graded by mean frame score (`aesthetic_score`)."""
-    runs = collect_skip_runs(model, prompt_embedding, schedule, seed, init_clean=init_clean)
-    return report_from_runs(runs, lambda z: aesthetic_score(z, scorer))
 
 
 def sweep_layers_embed(

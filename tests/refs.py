@@ -8,8 +8,9 @@ refuse. `trace_keys` spells out the keys of a whole-run trace.
 `invert_decode` undoes `decode_video`. `random_grid` and `random_drops`
 are the random tables that selection rules are checked on against
 brute-force scans. `write_container_of_entries` is the
-container writer for a list of entries that holds them all in memory, the
-layout a store's save must reproduce byte for byte.
+container writer for a list of entries that holds them all in memory: the
+layout a store's save must reproduce byte for byte, and the writer of the
+raw containers that the readers are checked on.
 """
 
 import hashlib

@@ -358,10 +358,10 @@ def test_ac08_rigged_scorer_recovers_planted_layers():
         assert select_vital(report.drops(), k) == planted
 
 
-def test_ac09_injection_raises_background_psnr(bench, desk_cfg, identity):
+def test_ac09_injection_raises_background_psnr(bench, desk_cfg):
     report = run_group(
         bench, desk_cfg, seed_identity=11,
-        frame_seeds=[21, 22, 23, 24, 25], ablate=True, identity=identity,
+        frame_seeds=[21, 22, 23, 24, 25], ablate=True,
     )
     injected = [f.psnr_bg_injected for f in report.frames]
     vanilla = [f.psnr_bg_vanilla for f in report.frames]

@@ -105,6 +105,11 @@ def test_select_tau_rules(grid_csv, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_select_tau_names_the_layers_the_grid_lacks(grid_csv, capsys):
+    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "2,5-6"]) == 2
+    _one_line_error(capsys, "grid has no layer [5, 6]; its layers are [0, 1, 2, 3]")
+
+
 def test_select_vital_from_report(tmp_path, capsys):
     report = LayerReport(baseline=2.0, scores=(
         LayerScore(0, 2.0, 0.0),
@@ -197,6 +202,36 @@ def test_flags_beat_the_config_source(tmp_path, source):
     assert cfg == dataclasses.replace(file_cfg, global_match=True)
 
 
+def test_run_group_without_frames_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    out = tmp_path / "g"
+    for frames in ("0", "-1"):
+        assert main(["run-group", "--out", str(out), "--frames", frames]) == 2
+        _one_line_error(capsys, "a group needs at least one frame seed")
+    assert not out.exists()
+
+
+def test_negative_run_seed_is_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    assert main(["gen-identity", "--out", str(tmp_path), "--seed", "-1"]) == 2
+    _one_line_error(capsys, "seed=-1 is negative")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "vital", "--scene-seed", "-3"],
+    ["gen-frame", "--identity-dir", "nowhere", "--action-seed", "-3"],
+])
+def test_negative_scene_and_action_seeds_are_usage_errors(argv, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {argv[-2]}: expected a non-negative integer, got '-3'")
+
+
 def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "denoise", _no_compute)
     old = tmp_path / "old-identity"
@@ -264,10 +299,11 @@ def test_dump_trace_rejects_repeated_key_in_one_line(tmp_path, capsys):
 
 
 def test_analyze_vital_has_no_constant_scorer(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "vital", "--scorer", "constant"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'constant'" in capsys.readouterr().err
+    for scorer in ("constant", "variance"):  # the embedding scorer is the only one
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "vital", "--scorer", scorer])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --scorer {scorer}" in capsys.readouterr().err
 
 
 def test_report_into_closed_pipe_ends_quietly(tmp_path):

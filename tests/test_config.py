@@ -199,3 +199,18 @@ def test_config_rejects_bad_fields_when_made():
     for kw, needle in cases:
         with pytest.raises(ValueError, match=needle):
             dataclasses.replace(base, **kw)  # raises here, so no run can start from it
+
+
+def test_negative_seed_is_refused_when_made():
+    base = default_config("desk8")
+    assert dataclasses.replace(base, seed=0).seed == 0
+    with pytest.raises(ValueError, match=r"^seed=-1 is negative$"):
+        dataclasses.replace(base, seed=-1)
+
+
+def test_ini_negative_seed_names_the_file(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[model]\nseed = -2\n")
+    with pytest.raises(ValueError) as exc:
+        read_ini(p)
+    assert str(exc.value) == f"{p}: seed=-2 is negative"

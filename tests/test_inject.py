@@ -21,8 +21,8 @@ from bachkit.inject import (
 )
 from bachkit.dit import ChainedHooks, LayerWeights, forward
 from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
-from bachkit.trace import FIELD_V2T, FIELD_X, TraceRecorder, write_container
-from refs import write_kv_cache_of_earlier_format
+from bachkit.trace import FIELD_V2T, FIELD_X, TraceRecorder
+from refs import write_container_of_entries, write_kv_cache_of_earlier_format
 
 
 def test_byte_formula():
@@ -141,7 +141,7 @@ def test_cache_save_load(tmp_path):
     assert p.stat().st_size == 12 + 3 * (28 + entry_nbytes(5, 4))
     # the same bytes as a cache of separately stored entries
     separate = tmp_path / "separate.bvtr"
-    write_container([(s, l, FIELD_X, x.copy()) for (s, l), x in cache.entries.items()], separate)
+    write_container_of_entries([(s, l, FIELD_X, x) for (s, l), x in cache.entries.items()], separate)
     assert p.read_bytes() == separate.read_bytes()
     back = KvCache.load(p)
     assert back.rows == 5 and back.channels == 4 and back.plan == tuple(plan[:3])
@@ -195,14 +195,14 @@ def test_loaded_cache_reads_entries_only_when_asked(tmp_path):
 def test_cache_load_checks_shape_and_budget(tmp_path):
     p = tmp_path / "cache.bvtr"
     x = np.zeros((5, 4), dtype=DTYPE)
-    write_container([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x[:4])], p)
+    write_container_of_entries([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x[:4])], p)
     with pytest.raises(ValueError, match="cache rows must be"):
         KvCache.load(p)
-    write_container([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x)], p)
+    write_container_of_entries([(0, 0, FIELD_X, x), (1, 0, FIELD_X, x)], p)
     assert KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4)).nbytes == 2 * entry_nbytes(5, 4)
     with pytest.raises(CacheBudgetError, match=f"cache plan needs {2 * entry_nbytes(5, 4)} bytes"):
         KvCache.load(p, budget_bytes=2 * entry_nbytes(5, 4) - 1)
-    write_container([], p)
+    write_container_of_entries([], p)
     with pytest.raises(ValueError, match="empty"):
         KvCache.load(p)
 
@@ -215,7 +215,7 @@ def test_cache_load_rejects_kv_record_format(tmp_path):
     write_kv_cache_of_earlier_format(p, 11, 0, 6, 4)
     with pytest.raises(ValueError, match="^entry 0 has unknown field tag 3$"):
         KvCache.load(p)
-    write_container([(11, 0, FIELD_X, kv), (11, 1, FIELD_V2T, kv)], p)
+    write_container_of_entries([(11, 0, FIELD_X, kv), (11, 1, FIELD_V2T, kv)], p)
     with pytest.raises(ValueError, match=r"unexpected fields \[1\]"):
         KvCache.load(p)
 
@@ -309,7 +309,8 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     regions = InjectionRegions(
         fg=np.array([1, 5]), bg=np.array([0, 7]), identity_rows=np.array([2, 6])
     )
-    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, positions)
+    add_mask = region_mask(joint_len, thw, regions.fg, len(regions.fg), len(regions.bg))
+    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, positions, add_mask)
     assert plan.k.shape == (joint_len + 4, c)
     np.testing.assert_array_equal(plan.k[:joint_len], roped_k)
     np.testing.assert_array_equal(plan.v[:joint_len], pre_v)
@@ -322,6 +323,7 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     # values are the cached rows' value projections, unencoded
     np.testing.assert_array_equal(plan.v[joint_len : joint_len + 2], cached_v[[2, 6]])
     np.testing.assert_array_equal(plan.v[joint_len + 2 :], cached_v[[0, 7]])
+    assert plan.add_mask is add_mask
     assert plan.add_mask.shape == (joint_len, joint_len + 4)
 
 

@@ -232,10 +232,8 @@ def test_frame_run_records_only_readout_keys_and_recovers_the_mask(bench, desk_c
     assert mask_iou(injector.mask_frame, bench.scene.mask(FRAME)) >= 0.95
 
 
-def test_group_outputs_inventory(bench, desk_cfg, identity, tmp_path):
-    report = run_group(
-        bench, desk_cfg, seed_identity=11, frame_seeds=[21], ablate=True, identity=identity
-    )
+def test_group_outputs_inventory(bench, desk_cfg, tmp_path):
+    report = run_group(bench, desk_cfg, seed_identity=11, frame_seeds=[21], ablate=True)
     frame = report.frames[0]
     assert np.isfinite(frame.psnr_bg_injected)
     assert np.isfinite(frame.psnr_bg_vanilla)
@@ -258,9 +256,7 @@ def test_group_outputs_inventory(bench, desk_cfg, identity, tmp_path):
 
 def test_ablated_vanilla_frames_equal_full_vanilla_runs(bench, desk_cfg, identity):
     seeds = [23, 24]
-    report = run_group(
-        bench, desk_cfg, seed_identity=11, frame_seeds=seeds, ablate=True, identity=identity
-    )
+    report = run_group(bench, desk_cfg, seed_identity=11, frame_seeds=seeds, ablate=True)
     for i, (frame, seed) in enumerate(zip(report.frames, seeds)):
         z_full, _ = run_frame(bench, desk_cfg, identity, seed=seed, action_seed=i + 1,
                               inject=False)
@@ -321,10 +317,18 @@ def test_ablated_group_forms_only_the_planned_entries(bench, desk_cfg, monkeypat
     assert sum(v for k, v in calls.items() if k.endswith(".observe")) == 252
 
 
-def test_frame_without_ablation_has_no_gain(bench, desk_cfg, identity):
-    report = run_group(
-        bench, desk_cfg, seed_identity=11, frame_seeds=[22], ablate=False, identity=identity
-    )
+def test_group_without_frame_seeds_fails_before_compute(bench, desk_cfg, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("denoising started")
+
+    monkeypatch.setattr(pipeline, "denoise", no_compute)
+    for seeds in ([], range(0)):
+        with pytest.raises(ValueError, match="a group needs at least one frame seed"):
+            run_group(bench, desk_cfg, seed_identity=11, frame_seeds=seeds)
+
+
+def test_frame_without_ablation_has_no_gain(bench, desk_cfg):
+    report = run_group(bench, desk_cfg, seed_identity=11, frame_seeds=[22], ablate=False)
     with pytest.raises(ValueError, match="vanilla counterpart"):
         report.frames[0].psnr_bg_gain
 

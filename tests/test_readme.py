@@ -10,6 +10,10 @@ from bachkit.config import default_config, read_ini
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 REFERENCE = README.split("## Command reference", 1)[1].split("\n## ", 1)[0]
+PREAMBLE, *_BULLETS = REFERENCE.split("\n- `")
+SHARED = set(re.findall(r"`(--[a-z-]+)", PREAMBLE))  # flags every run command takes
+BULLETS = {b.split(" ", 1)[0].rstrip("`"): b for b in _BULLETS}  # command -> its bullet
+USAGES = dict(re.findall(r"^- `([a-z-]+) ([^`]*)`", REFERENCE, re.M))  # command -> usage
 
 
 def _options(command: str) -> set[str]:
@@ -25,18 +29,19 @@ def test_readme_ini_example_loads_as_the_desk8_defaults(tmp_path):
 
 
 def test_readme_shared_flags_are_the_parsers():
-    preamble = REFERENCE.split("\n- `", 1)[0]
-    shared = set(re.findall(r"`(--[a-z-]+)", preamble))
-    assert {"--config", "--profile", "--seed"} <= shared
+    assert {"--config", "--profile", "--seed"} <= SHARED
     for command in ("gen-identity", "gen-frame", "run-group", "analyze", "select"):
-        assert shared <= _options(command), command
+        assert SHARED <= _options(command), command
     for command in ("dump-trace", "report"):  # they read stored files only
-        assert not shared & _options(command), command
-
-
-USAGES = dict(re.findall(r"^- `([a-z-]+) ([^`]*)`", REFERENCE, re.M))  # command -> usage
+        assert not SHARED & _options(command), command
 
 
 @pytest.mark.parametrize("command", sorted(USAGES))
 def test_readme_command_flags_are_accepted(command):
     assert set(re.findall(r"--[a-z-]+", USAGES[command])) <= _options(command)
+
+
+@pytest.mark.parametrize("command", sorted(USAGES))
+def test_readme_bullet_documents_every_command_flag(command):
+    flags = {o for o in _options(command) if o.startswith("--")} - SHARED - {"--help"}
+    assert flags <= set(re.findall(r"--[a-z-]+", BULLETS[command]))

@@ -135,6 +135,12 @@ def test_grid_value_and_curve():
         grid.step_curve([])
 
 
+def test_step_curve_names_the_layers_the_grid_lacks():
+    grid = AnalysisGrid(steps=(0, 1), layers=(0, 1), values=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^grid has no layer \[5\]; its layers are \[0, 1\]$"):
+        grid.step_curve([1, 5])
+
+
 def test_grid_csv_roundtrip(tmp_path):
     grid = random_grid(7)
     p = tmp_path / "grid.csv"

@@ -51,6 +51,14 @@ def test_field_tables_consistent():
     assert {FIELD_TAGS[n] for n in FIELD_NAMES.values()} == set(FIELD_NAMES)
 
 
+def _store(entries) -> EntryStore:
+    """A recorded store of (step, layer, field-tag, matrix) entries."""
+    store = EntryStore()
+    for step, layer, tag, a in entries:
+        store.put((step, layer, FIELD_NAMES[tag]), a)
+    return store
+
+
 def _read_entries(path):
     """(step, layer, tag, matrix) entries of the container at `path`, in file
     order, each read now."""
@@ -65,7 +73,7 @@ def test_container_roundtrip_sorts_entries(tmp_path):
         (0, 0, FIELD_X, rng.random((4, 4)).astype(np.float32)),
     ]
     p = tmp_path / "t.bvtr"
-    write_container(entries, p)
+    write_container(_store(entries), p)
     back = _read_entries(p)
     assert [(s, l, t) for s, l, t, _ in back] == [
         (0, 0, FIELD_X), (0, 2, FIELD_ATTN_OUT), (5, 1, FIELD_V2T)
@@ -80,7 +88,7 @@ def test_container_exact_bytes(tmp_path):
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     b = np.array([[5.0]], dtype=np.float32)
     p = tmp_path / "t.bvtr"
-    write_container([(1, 0, FIELD_X, b), (0, 0, FIELD_V2T, a)], p)
+    write_container(_store([(1, 0, FIELD_X, b), (0, 0, FIELD_V2T, a)]), p)
     want = struct.pack("<4sHHI", MAGIC, VERSION, 0, 2)
     want += struct.pack("<IIHHIIQ", 0, 0, FIELD_V2T, 0, 2, 2, 0)
     want += struct.pack("<IIHHIIQ", 1, 0, FIELD_X, 0, 1, 1, 16)
@@ -139,7 +147,7 @@ def test_container_rejects_unknown_tag_before_payload(tmp_path):
 def test_container_requires_back_to_back_payloads(tmp_path):
     p = tmp_path / "t.bvtr"
     a = np.arange(4, dtype=np.float32).reshape(2, 2)
-    write_container([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a)], p)
+    write_container_of_entries([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a)], p)
     good = p.read_bytes()
     second_offset = _HEADER_SIZE + _ENTRY_SIZE + 20  # the second entry's offset field
     for off in (0, 8, 20):
@@ -187,7 +195,7 @@ def _check_hostile(path, data, expected):
 @given(entries=_entries, cut=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1))
 def test_truncated_container_reads_back_or_raises_value_error(fuzz_path, entries, cut, seed):
     rng = np.random.default_rng(seed)
-    write_container(
+    write_container_of_entries(
         [(s, l, t, rng.random((r, c)).astype(np.float32)) for s, l, t, r, c in entries], fuzz_path
     )
     data = fuzz_path.read_bytes()
@@ -198,7 +206,7 @@ def test_truncated_container_reads_back_or_raises_value_error(fuzz_path, entries
 @settings(max_examples=500, deadline=None)
 @given(entries=_entries, data=st.data())
 def test_overwritten_table_field_reads_back_or_raises_value_error(fuzz_path, entries, data):
-    write_container(
+    write_container_of_entries(
         [(s, l, t, np.full((r, c), s + 0.5, dtype=np.float32)) for s, l, t, r, c in entries],
         fuzz_path,
     )
@@ -224,19 +232,28 @@ def test_overwritten_table_field_reads_back_or_raises_value_error(fuzz_path, ent
     _check_hostile(fuzz_path, bytes(raw), expected)
 
 
-def test_write_container_validates():
+def test_write_container_validates(tmp_path):
+    """The store checks each entry as it is put; the writer takes only a store."""
+    store = EntryStore()
     with pytest.raises(ValueError, match="matrices"):
-        write_container([(0, 0, FIELD_V2T, np.zeros(3, dtype=np.float32))], "/dev/null")
-    with pytest.raises(ValueError, match="tag"):
-        write_container([(0, 0, 99, np.zeros((1, 1), dtype=np.float32))], "/dev/null")
+        store.put((0, 0, "v2t"), np.zeros(3, dtype=np.float32))
+    with pytest.raises(ValueError, match="unknown trace field 'k'"):
+        store.put((0, 0, "k"), np.zeros((1, 1), dtype=np.float32))
+    assert len(store) == 0
+    p = tmp_path / "t.bvtr"
+    with pytest.raises(TypeError, match="takes an EntryStore, not list"):
+        write_container([(0, 0, FIELD_V2T, np.zeros((1, 1), dtype=np.float32))], p)
+    assert not p.exists()  # rejected before the file is opened
 
 
 def test_container_rejects_repeated_keys(tmp_path):
     p = tmp_path / "t.bvtr"
     a = np.zeros((1, 1), dtype=np.float32)
-    with pytest.raises(ValueError, match=r"two entries have the key \(step, layer, tag\) \(0, 0, 1\)"):
-        write_container([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a), (0, 0, FIELD_V2T, a + 1)], p)
-    assert not p.exists()  # rejected before the file is opened
+    # a store holds a key once: a second put replaces the first
+    write_container(_store([(0, 0, FIELD_V2T, a), (1, 0, FIELD_V2T, a), (0, 0, FIELD_V2T, a + 1)]), p)
+    assert [(e[:3], e[3].item()) for e in _read_entries(p)] == [
+        ((0, 0, FIELD_V2T), 1.0), ((1, 0, FIELD_V2T), 0.0)
+    ]
     # a hand-written table repeating a key, then one out of order
     p.write_bytes(_table_bytes([(0, 0, FIELD_V2T, 1, 1), (0, 0, FIELD_V2T, 1000, 1000)]))
     # refused before the missing payload is read
@@ -331,11 +348,10 @@ def _random_trace_and_cache(rng):
 
 def test_store_save_is_byte_identical_to_the_in_memory_writer(tmp_path):
     for i, (recorded, entries) in enumerate(_random_trace_and_cache(np.random.default_rng(4))):
-        want, got, listed = (tmp_path / f"{name}{i}.bvtr" for name in ("want", "got", "listed"))
+        want, got = tmp_path / f"want{i}.bvtr", tmp_path / f"got{i}.bvtr"
         write_container_of_entries(entries, want)
         recorded.save(got)
-        write_container(entries, listed)
-        assert got.read_bytes() == listed.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == want.read_bytes()
         loaded = type(recorded).load(got)
         again = tmp_path / f"again{i}.bvtr"
         loaded.save(again)

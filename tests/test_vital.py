@@ -12,9 +12,7 @@ from bachkit.vital import (
     collect_skip_runs,
     embed_similarity_score,
     report_from_runs,
-    sweep_layers,
     sweep_layers_embed,
-    variance_scorer,
 )
 from bachkit.select import select_vital
 from refs import frame_digest, planted_scorer
@@ -24,6 +22,11 @@ CFG = ModelConfig(
     text_len=6, steps=6, seed=2,
 )
 LAYOUT = PromptLayout(bg=2, fg=2, action=1, pad=1)
+
+
+def variance(frame) -> float:
+    """Frame scorer: spatial variance, zero iff the frame is flat."""
+    return float(np.var(np.asarray(frame, dtype=np.float64)))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +40,7 @@ def test_aesthetic_score_examples():
     video = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0)])
     assert aesthetic_score(video, lambda f: 5.5) == 5.5
     assert aesthetic_score(video, lambda f: float(f[0, 0])) == 2.0
-    assert aesthetic_score(video, variance_scorer()) == 0.0
+    assert aesthetic_score(video, variance) == 0.0
     with pytest.raises(ValueError):
         aesthetic_score(np.zeros((2, 2)), lambda f: 1.0)
 
@@ -45,16 +48,10 @@ def test_aesthetic_score_examples():
 def test_aesthetic_score_linear_in_scorer():
     rng = np.random.default_rng(0)
     video = rng.random((3, 4, 4))
-    base = variance_scorer()
     a, b = 2.5, -1.0
-    lhs = aesthetic_score(video, lambda f: a * base(f) + b)
-    rhs = a * aesthetic_score(video, base) + b
+    lhs = aesthetic_score(video, lambda f: a * variance(f) + b)
+    rhs = a * aesthetic_score(video, variance) + b
     assert lhs == pytest.approx(rhs)
-
-
-def test_variance_scorer_value():
-    frame = np.array([[0.0, 1.0], [0.0, 1.0]])
-    assert variance_scorer()(frame) == 0.25
 
 
 def test_planted_scorer_is_digest_keyed():
@@ -123,10 +120,8 @@ def test_skip_runs_decode_and_differ(runs):
     np.testing.assert_array_equal(again[1], runs[1])
 
 
-def test_sweep_constant_scorer_all_drops_zero():
-    model = init_model(CFG)
-    prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
-    report = sweep_layers(model, prompt, StepSchedule.linear(CFG.steps), 3, lambda f: 2.0)
+def test_sweep_constant_scorer_all_drops_zero(runs):
+    report = report_from_runs(runs, lambda v: aesthetic_score(v, lambda f: 2.0))
     assert len(report.scores) == CFG.depth
     assert report.baseline == 2.0
     assert all(s.drop == 0.0 for s in report.scores)
