@@ -57,6 +57,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _sigma(text: str) -> float:
+    """A noise-level flag's value; anything but a finite number >= 0 is a
+    usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     """Shared flags, given after the command name."""
     source = p.add_mutually_exclusive_group()
@@ -67,7 +79,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--global-match", action="store_const", const=True,
                    help="match across the whole grid, not per frame")
     p.add_argument("--scene-seed", type=_seed, default=1, help="planted scene seed")
-    p.add_argument("--scene-sigma", type=float, default=0.05, help="scene noise level")
+    p.add_argument("--scene-sigma", type=_sigma, default=0.05, help="scene noise level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,24 +236,25 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = _run_config(args)
+    k = cfg.vital_k if args.k is None else args.k
     if args.what == "vital":
         if not args.report:
             raise ValueError("select vital needs --report")
         report = LayerReport.read_csv(args.report)
-        chosen = select_vital(report.drops(), args.k or cfg.vital_k)
+        chosen = select_vital(report.drops(), k)
         print(format_layer_set(chosen))
         return 0
     if not args.grid:
         raise ValueError(f"select {args.what} needs --grid")
     grid = AnalysisGrid.read_csv(args.grid)
     if args.what == "tau":
-        layers = parse_layer_set(args.layers) if args.layers else None
+        layers = None if args.layers is None else parse_layer_set(args.layers)
         curve = grid.step_curve(layers)
         step = select_tau_mask(curve) if args.kind == QUALITY else select_tau_match(curve)
         print(grid.steps[step])
     else:
         kind = QUALITY if args.what == "mask-layers" else COST
-        print(format_layer_set(select_layers(grid, args.k or cfg.vital_k, kind)))
+        print(format_layer_set(select_layers(grid, k, kind)))
     return 0
 
 

@@ -38,6 +38,7 @@ from .tensorops import (
     joint_attention,
     rope_encode,
     rope_group_slices,
+    scratch_block,
     softmax_average,
 )
 
@@ -117,6 +118,12 @@ class ModelConfig:
     @property
     def joint_len(self) -> int:
         return self.thw + self.text_len
+
+    @property
+    def max_keys(self) -> int:
+        """Most fused keys an injection plan may carry: the joint sequence
+        plus one injected row per video token (n_fg + n_bg <= THW)."""
+        return self.joint_len + self.thw
 
     def fingerprint(self) -> str:
         payload = ",".join(str(v) for v in astuple(self))
@@ -299,7 +306,13 @@ class Hooks:
     and "x", the layer input's video rows (THW, C), from which the layer's
     pre-rotary keys (`x * qk_gain`) and values (`x @ w_value`) follow.
     `inject` may return an InjectionPlan to substitute fused key/value rows
-    before attention; returning None leaves the layer untouched. `step_end`
+    before attention; returning None leaves the layer untouched. A plan
+    carries at most `ModelConfig.max_keys` keys (joint_len + THW), the most
+    the score workspace holds; `forward` refuses a longer one. The layer's
+    attention scores live in that workspace, which the next layer reuses,
+    but no observed value aliases it: "v2t" is formed fresh by
+    `Attention.head_mean`, "attn_out" and "x" are rows of arrays `forward`
+    allocates. `step_end`
     fires after each Euler update with `z`, the latent that update produced:
     the state entering step `step + 1`, as a read-only view (copy to
     retain). The base class plans no entries and does nothing, and pure
@@ -402,7 +415,16 @@ def init_model(config: ModelConfig) -> Model:
     )
 
 
-def predict_clean(model: Model, hidden_video: np.ndarray, z_text: np.ndarray) -> np.ndarray:
+def score_workspace(config: ModelConfig) -> np.ndarray:
+    """The score buffer of one `denoise` call: heads * max_keys * joint_len
+    float32 entries, room for any layer's key-major scores and for the
+    denoising head's logits."""
+    return np.empty(config.heads * config.max_keys * config.joint_len, dtype=DTYPE)
+
+
+def predict_clean(
+    model: Model, hidden_video: np.ndarray, z_text: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Snap hidden video rows onto prompt content and the texture-rotation bank.
 
     Signature bands come from a softmax mixture of prompt rows; texture bands
@@ -410,11 +432,17 @@ def predict_clean(model: Model, hidden_video: np.ndarray, z_text: np.ndarray) ->
     texture basis. All other channels are pulled to zero. Both softmaxes run
     key-major through `softmax_average`; the temperatures are powers of two,
     so folding them into the (keys, C) operand scales the logits exactly.
+    With a score buffer `out` (see `tensorops.scratch_block`), the logits,
+    (text_len, THW) and then (THW + 1, THW), are formed in it.
     """
-    x_text, _, _ = softmax_average((BETA_TEXT * z_text) @ hidden_video.T, z_text)
+    n = hidden_video.shape[0]
+    logits = np.matmul(BETA_TEXT * z_text, hidden_video.T,
+                       out=scratch_block(out, (len(z_text), n)))
+    x_text, _, _ = softmax_average(logits, z_text)
 
     bank = model.texture_bank
-    blend, _, _ = softmax_average((BETA_TEXTURE * bank) @ hidden_video.T, bank)
+    logits = np.matmul(BETA_TEXTURE * bank, hidden_video.T, out=scratch_block(out, (len(bank), n)))
+    blend, _, _ = softmax_average(logits, bank)
     direction = cosine_normalize_rows(blend)
     coeff = np.maximum(np.sum(hidden_video * direction, axis=1), 0.0).astype(DTYPE)
     return (x_text + coeff[:, None] * direction).astype(DTYPE)
@@ -428,6 +456,7 @@ def forward(
     hooks: Hooks | None = None,
     skip: int | None = None,
     sigma: float = 1.0,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """One denoiser evaluation over the joint sequence.
 
@@ -436,8 +465,16 @@ def forward(
     substitute fused key/value rows, then converts the clean-latent snap
     into a noise prediction at noise level `sigma`.
 
+    Every layer's attention scores and the head's logits are formed in
+    `scratch`, a `score_workspace` of the model's config; `denoise` passes
+    the one it owns. Without it, the call allocates one for itself.
+
     Returns:
         Noise prediction shaped like `z_video`.
+
+    Raises:
+        ValueError: on a latent or prompt of another shape, a skip layer out
+            of range, or an injection plan of more than `max_keys` keys.
     """
     cfg = model.config
     if z_video.shape != (cfg.frames, cfg.height, cfg.width, cfg.channels):
@@ -446,6 +483,9 @@ def forward(
         raise ValueError(f"z_text shape {z_text.shape} does not match config")
     if skip is not None and not (0 <= skip < cfg.depth):
         raise ValueError(f"skip layer {skip} out of range")
+
+    if scratch is None:
+        scratch = score_workspace(cfg)
 
     thw = cfg.thw
     z_flat = z_video.reshape(thw, cfg.channels).astype(DTYPE)
@@ -465,8 +505,13 @@ def forward(
             k_eff, v_eff, mask = roped_k, pre_v, None
         else:  # joint_attention checks the plan's row counts and mask shape
             k_eff, v_eff, mask = plan.k, plan.v, plan.add_mask
+            if len(k_eff) > cfg.max_keys:
+                raise ValueError(
+                    f"injection plan carries {len(k_eff)} keys; at most {cfg.max_keys} "
+                    f"(joint_len + THW) fit the score workspace"
+                )
 
-        att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads)
+        att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads, out=scratch)
         attn = att.out
         if hooks is not None:
             for name in OBSERVED_FIELDS:
@@ -481,7 +526,7 @@ def forward(
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2
 
-    x0_hat = predict_clean(model, x[:thw], z_text)
+    x0_hat = predict_clean(model, x[:thw], z_text, out=scratch)
     eps = (z_flat - x0_hat) / DTYPE(sigma)
     return eps.reshape(z_video.shape)
 
@@ -517,6 +562,9 @@ def denoise(
     """Explicit Euler denoising loop; step 0 is the noisiest step.
 
     Deterministic in (model, prompt, schedule, seed, hooks, skip, init_clean).
+    The call allocates one `score_workspace` and every `forward` of the loop
+    forms its attention scores and logits in it; the buffer is the call's
+    own, so concurrent calls may share a model.
     `start=(step, z)` resumes the loop at `step` from `z`, the latent
     entering that step (as `step_end(step - 1, z)` saw it, or the initial
     latent for step 0); `seed` is then unused. A resumed run returns the same
@@ -554,8 +602,10 @@ def denoise(
             raise ValueError(f"start latent shape {np.shape(z)} does not match config {shape}")
         z = np.array(z, dtype=DTYPE)  # a copy: the caller's array is never returned
     sig = schedule.sigmas
+    scratch = score_workspace(model.config)
     for s in range(first, schedule.step_count):
-        eps = forward(model, z, prompt_embedding, s, hooks=hooks, skip=skip, sigma=float(sig[s]))
+        eps = forward(model, z, prompt_embedding, s, hooks=hooks, skip=skip,
+                      sigma=float(sig[s]), scratch=scratch)
         z = (z + (sig[s + 1] - sig[s]) * eps).astype(DTYPE)
         if hooks is not None:
             seen = z.view()

@@ -19,6 +19,15 @@ for. An additive mask is
 added transposed; `inject.region_mask` builds its mask in Fortran order so
 that this add reads it contiguously.
 
+A caller that evaluates attention many times passes a score buffer,
+`joint_attention(..., out=buf)`: one C-contiguous float32 array that the
+(heads, M, N) scores are formed in, as its first heads*M*N entries, through
+`out=` on the score product, and that `softmax_average` then turns into the
+exponentials in place. So the returned `Attention.exp` is a view of `buf`,
+valid until the buffer's next use, and a loop of calls allocates no score
+block. `dit.denoise` owns one such buffer per call (see `dit.forward`).
+Without `out`, each call allocates its own scores.
+
 The 1/sqrt(d) score scale is applied to the (N, C) queries before the score
 product, not to the scores after it. When d is a power of four the scale is
 a power of two, and both orders give the same bits (d = 16 in the shipped
@@ -34,6 +43,7 @@ computes its table once; rows of it encode any subset of positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +66,25 @@ def grid_positions(t: int, h: int, w: int) -> np.ndarray:
     """
     tt, hh, ww = np.meshgrid(np.arange(t), np.arange(h), np.arange(w), indexing="ij")
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.int64)
+
+
+def scratch_block(buf: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The first prod(shape) entries of the score buffer `buf` as a C-contiguous
+    float32 view of `shape`, to pass as `out=`; None without a buffer.
+
+    Raises:
+        ValueError: if `buf` is not a C-contiguous float32 array of at least
+            that many entries.
+    """
+    if buf is None:
+        return None
+    size = math.prod(shape)
+    if buf.dtype != DTYPE or not buf.flags.c_contiguous or buf.size < size:
+        raise ValueError(
+            f"score buffer of {buf.size} {buf.dtype} entries cannot hold "
+            f"{shape} float32 scores (it must be C-contiguous float32)"
+        )
+    return buf.reshape(-1)[:size].reshape(shape)
 
 
 def softmax_average(
@@ -104,7 +133,9 @@ class Attention:
 
     The weights are held unnormalized and key-major, as the (heads, M, N)
     exponentials and their (heads, 1, N) sums over keys; `weights` and
-    `head_mean` divide only the block they are asked for.
+    `head_mean` divide only the block they are asked for, into fresh
+    arrays. When `joint_attention` was given a score buffer, `exp` is a view
+    of it, so read the weights before the buffer is used again.
     """
 
     out: np.ndarray
@@ -136,6 +167,8 @@ def joint_attention(
     v: np.ndarray,
     add_mask: np.ndarray | None = None,
     heads: int = 1,
+    *,
+    out: np.ndarray | None = None,
 ) -> Attention:
     """Multi-head scaled dot-product attention over a joint token sequence.
 
@@ -153,14 +186,18 @@ def joint_attention(
             It is added transposed, so a Fortran-ordered mask is read
             contiguously.
         heads: number of attention heads; must divide C.
+        out: optional C-contiguous float32 score buffer of at least
+            heads*M*N entries. The scores are formed in its first entries,
+            and the result's `exp` is a view of them.
 
     Returns:
         An `Attention` with `out` of shape (N, C) and `weights()` of shape
         (heads, N, M).
 
     Raises:
-        ValueError: on dimension mismatch, a non-finite score or a
-            fully-masked query row.
+        ValueError: on dimension mismatch or a score buffer that cannot hold
+            the scores, before anything is computed; on a non-finite score or
+            a fully-masked query row.
     """
     q = np.asarray(q, dtype=DTYPE)
     k = np.asarray(k, dtype=DTYPE)
@@ -174,20 +211,22 @@ def joint_attention(
     if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
         raise ValueError(f"{heads} heads do not divide {q.shape[1]} channels")
     n, m = q.shape[0], k.shape[0]
+    if add_mask is not None:
+        add_mask = np.asarray(add_mask, dtype=DTYPE)
+        if add_mask.shape != (n, m):
+            raise ValueError(f"mask shape {add_mask.shape} does not match scores {(n, m)}")
+    block = scratch_block(out, (heads, m, n))
 
     def split(a):  # (rows, C) -> (heads, rows, C/heads) view
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
     scale = DTYPE(1.0 / np.sqrt(q.shape[1] // heads))
-    scores = split(k) @ split(q * scale).transpose(0, 2, 1)
+    scores = np.matmul(split(k), split(q * scale).transpose(0, 2, 1), out=block)
     if add_mask is not None:
-        add_mask = np.asarray(add_mask, dtype=DTYPE)
-        if add_mask.shape != (n, m):
-            raise ValueError(f"mask shape {add_mask.shape} does not match scores {(n, m)}")
         scores += add_mask.T
 
-    out, exp, sums = softmax_average(scores, split(v), masked=add_mask is not None)
-    return Attention(out=out.transpose(1, 0, 2).reshape(n, v.shape[1]), exp=exp, sums=sums)
+    o, exp, sums = softmax_average(scores, split(v), masked=add_mask is not None)
+    return Attention(out=o.transpose(1, 0, 2).reshape(n, v.shape[1]), exp=exp, sums=sums)
 
 
 def rope_group_slices(channels: int) -> list[slice]:

@@ -123,6 +123,21 @@ def test_select_vital_from_report(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1,3"
 
 
+def test_select_k_zero_is_one_line(tmp_path, grid_csv, capsys):
+    report = LayerReport(baseline=2.0, scores=tuple(LayerScore(i, 1.0, 1.0) for i in range(4)))
+    p = tmp_path / "layers.csv"
+    report.write_csv(p)
+    assert main(["select", "vital", "--report", str(p), "-k", "0"]) == 2
+    _one_line_error(capsys, "k=0 out of range for 4 layers")
+    assert main(["select", "mask-layers", "--grid", str(grid_csv), "-k", "0"]) == 2
+    _one_line_error(capsys, "k=0 out of range for 4 layers")
+
+
+def test_select_tau_empty_layer_set_is_one_line(grid_csv, capsys):
+    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", ""]) == 2
+    _one_line_error(capsys, "empty layer set")
+
+
 @pytest.mark.parametrize("what, flag, text", [
     ("vital", "--report", "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n1\n"),
     ("tau", "--grid", "step,layer,value\n0,0,1.0\n0\n"),
@@ -230,6 +245,24 @@ def test_negative_scene_and_action_seeds_are_usage_errors(argv, monkeypatch, cap
     assert out == ""
     assert err.splitlines()[-1].endswith(
         f"error: argument {argv[-2]}: expected a non-negative integer, got '-3'")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_scene_sigma_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "mask", "--scene-sigma", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --scene-sigma: expected a finite number >= 0, got '{value}'")
+
+
+def test_zero_scene_sigma_runs(tmp_path, capsys):
+    assert main(["analyze", "mask", "--scene-sigma", "0", "--out", str(tmp_path)]) == 0
+    assert "mask grid" in capsys.readouterr().out
+    assert (tmp_path / "grid_mask.csv").stat().st_size > 0
 
 
 def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):

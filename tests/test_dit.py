@@ -2,6 +2,9 @@
 
 import itertools
 import re
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from bachkit.dit import (
     patch_shape,
 )
 from bachkit.inject import CacheRecorder, Injector, KvCache
+from bachkit.scene import IDENTITY
 from bachkit.tensorops import DTYPE, Attention
 from bachkit.trace import TraceRecorder
 from refs import invert_decode, without_layer
@@ -142,6 +146,79 @@ def test_forward_rejects_inconsistent_plan(small_model, small_prompt):
         forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_mask_cols=1))
     with pytest.raises(ValueError, match=f"row mismatch: k has {n}, v has {n + 2}"):
         forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_v_rows=2))
+
+
+class _LongPlanHook(Hooks):
+    """Injects a plan of `keys` fused keys: the joint rows, then repeats of them."""
+
+    def __init__(self, keys):
+        self.keys_in_plan = keys
+
+    def inject(self, step, layer, pre_k, pre_v, roped_k):
+        rows = np.arange(self.keys_in_plan) % len(roped_k)
+        return InjectionPlan(k=roped_k[rows], v=pre_v[rows],
+                             add_mask=np.zeros((len(roped_k), len(rows)), dtype=DTYPE))
+
+
+def test_forward_refuses_a_plan_longer_than_the_workspace(small_model, small_prompt):
+    z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
+    most = SMALL.max_keys
+    assert most == SMALL.joint_len + SMALL.thw
+    message = f"injection plan carries {most + 1} keys; at most {most} "
+    with pytest.raises(ValueError, match=message):
+        forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most + 1))
+    forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most))
+
+
+def _desk8_inputs(bench):
+    return bench.model, bench.scene.noisy_latent(IDENTITY, 0.05, 0), bench.prompt(0)
+
+
+def test_observed_values_never_alias_the_score_workspace(bench):
+    model, z, text = _desk8_inputs(bench)
+    cfg = model.config
+    scratch = dit.score_workspace(cfg)
+    seen = []
+
+    class Check(Hooks):
+        keys = frozenset(itertools.product([0], range(cfg.depth), OBSERVED_FIELDS))
+
+        def observe(self, step, layer, name, value):
+            seen.append((layer, name))
+            assert not np.shares_memory(value, scratch), (layer, name)
+
+    forward(model, z, text, 0, hooks=Check(), scratch=scratch)
+    assert len(seen) == cfg.depth * len(OBSERVED_FIELDS)
+
+
+def test_warm_forward_with_its_workspace_allocates_less_than_one_score_block(bench):
+    model, z, text = _desk8_inputs(bench)
+    cfg = model.config
+    scratch = dit.score_workspace(cfg)
+    forward(model, z, text, 0, scratch=scratch)  # warm
+    tracemalloc.start()
+    try:
+        forward(model, z, text, 0, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.heads * cfg.joint_len**2 * DTYPE().itemsize
+
+
+def test_concurrent_denoise_on_one_model_equals_serial_runs(bench):
+    model, text, schedule = bench.model, bench.prompt(0), bench.schedule
+    skips = [None, 3, None, 3]  # more threads than cores, plain and skipped
+    serial = {skip: denoise(model, text, schedule, 7, skip=skip) for skip in set(skips)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=len(skips)) as pool:
+            runs = [pool.submit(denoise, model, text, schedule, 7, skip=skip) for skip in skips]
+            got = [run.result(timeout=300) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for skip, z in zip(skips, got):
+        np.testing.assert_array_equal(z, serial[skip], err_msg=f"skip={skip}")
 
 
 _EVERY_ENTRY = frozenset(

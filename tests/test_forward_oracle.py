@@ -107,8 +107,9 @@ def _parent_order_predict_clean(model, hidden_video, z_text):
 
 
 def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1.0,
-                       attention=_reference_attention, head=predict_clean):
-    """`forward` as one attention call per head on strided channel slices."""
+                       scratch=None, attention=_reference_attention, head=predict_clean):
+    """`forward` as one attention call per head on strided channel slices.
+    `scratch`, the score workspace `denoise` hands `forward`, is not used."""
     cfg = model.config
     thw = cfg.thw
     hd = cfg.channels // cfg.heads

@@ -1,10 +1,13 @@
 """The README's configuration example and command reference match the code."""
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+from bachkit import dit, tensorops
 from bachkit.cli import _build_parser
 from bachkit.config import default_config, read_ini
 
@@ -45,3 +48,31 @@ def test_readme_command_flags_are_accepted(command):
 def test_readme_bullet_documents_every_command_flag(command):
     flags = {o for o in _options(command) if o.startswith("--")} - SHARED - {"--help"}
     assert flags <= set(re.findall(r"--[a-z-]+", BULLETS[command]))
+
+
+QUOTED = {
+    "joint_attention": tensorops.joint_attention,
+    "softmax_average": tensorops.softmax_average,
+    "rope_encode": tensorops.rope_encode,
+    "denoise": dit.denoise,
+}
+
+
+def _quoted_parameters(name: str) -> list[tuple[str, bool, object]]:
+    """(name, keyword-only, default) of each parameter of the one `name(...)`
+    signature the README quotes."""
+    (quote,) = re.findall(rf"`{name}\(([^`]*)\)`", README)
+    args = ast.parse(f"def f({quote}): pass").body[0].args
+    empty = inspect.Parameter.empty
+    defaults = [empty] * (len(args.args) - len(args.defaults)) + args.defaults
+    return [(a.arg, False, d if d is empty else ast.literal_eval(d))
+            for a, d in zip(args.args, defaults)] + [
+        (a.arg, True, empty if d is None else ast.literal_eval(d))
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED))
+def test_readme_signatures_are_the_codes(name):
+    params = inspect.signature(QUOTED[name]).parameters.values()
+    assert _quoted_parameters(name) == [
+        (p.name, p.kind is p.KEYWORD_ONLY, p.default) for p in params]

@@ -281,6 +281,39 @@ def test_attention_shape_errors():
         joint_attention(a, a, a, np.zeros((1, 1), dtype=DTYPE))
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_into_a_score_buffer_equals_a_fresh_one(masked):
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal((7, 6)).astype(DTYPE)
+    k = rng.standard_normal((10, 6)).astype(DTYPE)
+    v = rng.standard_normal((10, 6)).astype(DTYPE)
+    mask = np.where(rng.random((7, 10)) < 0.3, NEG, DTYPE(0.0)) if masked else None
+    if masked:
+        mask[:, 0] = 0.0
+    want = joint_attention(q, k, v, mask, heads=3)
+    buf = np.full(3 * 10 * 7 + 5, np.nan, dtype=DTYPE)  # longer than the scores
+    got = joint_attention(q, k, v, mask, heads=3, out=buf)
+    np.testing.assert_array_equal(got.out, want.out)
+    np.testing.assert_array_equal(got.exp, want.exp)
+    np.testing.assert_array_equal(got.sums, want.sums)
+    np.testing.assert_array_equal(got.weights(), want.weights())
+    np.testing.assert_array_equal(got.head_mean(), want.head_mean())
+    assert np.shares_memory(got.exp, buf) and not np.shares_memory(got.out, buf)
+    assert np.isnan(buf[3 * 10 * 7:]).all()  # only the first heads*M*N entries are used
+
+
+def test_attention_refuses_a_score_buffer_that_cannot_hold_the_scores():
+    a = np.ones((4, 6), dtype=DTYPE)
+    for buf in (np.zeros(2 * 4 * 4 - 1, dtype=DTYPE),  # one entry short
+                np.zeros(2 * 4 * 4, dtype=np.float64),  # wrong dtype
+                np.zeros((2 * 4 * 4, 2), dtype=DTYPE)[:, 0]):  # not contiguous
+        before = buf.copy()
+        with pytest.raises(ValueError, match="score buffer of .* cannot hold"):
+            joint_attention(a, a, a, heads=2, out=buf)
+        np.testing.assert_array_equal(buf, before)  # nothing was written
+    joint_attention(a, a, a, heads=2, out=np.zeros(2 * 4 * 4, dtype=DTYPE))
+
+
 def test_grid_positions_row_major():
     pos = grid_positions(2, 3, 4)
     assert pos.shape == (24, 3)
