@@ -184,6 +184,8 @@ def read_ini(path) -> RunConfig:
             parser.read_file(fh)
         except configparser.Error as exc:  # one line, as every other config error
             raise ValueError(" ".join(str(exc).split())) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if parser.defaults():
         raise ValueError(f"{path}: unknown section [{parser.default_section}]")
     kw = {}

@@ -70,7 +70,6 @@ _ROLE_OUT = 3
 _ROLE_MLP1 = 4
 _ROLE_MLP2 = 5
 _ROLE_NOISE = 6
-_ROLE_EMBED = 7
 
 # Fixed streams shared by every model (decode map, texture dictionaries).
 _DECODE_SEED = 0x0DEC
@@ -614,43 +613,21 @@ def denoise(
     return z
 
 
-def embed_prompt(
-    layout: PromptLayout,
-    scene=None,
-    *,
-    channels: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Deterministic synthetic prompt embedding, (layout.total, C).
+def embed_prompt(layout: PromptLayout, scene, *, seed: int = 0) -> np.ndarray:
+    """Deterministic synthetic prompt embedding of a planted scene,
+    (layout.total, C).
 
-    With a scene, the bg/fg segments carry the scene's planted signature
-    vectors and the action segment the scene's per-seed action vector; padding
-    rows are zero. Without a scene, each segment carries a seeded unit vector
-    on the signature channels.
+    The bg/fg segments carry the scene's planted signature vectors and the
+    action segment the scene's action vector of `seed`; padding rows are
+    zero.
     """
     amp = DTYPE(SIGNATURE_AMP)
-    if scene is not None:
-        channels = scene.channels
-        bg = amp * scene.bg_signature
-        fg = amp * scene.fg_signature
-        act = amp * scene.action_vector(seed)
-    else:
-        if channels is None:
-            raise ValueError("channels required without a scene")
-        plan = channel_plan(channels)
-
-        def seg_vector(tag: int) -> np.ndarray:
-            rng = _rng(seed, tag, _ROLE_EMBED)
-            v = np.zeros(channels, dtype=DTYPE)
-            v[plan.signature] = rng.standard_normal(len(plan.signature)).astype(DTYPE)
-            return amp * v / np.linalg.norm(v)
-
-        bg, fg, act = seg_vector(0), seg_vector(1), seg_vector(2)
-
-    rows = np.zeros((layout.total, channels), dtype=DTYPE)
-    rows[layout.bg_slice] = bg
-    rows[layout.fg_slice] = fg
-    rows[layout.bg + layout.fg : layout.bg + layout.fg + layout.action] = act
+    rows = np.zeros((layout.total, scene.channels), dtype=DTYPE)
+    rows[layout.bg_slice] = amp * scene.bg_signature
+    rows[layout.fg_slice] = amp * scene.fg_signature
+    rows[layout.bg + layout.fg : layout.bg + layout.fg + layout.action] = (
+        amp * scene.action_vector(seed)
+    )
     return rows
 
 

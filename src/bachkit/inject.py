@@ -22,7 +22,7 @@ from .dit import Hooks, InjectionPlan, LayerWeights, Model
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
-from .trace import AttentionTrace, EntryStore, read_container, write_container
+from .trace import FIELD_TAGS, FIELD_X, AttentionTrace, EntryStore, read_container, write_container
 
 
 def entry_nbytes(rows: int, channels: int) -> int:
@@ -51,7 +51,7 @@ class KvCache:
     the cache is made, so an undersized budget fails before any run starts
     and before any file exists. A budget of 0 admits any plan; a negative
     budget is a ValueError. `entries` is an `EntryStore` keyed by (step,
-    layer): admitted rows are written to its temporary file, and a loaded
+    layer, "x"): admitted rows are written to its temporary file, and a loaded
     cache's are the saved file's (see `load`), so the process holds only
     the entry table and each entry while it is read.
     """
@@ -60,7 +60,7 @@ class KvCache:
     channels: int
     plan: tuple[tuple[int, int], ...]
     budget_bytes: int = 0
-    entries: EntryStore = field(init=False, default_factory=lambda: EntryStore("x"))
+    entries: EntryStore = field(init=False, default_factory=EntryStore)
 
     def __post_init__(self):
         self.plan = tuple((int(s), int(l)) for s, l in self.plan)
@@ -78,21 +78,21 @@ class KvCache:
     def nbytes(self) -> int:
         return len(self.entries) * entry_nbytes(self.rows, self.channels)
 
-    def _key(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int]:
-        """The key of an entry of `shape`, once the plan and its shape allow it."""
-        key = (int(step), int(layer))
-        if key not in self._planned:
+    def _key(self, step: int, layer: int, shape: tuple[int, ...]) -> tuple[int, int, str]:
+        """The store key of an entry of `shape`, once the plan and its shape
+        allow it."""
+        if (int(step), int(layer)) not in self._planned:
             raise ValueError(f"step {step} layer {layer} is outside the cache plan")
         if shape != (self.rows, self.channels):
             raise ValueError(f"cache rows must be {(self.rows, self.channels)}, got {shape}")
-        return key
+        return int(step), int(layer), "x"
 
     def admit(self, step: int, layer: int, x_rows: np.ndarray) -> None:
         """Write one layer input's (rows, channels) video rows to the cache."""
         self.entries.put(self._key(step, layer, x_rows.shape), x_rows)
 
     def get(self, step: int, layer: int) -> np.ndarray:
-        key = (int(step), int(layer))
+        key = (int(step), int(layer), "x")
         if key not in self.entries:
             raise KeyError(f"cache holds no rows for step {step} layer {layer}")
         return self.entries[key]
@@ -102,7 +102,7 @@ class KvCache:
 
     @classmethod
     def load(cls, path, budget_bytes: int = 0) -> "KvCache":
-        """Open a saved cache; its plan is the saved keys.
+        """Open a saved cache; its plan is the saved (step, layer) pairs.
 
         Only the checked entry table is held: each entry is read from the
         file when `get` or `entries[key]` asks for it, as a fresh read-only
@@ -118,13 +118,17 @@ class KvCache:
                 is read from a file cut since, "container truncated".
             CacheBudgetError: when the saved plan exceeds `budget_bytes`.
         """
-        store = read_container(path, "x")
+        store = read_container(path)
+        other = sorted({FIELD_TAGS[name] for _, _, name in store} - {FIELD_X})
+        if other:
+            raise ValueError(f"'x' container holds unexpected fields {other}")
         if not store:
             raise ValueError("cache container is empty")
         rows, channels = store.shape(next(iter(store)))
-        cache = cls(rows=rows, channels=channels, plan=tuple(store), budget_bytes=budget_bytes)
+        plan = tuple((step, layer) for step, layer, _ in store)
+        cache = cls(rows=rows, channels=channels, plan=plan, budget_bytes=budget_bytes)
         for key in store:
-            cache._key(*key, store.shape(key))
+            cache._key(*key[:2], store.shape(key))
         cache.entries = store
         return cache
 

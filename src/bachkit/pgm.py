@@ -26,14 +26,18 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM; ValueError for another format, a size that is not
-    positive, a maxval other than 255 or a payload of other than w*h bytes."""
+    """Read a binary PGM; ValueError for another format, a size line that is
+    not two integers, a size that is not positive, a maxval other than 255 or
+    a payload of other than w*h bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     parts = raw.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P5":
         raise ValueError("not a binary PGM file")
-    w, h = (int(x) for x in parts[1].split())
+    try:
+        w, h = (int(x) for x in parts[1].split())
+    except ValueError:
+        raise ValueError(f"PGM size line {parts[1]!r} is not two integers") from None
     if w < 1 or h < 1:
         raise ValueError(f"PGM size {w}x{h} is not positive")
     if parts[2] != b"255":

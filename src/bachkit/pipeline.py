@@ -133,7 +133,7 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
             f"the model's video rows are {cfg.thw}x{cfg.channels}"
         )
     for step, layer in run_cfg.cache_keys(cfg.steps):
-        if (step, layer) not in cache.entries:
+        if (step, layer, "x") not in cache.entries:
             raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
     for step, layer, name in run_cfg.readout_keys():
         if not identity.trace.has(step, layer, name):

@@ -30,6 +30,9 @@ from .tensorops import DTYPE, rope_group_slices
 #: visibly different backgrounds that cache injection can pull together.
 DETAIL_AMP = 2.0
 
+#: (rows, columns) of the planted subject rectangle.
+SUBJECT_SHAPE = (3, 3)
+
 IDENTITY = "identity"
 FRAME = "frame"
 _VARIANT_IDS = {IDENTITY: 0, FRAME: 1}
@@ -77,8 +80,6 @@ class Scene:
     height: int
     width: int
     channels: int
-    rect_h: int
-    rect_w: int
     origins_identity: np.ndarray  # (frames, 2) top-left corners
     origins_frame: np.ndarray
     bg_signature: np.ndarray  # (channels,) unit
@@ -94,13 +95,14 @@ class Scene:
 
     def _offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(frame, row offset, column offset) of every subject pixel, flat."""
-        return tuple(np.indices((self.frames, self.rect_h, self.rect_w)).reshape(3, -1))
+        return tuple(np.indices((self.frames, *SUBJECT_SHAPE)).reshape(3, -1))
 
     def mask(self, variant: str) -> np.ndarray:
         """Planted foreground mask, (frames, height, width) bool."""
         out = np.zeros((self.frames, self.height, self.width), dtype=bool)
+        sh, sw = SUBJECT_SHAPE
         for t, (oh, ow) in enumerate(self._origins(variant)):
-            out[t, oh : oh + self.rect_h, ow : ow + self.rect_w] = True
+            out[t, oh : oh + sh, ow : ow + sw] = True
         return out
 
     def detail_field(self, variant: str) -> np.ndarray:
@@ -188,25 +190,23 @@ def make_scene(
     height: int,
     width: int,
     channels: int,
-    rect_h: int = 3,
-    rect_w: int = 3,
     seed: int = 0,
 ) -> Scene:
-    """Build a planted scene whose two variants differ in rectangle placement."""
-    if rect_h > height or rect_w > width:
+    """Build a planted scene whose two variants differ in the placement of a
+    `SUBJECT_SHAPE` rectangle."""
+    sh, sw = SUBJECT_SHAPE
+    if sh > height or sw > width:
         raise ValueError("rectangle does not fit the grid")
     bg, fg, _ = _balanced_signatures(channels, _rng(seed, _ROLE_SIGNATURE))
 
     rng_o = _rng(seed, _ROLE_ORIGINS)
-    origins_id = _walk_origins(frames, height - rect_h, width - rect_w, rng_o)
-    origins_fr = _walk_origins(frames, height - rect_h, width - rect_w, rng_o)
+    origins_id = _walk_origins(frames, height - sh, width - sw, rng_o)
+    origins_fr = _walk_origins(frames, height - sh, width - sw, rng_o)
     return Scene(
         frames=frames,
         height=height,
         width=width,
         channels=channels,
-        rect_h=rect_h,
-        rect_w=rect_w,
         origins_identity=origins_id,
         origins_frame=origins_fr,
         bg_signature=bg.astype(DTYPE),

@@ -23,23 +23,27 @@ COST = "cost"
 
 def read_csv_records(path, header: tuple[str, ...], types, what: str):
     """Yield (line number, values) for each record of a CSV table with `header`,
-    field i parsed by `types[i]`; ValueError naming the line of a bad record."""
+    field i parsed by `types[i]`; ValueError naming the line of a bad record,
+    also of one the csv module refuses (a field over its size limit)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != list(header):
-            raise ValueError(f"unexpected {what} header {got}")
-        for rec in reader:
-            where = f"{what} line {reader.line_num}"
-            if len(rec) != len(header):
-                raise ValueError(f"{where}: {len(rec)} fields, the header has {len(header)}")
-            try:
-                values = tuple(t(f) for t, f in zip(types, rec))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{where}: non-finite value")
-            yield reader.line_num, values
+        try:
+            got = next(reader, None)
+            if got != list(header):
+                raise ValueError(f"unexpected {what} header {got}")
+            for rec in reader:
+                where = f"{what} line {reader.line_num}"
+                if len(rec) != len(header):
+                    raise ValueError(f"{where}: {len(rec)} fields, the header has {len(header)}")
+                try:
+                    values = tuple(t(f) for t, f in zip(types, rec))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"{where}: non-finite value")
+                yield reader.line_num, values
+        except csv.Error as exc:
+            raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)

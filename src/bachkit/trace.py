@@ -94,12 +94,10 @@ class EntryStore(Mapping):
     container as a read-only store. Memory holds each key's (offset, rows,
     cols) only: `in`, `len` and iteration read no payload, and a lookup reads
     one entry into a fresh read-only array. The file is closed when the
-    store is dropped. Keys are (step, layer, field name), or (step, layer)
-    in a store of the one field `field`.
+    store is dropped. Keys are (step, layer, field name).
     """
 
-    def __init__(self, field: str | None = None):
-        self.field = field
+    def __init__(self):
         self._table: dict[tuple, tuple[int, int, int]] = {}
         self._file = None
         self._end = 0
@@ -111,8 +109,7 @@ class EntryStore(Mapping):
 
     def _container_key(self, key) -> tuple[int, int, int]:
         """(step, layer, field tag); a ValueError for an unknown field."""
-        step, layer, *rest = key
-        name = rest[0] if self.field is None else self.field
+        step, layer, name = key
         if name not in FIELD_TAGS:
             raise ValueError(f"unknown trace field {name!r}")
         return step, layer, FIELD_TAGS[name]
@@ -188,21 +185,14 @@ def write_container(store: EntryStore, path) -> None:
     store.save(path)
 
 
-def read_container(path, field: str | None = None) -> EntryStore:
+def read_container(path) -> EntryStore:
     """Open the container at `path` as a read-only store, once `read_table`
-    has checked its table; no payload is read until an entry is looked up.
-    With `field`, keys are (step, layer) pairs, and an entry of another field
-    is a ValueError."""
-    store = EntryStore(field)
+    has checked its table; no payload is read until an entry is looked up."""
+    store = EntryStore()
     store._attach(open(path, "rb"))
     store._writable = False
-    table = read_table(store._file)
-    other = sorted({e[2] for e in table} - {FIELD_TAGS[field]}) if field else []
-    if other:
-        raise ValueError(f"{field!r} container holds unexpected fields {other}")
-    for step, layer, tag, rows, cols, offset in table:
-        key = (step, layer) if field else (step, layer, FIELD_NAMES[tag])
-        store._table[key] = (offset, rows, cols)
+    for step, layer, tag, rows, cols, offset in read_table(store._file):
+        store._table[step, layer, FIELD_NAMES[tag]] = (offset, rows, cols)
     return store
 
 

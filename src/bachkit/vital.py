@@ -23,16 +23,18 @@ from .dit import Model, _rng, decode_video, denoise, patch_shape
 from .select import read_csv_records
 
 _EMBED_TAG = 0xE3B  # stream tag for the fixed projection draw
+EMBED_DIM = 32  # width of a frame embedding
 
 
 class FrameEmbedder:
-    """Fixed random linear projection of a frame to a unit vector."""
+    """Fixed random linear projection of a frame to a unit vector of
+    `EMBED_DIM` entries."""
 
-    def __init__(self, frame_shape: tuple[int, int], dim: int = 32, seed: int = 0):
+    def __init__(self, frame_shape: tuple[int, int], seed: int = 0):
         h, w = frame_shape
         rng = _rng(seed, _EMBED_TAG)
         self.frame_shape = (int(h), int(w))
-        self.proj = rng.standard_normal((int(dim), int(h) * int(w)))
+        self.proj = rng.standard_normal((EMBED_DIM, int(h) * int(w)))
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         f = np.asarray(frame, dtype=np.float64)
@@ -66,17 +68,14 @@ def collect_skip_runs(
     prompt_embedding: np.ndarray,
     schedule,
     seed: int,
-    layers=None,
     init_clean: np.ndarray | None = None,
 ) -> dict[int | None, np.ndarray]:
     """Decoded baseline (key None) plus one single-skip video per layer."""
-    if layers is None:
-        layers = range(model.config.depth)
     return {
         skip: decode_video(
             denoise(model, prompt_embedding, schedule, seed, skip=skip, init_clean=init_clean)
         )
-        for skip in [None, *map(int, layers)]
+        for skip in [None, *range(model.config.depth)]
     }
 
 

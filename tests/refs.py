@@ -7,10 +7,12 @@ that only runs reproducing tabulated frames bit for bit register a drop.
 refuse. `trace_keys` spells out the keys of a whole-run trace.
 `invert_decode` undoes `decode_video`. `random_grid` and `random_drops`
 are the random tables that selection rules are checked on against
-brute-force scans. `write_container_of_entries` is the
-container writer for a list of entries that holds them all in memory: the
-layout a store's save must reproduce byte for byte, and the writer of the
-raw containers that the readers are checked on.
+brute-force scans. `seeded_prompt` is the prompt embedding of the small
+models, whose channels are too few to plant a scene on.
+`write_container_of_entries` is the container writer for a list of
+entries that holds them all in memory: the layout a store's save must
+reproduce byte for byte, and the writer of the raw containers that the
+readers are checked on.
 """
 
 import hashlib
@@ -20,7 +22,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from bachkit.dit import DECODE_GAIN, _DECODE_SEED, Model, _orthogonal, _rng, patch_shape
+from bachkit.dit import (
+    DECODE_GAIN,
+    SIGNATURE_AMP,
+    _DECODE_SEED,
+    Model,
+    PromptLayout,
+    _orthogonal,
+    _rng,
+    channel_plan,
+    patch_shape,
+)
 from bachkit.select import AnalysisGrid
 from bachkit.tensorops import DTYPE
 from bachkit.trace import MAGIC, VERSION
@@ -60,6 +72,29 @@ def write_kv_cache_of_earlier_format(path, step: int, layer: int, rows: int, col
         for i, tag in enumerate((3, 4)):
             fh.write(struct.pack("<IIHHIIQ", step, layer, tag, 0, rows, cols, i * rows * cols * 4))
         fh.write(bytes(2 * rows * cols * 4))
+
+
+_ROLE_EMBED = 7  # the prompt streams' role tag, beside the model's weight-stream tags
+
+
+def seeded_prompt(layout: PromptLayout, channels: int, seed: int = 0) -> np.ndarray:
+    """A scene-less prompt embedding, (layout.total, channels): each of the
+    bg, fg and action segments carries a seeded unit vector on the signature
+    channels, scaled as a scene's signatures are; padding rows are zero."""
+    amp = DTYPE(SIGNATURE_AMP)
+    plan = channel_plan(channels)
+
+    def seg_vector(tag: int) -> np.ndarray:
+        rng = _rng(seed, tag, _ROLE_EMBED)
+        v = np.zeros(channels, dtype=DTYPE)
+        v[plan.signature] = rng.standard_normal(len(plan.signature)).astype(DTYPE)
+        return amp * v / np.linalg.norm(v)
+
+    rows = np.zeros((layout.total, channels), dtype=DTYPE)
+    rows[layout.bg_slice] = seg_vector(0)
+    rows[layout.fg_slice] = seg_vector(1)
+    rows[layout.bg + layout.fg : layout.bg + layout.fg + layout.action] = seg_vector(2)
+    return rows
 
 
 def trace_keys(steps, layers, fields=("v2t", "attn_out")) -> list[tuple[int, int, str]]:

@@ -22,7 +22,6 @@ from bachkit.dit import (
     PromptLayout,
     StepSchedule,
     denoise,
-    embed_prompt,
     init_model,
 )
 from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
@@ -56,7 +55,14 @@ from bachkit.select import (
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
 from bachkit.trace import TraceRecorder
 from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
-from refs import frame_digest, planted_scorer, random_drops, random_grid, trace_keys
+from refs import (
+    frame_digest,
+    planted_scorer,
+    random_drops,
+    random_grid,
+    seeded_prompt,
+    trace_keys,
+)
 
 
 def _brute_attention(q, k, v, mask=None):
@@ -325,7 +331,7 @@ def test_ac07_cache_accounting_and_budget(bench, desk_cfg, monkeypatch):
     z = np.zeros((8, 4), dtype=DTYPE)
     cache.admit(0, 0, z)
     cache.admit(0, 1, z)
-    assert sorted(cache.entries) == [(0, 0), (0, 1)]  # a fitting plan admits every key
+    assert sorted(cache.entries) == [(0, 0, "x"), (0, 1, "x")]  # a fitting plan admits every key
     cache.admit(0, 1, z + 1)
     assert cache.nbytes == budget  # overwrites never grow the footprint
 
@@ -340,8 +346,7 @@ def test_ac08_rigged_scorer_recovers_planted_layers():
         text_len=6, steps=6, seed=7,
     )
     model = init_model(cfg)
-    prompt = embed_prompt(PromptLayout(bg=2, fg=2, action=1, pad=1),
-                          channels=cfg.channels, seed=0)
+    prompt = seeded_prompt(PromptLayout(bg=2, fg=2, action=1, pad=1), cfg.channels, seed=0)
     runs = collect_skip_runs(model, prompt, StepSchedule.linear(cfg.steps), seed=9)
     digests = {l: {frame_digest(f) for f in video} for l, video in runs.items()}
     rng = np.random.default_rng(8)
@@ -396,8 +401,7 @@ def test_ac11_observation_and_empty_injection_change_nothing():
         text_len=6, steps=6, seed=3,
     )
     model = init_model(cfg)
-    prompt = embed_prompt(PromptLayout(bg=2, fg=2, action=1, pad=1),
-                          channels=cfg.channels, seed=0)
+    prompt = seeded_prompt(PromptLayout(bg=2, fg=2, action=1, pad=1), cfg.channels, seed=0)
     schedule = StepSchedule.linear(cfg.steps)
     plain = denoise(model, prompt, schedule, seed=5)
 

@@ -113,7 +113,7 @@ def both_caches(bench, desk_cfg):
         hooks=ChainedHooks(recorder, CacheRecorder(cache), grab),
         init_clean=bench.scene.noisy_latent(IDENTITY, 0.05, 11),
     )
-    assert sorted(grab.kv) == sorted(cache.entries)
+    assert sorted((s, l, "x") for s, l in grab.kv) == sorted(cache.entries)
     kv_nbytes = sum(k.nbytes + v.nbytes for k, v in grab.kv.values())
     assert Fraction(cache.nbytes, kv_nbytes) == Fraction(cfg.thw, 2 * cfg.joint_len)
     return IdentityBundle(z0=z0, trace=recorder.trace, cache=cache), grab.kv

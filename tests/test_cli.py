@@ -152,6 +152,22 @@ def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
     assert "line 3: 1 fields" in err
 
 
+def test_select_tau_field_over_the_csv_limit_is_one_line(tmp_path, capsys):
+    p = tmp_path / "grid.csv"
+    p.write_text("step,layer,value\n0,0," + "9" * 200_000 + "\n")
+    assert main(["select", "tau", "--grid", str(p)]) == 2
+    _one_line_error(capsys, "grid line 2: field larger than field limit (131072)")
+
+
+def test_config_that_is_not_utf8_is_one_line_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(b"[model]\nprofile = desk8\xff\n")
+    assert main(["gen-identity", "--config", str(ini), "--out", str(tmp_path / "i")]) == 2
+    _one_line_error(capsys, f"{ini}: 'utf-8' codec can't decode byte 0xff in position 23: "
+                            "invalid start byte")
+
+
 def test_shared_flags_go_after_the_command(capsys):
     for argv in (["--global-match", "run-group"], ["--seed", "3", "run-group"]):
         with pytest.raises(SystemExit) as exc:

@@ -156,6 +156,15 @@ def test_ini_config_errors_name_the_file(tmp_path):
         assert str(exc.value) == f"{p}: {message}"
 
 
+def test_ini_that_is_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_bytes(b"[model]\nprofile = desk8\xff\n")
+    with pytest.raises(ValueError) as exc:
+        read_ini(p)
+    assert str(exc.value) == (
+        f"{p}: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte")
+
+
 def _desk8_cache(budget: int) -> KvCache:
     """An identity cache of desk8's whole plan under `budget`; raises if refused."""
     cfg = default_config("desk8")

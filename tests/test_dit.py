@@ -33,7 +33,7 @@ from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.scene import IDENTITY
 from bachkit.tensorops import DTYPE, Attention
 from bachkit.trace import TraceRecorder
-from refs import invert_decode, without_layer
+from refs import invert_decode, seeded_prompt, without_layer
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,
@@ -49,7 +49,7 @@ def small_model():
 
 @pytest.fixture(scope="module")
 def small_prompt():
-    return embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
+    return seeded_prompt(LAYOUT, SMALL.channels, seed=0)
 
 
 def test_profiles():
@@ -398,14 +398,12 @@ def test_v2t_rows_are_probabilities(small_model, small_prompt):
     assert (v2t.sum(axis=1) <= 1.0 + 1e-5).all()
 
 
-def test_embed_prompt_layout_segments():
-    rows = embed_prompt(LAYOUT, channels=12, seed=0)
-    assert rows.shape == (LAYOUT.total, 12)
+def test_embed_prompt_layout_segments(bench):
+    rows = embed_prompt(LAYOUT, bench.scene, seed=0)
+    assert rows.shape == (LAYOUT.total, 48)
     np.testing.assert_array_equal(rows[LAYOUT.bg_slice][0], rows[LAYOUT.bg_slice][1])
-    np.testing.assert_array_equal(rows[-1], np.zeros(12))  # pad
+    np.testing.assert_array_equal(rows[-1], np.zeros(48))  # pad
     assert np.linalg.norm(rows[0]) > 0
-    with pytest.raises(ValueError):
-        embed_prompt(LAYOUT)  # needs channels without a scene
 
 
 def test_decode_invert_roundtrip():

@@ -24,7 +24,6 @@ from bachkit.dit import (
     PromptLayout,
     StepSchedule,
     denoise,
-    embed_prompt,
     init_model,
     predict_clean,
 )
@@ -40,7 +39,7 @@ from bachkit.tensorops import (
     rope_pair_angles,
 )
 from bachkit.trace import TraceRecorder
-from refs import trace_keys
+from refs import seeded_prompt, trace_keys
 
 SMALL = ModelConfig(
     depth=3, channels=12, heads=3, frames=2, height=3, width=3,
@@ -175,7 +174,7 @@ class _Injecting(Hooks):
 @pytest.fixture(scope="module")
 def small():
     model = init_model(SMALL)
-    prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
+    prompt = seeded_prompt(LAYOUT, SMALL.channels, seed=0)
     return model, prompt, StepSchedule.linear(SMALL.steps)
 
 

@@ -54,7 +54,7 @@ def test_cache_admit_get_and_counter():
         cache.admit(0, 0, x[:3])
     with pytest.raises(ValueError, match="step 3 layer 1 is outside the cache plan"):
         cache.admit(3, 1, x)
-    assert sorted(cache.entries) == [(2, 1)]
+    assert sorted(cache.entries) == [(2, 1, "x")]
 
 
 def test_cache_entries_are_not_a_constructor_argument():
@@ -81,7 +81,7 @@ def test_cache_entries_share_one_buffer():
     for i, key in enumerate(rows):  # each key's rows sit where it was admitted
         np.testing.assert_array_equal(held[i], rows[key])
         np.testing.assert_array_equal(cache.get(*key), rows[key])
-    a, b = cache.get(11, 0), cache.entries[(11, 0)]
+    a, b = cache.get(11, 0), cache.entries[(11, 0, "x")]
     assert a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
 
@@ -111,7 +111,7 @@ def test_budget_rejects_before_admission(monkeypatch):
     z = np.zeros((4, 2), dtype=DTYPE)
     for key in plan:  # a fitting plan admits every key
         cache.admit(*key, z)
-    assert cache.nbytes == 2 * one and sorted(cache.entries) == plan
+    assert cache.nbytes == 2 * one and sorted(cache.entries) == [(s, l, "x") for s, l in plan]
     cache.admit(0, 0, z + 1)  # overwrites never grow the footprint
     assert cache.nbytes == 2 * one
 
@@ -141,7 +141,8 @@ def test_cache_save_load(tmp_path):
     assert p.stat().st_size == 12 + 3 * (28 + entry_nbytes(5, 4))
     # the same bytes as a cache of separately stored entries
     separate = tmp_path / "separate.bvtr"
-    write_container_of_entries([(s, l, FIELD_X, x) for (s, l), x in cache.entries.items()], separate)
+    write_container_of_entries(
+        [(s, l, FIELD_X, x) for (s, l, _), x in cache.entries.items()], separate)
     assert p.read_bytes() == separate.read_bytes()
     back = KvCache.load(p)
     assert back.rows == 5 and back.channels == 4 and back.plan == tuple(plan[:3])
@@ -151,7 +152,7 @@ def test_cache_save_load(tmp_path):
         assert back.entries[key].dtype == DTYPE and not back.entries[key].flags.writeable
 
     # each read is a fresh array of its own: the loaded cache holds no payload
-    a, b = back.get(11, 0), back.entries[(11, 0)]
+    a, b = back.get(11, 0), back.entries[(11, 0, "x")]
     assert a is not b and a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
 
@@ -172,8 +173,8 @@ def test_loaded_cache_reads_entries_only_when_asked(tmp_path):
         fh.write(new.tobytes())
 
     def table_only():
-        assert len(back.entries) == 3 and list(back.entries) == plan and back.plan == tuple(plan)
-        assert (12, 0) in back.entries and (12, 2) not in back.entries
+        assert list(back.entries) == [(s, l, "x") for s, l in plan] and back.plan == tuple(plan)
+        assert (12, 0, "x") in back.entries and (12, 2, "x") not in back.entries
         assert back.nbytes == 3 * one
 
     table_only()
@@ -187,7 +188,7 @@ def test_loaded_cache_reads_entries_only_when_asked(tmp_path):
         with pytest.raises(ValueError, match="^container truncated$"):
             back.get(*key)
         with pytest.raises(ValueError, match="^container truncated$"):
-            back.entries[key]
+            back.entries[(*key, "x")]
     with pytest.raises(KeyError, match="no rows for step 12 layer 2"):
         back.get(12, 2)
 
@@ -207,7 +208,7 @@ def test_cache_load_checks_shape_and_budget(tmp_path):
         KvCache.load(p)
 
 
-def test_cache_load_rejects_kv_record_format(tmp_path):
+def test_cache_load_rejects_kv_record_format(tmp_path, monkeypatch):
     """A cache of separate K and V rows (the earlier format) is refused by
     the container reader, whose tags no longer include theirs."""
     p = tmp_path / "cache.bvtr"
@@ -216,7 +217,8 @@ def test_cache_load_rejects_kv_record_format(tmp_path):
     with pytest.raises(ValueError, match="^entry 0 has unknown field tag 3$"):
         KvCache.load(p)
     write_container_of_entries([(11, 0, FIELD_X, kv), (11, 1, FIELD_V2T, kv)], p)
-    with pytest.raises(ValueError, match=r"unexpected fields \[1\]"):
+    monkeypatch.setattr(os, "preadv", lambda *a: pytest.fail("a payload was read"))
+    with pytest.raises(ValueError, match=r"^'x' container holds unexpected fields \[1\]$"):
         KvCache.load(p)
 
 
@@ -337,7 +339,7 @@ def test_cache_recorder_plans_the_cache_keys(bench):
         (cfg.frames, cfg.height, cfg.width, cfg.channels)).astype(DTYPE)
     for step in range(3):
         forward(bench.model, z, bench.prompt(0), step, hooks=ChainedHooks(rec, every))
-    assert sorted(cache.entries) == [(1, 0), (2, 3)]
+    assert sorted(cache.entries) == [(1, 0, "x"), (2, 3, "x")]
     for step, layer in cache.plan:  # the video rows of the layer input, copied
         np.testing.assert_array_equal(cache.get(step, layer), every.trace.get(step, layer, "x"))
     with pytest.raises(ValueError, match="step 1 layer 1 is outside the cache plan"):

@@ -102,6 +102,15 @@ def test_read_pgm_rejects_non_positive_sizes(tmp_path):
             read_pgm(p)
 
 
+def test_read_pgm_names_a_size_line_that_is_not_two_integers(tmp_path):
+    p = tmp_path / "bad.pgm"
+    for size in (b"2 1 1", b"2", b"2 x", b"2.0 1", b""):
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(2))
+        with pytest.raises(ValueError) as exc:
+            read_pgm(p)
+        assert str(exc.value) == f"PGM size line {size!r} is not two integers"
+
+
 def test_read_pgm_requires_exactly_w_times_h_bytes(tmp_path):
     p = tmp_path / "bad.pgm"
     for n in (3, 5, 9):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bachkit.dit as dit
+from bachkit.config import default_config
 from bachkit.dit import PromptLayout, StepSchedule, init_model
 from bachkit.inject import CacheBudgetError, CacheRecorder, Injector, KvCache, entry_nbytes
 from bachkit.masks import mask_iou
@@ -39,7 +40,7 @@ def test_identity_bundle_contents(bench, desk_cfg, identity):
     cfg = bench.model.config
     assert identity.z0.shape == (cfg.frames, cfg.height, cfg.width, cfg.channels)
     # cache holds exactly the injection plan: steps tau_inject..end at kv layers
-    want = {(s, l) for s in range(desk_cfg.tau_inject, cfg.steps) for l in desk_cfg.kv_layers}
+    want = {(s, l, "x") for s in range(desk_cfg.tau_inject, cfg.steps) for l in desk_cfg.kv_layers}
     assert set(identity.cache.entries) == want
     # readout trace is confined to the readout step
     assert identity.trace.steps() == [desk_cfg.tau_mask]
@@ -174,7 +175,7 @@ def test_frame_run_reads_each_saved_cache_entry_once(bench, desk_cfg, identity, 
 
     monkeypatch.setattr(EntryStore, "__getitem__", counted)
     z_loaded, _ = run_frame(bench, desk_cfg, loaded, seed=21)
-    assert reads == Counter(desk_cfg.cache_keys(bench.model.config.steps))
+    assert reads == Counter((s, l, "x") for s, l in desk_cfg.cache_keys(bench.model.config.steps))
     z_held, _ = run_frame(bench, desk_cfg, identity, seed=21)
     np.testing.assert_array_equal(z_loaded, z_held)
 
@@ -370,3 +371,34 @@ def test_match_grid_zero_error_for_identical_traces():
     grid = match_grid(frame, ident, 1, 2, 2, fg, true_lookup=np.arange(4).reshape(1, 2, 2))
     assert grid.steps == (3, 4) and grid.layers == (0, 2)
     assert (grid.values == 0.0).all()
+
+
+def test_work_ledger_of_one_ablated_desk8_group(monkeypatch):
+    """The work one desk8 `run_group(frames=5, ablate=True)` does, counted
+    exactly: denoiser forwards, attention calls and attention score elements
+    (the sum of heads * N * M over the calls). Equal code does equal work, so
+    these counts change only when the work does; a change that moves them
+    says why in CHANGES.md."""
+    ledger = Counter()
+    forward, attention = dit.forward, dit.joint_attention
+
+    def counted_forward(*args, **kwargs):
+        ledger["forwards"] += 1
+        return forward(*args, **kwargs)
+
+    def counted_attention(q, k, v, add_mask=None, heads=1, **kwargs):
+        ledger["attention calls"] += 1
+        ledger["score elements"] += heads * q.shape[0] * k.shape[0]
+        return attention(q, k, v, add_mask, heads, **kwargs)
+
+    monkeypatch.setattr(dit, "forward", counted_forward)
+    monkeypatch.setattr(dit, "joint_attention", counted_attention)  # forward's global
+    cfg = default_config("desk8")
+    run_group(pipeline.make_workbench(cfg, scene_seed=1), cfg, seed_identity=0,
+              frame_seeds=range(1, 6), scene_sigma=0.05, ablate=True)
+    mc = cfg.model_config()
+    assert ledger["forwards"] == 495 == 50 + 5 * 50 + 5 * (50 - cfg.tau_inject)
+    assert ledger["attention calls"] == 3_960 == 495 * mc.depth
+    assert ledger["score elements"] == 1_024_047_360
+    # injected layers attend to more keys than joint_len: all-plain layers would give
+    assert 3_960 * mc.heads * mc.joint_len**2 == 878_929_920

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bachkit import dit, tensorops
+from bachkit import dit, scene, tensorops, vital
 from bachkit.cli import _build_parser
 from bachkit.config import default_config, read_ini
 
@@ -55,6 +55,9 @@ QUOTED = {
     "softmax_average": tensorops.softmax_average,
     "rope_encode": tensorops.rope_encode,
     "denoise": dit.denoise,
+    "embed_prompt": dit.embed_prompt,
+    "make_scene": scene.make_scene,
+    "collect_skip_runs": vital.collect_skip_runs,
 }
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bachkit.dit import SIGNATURE_AMP, TEXTURE_AMP, detail_direction, texture_dictionary
-from bachkit.scene import FRAME, IDENTITY, make_scene
+from bachkit.scene import FRAME, IDENTITY, SUBJECT_SHAPE, make_scene
 
 
 @pytest.fixture(scope="module")
 def scene():
-    return make_scene(4, 8, 8, 48, rect_h=3, rect_w=3, seed=1)
+    return make_scene(4, 8, 8, 48, seed=1)
 
 
 def test_masks_are_planted_rectangles(scene):
@@ -72,11 +72,11 @@ def test_action_vector_seed_dependence(scene):
 
 
 def test_scene_determinism():
-    a = make_scene(2, 6, 6, 24, rect_h=2, rect_w=2, seed=9)
-    b = make_scene(2, 6, 6, 24, rect_h=2, rect_w=2, seed=9)
+    a = make_scene(2, 6, 6, 24, seed=9)
+    b = make_scene(2, 6, 6, 24, seed=9)
     np.testing.assert_array_equal(a.clean_latent(IDENTITY), b.clean_latent(IDENTITY))
     np.testing.assert_array_equal(a.origins_frame, b.origins_frame)
-    c = make_scene(2, 6, 6, 24, rect_h=2, rect_w=2, seed=10)
+    c = make_scene(2, 6, 6, 24, seed=10)
     assert not np.array_equal(a.clean_latent(IDENTITY), c.clean_latent(IDENTITY))
 
 
@@ -88,8 +88,8 @@ def _loop_correspondence(sc):
     for t in range(sc.frames):
         oh_f, ow_f = sc.origins_frame[t]
         oh_i, ow_i = sc.origins_identity[t]
-        for dh in range(sc.rect_h):
-            for dw in range(sc.rect_w):
+        for dh in range(SUBJECT_SHAPE[0]):
+            for dw in range(SUBJECT_SHAPE[1]):
                 out[t, oh_f + dh, ow_f + dw] = t * hw + (oh_i + dh) * sc.width + (ow_i + dw)
     return out
 
@@ -103,8 +103,8 @@ def _loop_clean_latent(sc, variant):
     fg_vec = (SIGNATURE_AMP * sc.fg_signature).astype(np.float32)
     origins = sc.origins_identity if variant == IDENTITY else sc.origins_frame
     for t, (oh, ow) in enumerate(origins):
-        for dh in range(sc.rect_h):
-            for dw in range(sc.rect_w):
+        for dh in range(SUBJECT_SHAPE[0]):
+            for dw in range(SUBJECT_SHAPE[1]):
                 rel_flat = (t * sc.height + dh) * sc.width + dw
                 z[t, oh + dh, ow + dw] = fg_vec + TEXTURE_AMP * subject[rel_flat]
     return z
@@ -113,18 +113,20 @@ def _loop_clean_latent(sc, variant):
 @settings(max_examples=60, deadline=None)
 @given(
     frames=st.integers(1, 4),
-    height=st.integers(1, 8),
-    width=st.integers(1, 8),
-    rect=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    height=st.integers(3, 8),
+    width=st.integers(3, 8),
     channels=st.sampled_from([24, 48]),
     seed=st.integers(0, 10_000),
 )
-def test_vectorized_scene_equals_pixel_loops(frames, height, width, rect, channels, seed):
-    rect_h = 1 + int(rect[0] * (height - 1))
-    rect_w = 1 + int(rect[1] * (width - 1))
-    sc = make_scene(frames, height, width, channels, rect_h=rect_h, rect_w=rect_w, seed=seed)
+def test_vectorized_scene_equals_pixel_loops(frames, height, width, channels, seed):
+    sc = make_scene(frames, height, width, channels, seed=seed)
     np.testing.assert_array_equal(sc.correspondence(), _loop_correspondence(sc))
     for variant in (IDENTITY, FRAME):
         got = sc.clean_latent(variant)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, _loop_clean_latent(sc, variant))
+
+
+def test_scene_refuses_a_grid_smaller_than_the_subject():
+    with pytest.raises(ValueError, match="does not fit the grid"):
+        make_scene(1, SUBJECT_SHAPE[0] - 1, 8, 24)

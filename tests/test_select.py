@@ -1,5 +1,7 @@
 """Selection rules against explicit-scan references and shipped fixtures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,23 @@ def test_grid_csv_names_the_bad_line(tmp_path):
         p.write_text("step,layer,value\n" + body)
         with pytest.raises(ValueError, match=message):
             AnalysisGrid.read_csv(p)
+
+
+def test_csv_field_over_the_csv_limit_names_the_table_and_line(tmp_path):
+    p = tmp_path / "long.csv"
+    long = "9" * 200_000
+    limit = "field larger than field limit (131072)"
+    for text, message in (
+        (f"step,layer,value{long}\n0,0,1.0\n", f"grid line 1: {limit}"),
+        (f"step,layer,value\n0,0,1.0\n0,1,{long}\n", f"grid line 3: {limit}"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            AnalysisGrid.read_csv(p)
+        assert str(exc.value) == message
+    p.write_text(f"layer,score_skip,baseline,drop\n0,{long},1.0,0.5\n")
+    with pytest.raises(ValueError, match=rf"^layer report line 2: {re.escape(limit)}$"):
+        LayerReport.read_csv(p)
 
 
 def test_paper_fixture_selections():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from refs import write_container_of_entries
+from refs import seeded_prompt, write_container_of_entries
 
 from bachkit.dit import (
     ChainedHooks,
@@ -19,7 +19,6 @@ from bachkit.dit import (
     PromptLayout,
     StepSchedule,
     denoise,
-    embed_prompt,
     init_model,
 )
 from bachkit.inject import KvCache
@@ -270,7 +269,7 @@ def test_recorder_keeps_exactly_its_keys():
     assert rec.keys == set(keys)
     every = TraceRecorder(itertools.product(range(SMALL.steps), range(SMALL.depth), FIELD_TAGS))
     model = init_model(SMALL)
-    prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
+    prompt = seeded_prompt(LAYOUT, SMALL.channels, seed=0)
     denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1,
             hooks=ChainedHooks(rec, every))
     assert sorted(rec.trace.entries) == sorted(keys)
@@ -306,7 +305,7 @@ def test_trace_accessors():
 
 def test_recorder_capture_and_save(tmp_path):
     model = init_model(SMALL)
-    prompt = embed_prompt(LAYOUT, channels=SMALL.channels, seed=0)
+    prompt = seeded_prompt(LAYOUT, SMALL.channels, seed=0)
     rec = TraceRecorder([(s, 1, name) for s in (0, 3) for name in ("v2t", "attn_out")])
     denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1, hooks=rec)
     keys = sorted(rec.trace.entries)
@@ -397,7 +396,8 @@ def test_store_membership_length_and_iteration_read_no_payload(tmp_path, monkeyp
         assert t.entries.shape((3, 2, "v2t")) == (2, 7)
     for c in (cache, loaded_cache):
         assert len(c.entries) == 3 and c.nbytes == 3 * 6 * 4 * 4
-        assert sorted(c.entries) == [(3, 2), (4, 0), (4, 5)] and (3, 0) not in c.entries
+        assert sorted(c.entries) == [(3, 2, "x"), (4, 0, "x"), (4, 5, "x")]
+        assert (3, 0, "x") not in c.entries
 
 
 def test_loaded_trace_entry_cut_from_its_file_raises_container_truncated(tmp_path):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from bachkit.dit import ModelConfig, PromptLayout, StepSchedule, embed_prompt, init_model
+from bachkit.dit import ModelConfig, PromptLayout, StepSchedule, init_model
 from bachkit.vital import (
+    EMBED_DIM,
     FrameEmbedder,
     LayerReport,
     LayerScore,
@@ -15,7 +16,7 @@ from bachkit.vital import (
     sweep_layers_embed,
 )
 from bachkit.select import select_vital
-from refs import frame_digest, planted_scorer
+from refs import frame_digest, planted_scorer, seeded_prompt
 
 CFG = ModelConfig(
     depth=4, channels=12, heads=3, frames=2, height=3, width=3,
@@ -32,7 +33,7 @@ def variance(frame) -> float:
 @pytest.fixture(scope="module")
 def runs():
     model = init_model(CFG)
-    prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
+    prompt = seeded_prompt(LAYOUT, CFG.channels, seed=0)
     return collect_skip_runs(model, prompt, StepSchedule.linear(CFG.steps), seed=3)
 
 
@@ -64,12 +65,12 @@ def test_planted_scorer_is_digest_keyed():
 
 
 def test_embedder_unit_norm_and_determinism():
-    e = FrameEmbedder((4, 5), dim=8, seed=1)
+    e = FrameEmbedder((4, 5), seed=1)
     frame = np.random.default_rng(2).random((4, 5))
     v = e(frame)
-    assert v.shape == (8,)
+    assert v.shape == (EMBED_DIM,) == (32,)
     assert np.linalg.norm(v) == pytest.approx(1.0)
-    np.testing.assert_array_equal(v, FrameEmbedder((4, 5), dim=8, seed=1)(frame))
+    np.testing.assert_array_equal(v, FrameEmbedder((4, 5), seed=1)(frame))
     with pytest.raises(ValueError):
         e(np.zeros((4, 5)))
     with pytest.raises(ValueError):
@@ -99,7 +100,7 @@ def test_embed_similarity_orthogonal_is_zero():
 def test_embed_similarity_matches_per_frame_cosine():
     rng = np.random.default_rng(4)
     a, b = rng.random((3, 4, 4)), rng.random((3, 4, 4))
-    e = FrameEmbedder((4, 4), dim=6, seed=5)
+    e = FrameEmbedder((4, 4), seed=5)
     want = np.mean([float(e(x) @ e(y)) for x, y in zip(a, b)])
     assert embed_similarity_score(a, b, e) == pytest.approx(want)
     with pytest.raises(ValueError, match="frame counts"):
@@ -113,11 +114,11 @@ def test_skip_runs_decode_and_differ(runs):
     for layer in range(CFG.depth):
         assert not np.array_equal(runs[layer], baseline)
     model = init_model(CFG)
-    prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
-    again = collect_skip_runs(model, prompt, StepSchedule.linear(CFG.steps), 3, layers=[1])
-    assert list(again) == [None, 1]
-    np.testing.assert_array_equal(again[None], baseline)
-    np.testing.assert_array_equal(again[1], runs[1])
+    prompt = seeded_prompt(LAYOUT, CFG.channels, seed=0)
+    again = collect_skip_runs(model, prompt, StepSchedule.linear(CFG.steps), 3)
+    assert list(again) == [None, 0, 1, 2, 3]
+    for skip, video in again.items():
+        np.testing.assert_array_equal(video, runs[skip])
 
 
 def test_sweep_constant_scorer_all_drops_zero(runs):
@@ -129,7 +130,7 @@ def test_sweep_constant_scorer_all_drops_zero(runs):
 
 def test_sweep_embed_baseline_is_one():
     model = init_model(CFG)
-    prompt = embed_prompt(LAYOUT, channels=CFG.channels, seed=0)
+    prompt = seeded_prompt(LAYOUT, CFG.channels, seed=0)
     report = sweep_layers_embed(model, prompt, StepSchedule.linear(CFG.steps), 3)
     assert report.baseline == pytest.approx(1.0, abs=1e-6)
     assert len(report.scores) == CFG.depth
