@@ -52,57 +52,3 @@ from .vital import (
     embed_similarity_score,
     sweep_layers_embed,
 )
-
-__all__ = [
-    "AnalysisGrid",
-    "Attention",
-    "AttentionTrace",
-    "FRAME",
-    "FrameEmbedder",
-    "GroupReport",
-    "IDENTITY",
-    "KvCache",
-    "LayerReport",
-    "MatchMap",
-    "ModelConfig",
-    "NEG",
-    "PROFILES",
-    "PromptLayout",
-    "RotaryTable",
-    "RunConfig",
-    "Scene",
-    "StepSchedule",
-    "TraceRecorder",
-    "Workbench",
-    "aesthetic_score",
-    "cache_nbytes",
-    "decode_video",
-    "default_config",
-    "denoise",
-    "embed_prompt",
-    "embed_similarity_score",
-    "exact_fraction",
-    "init_model",
-    "joint_attention",
-    "make_scene",
-    "make_workbench",
-    "mask_from_slices",
-    "mask_iou",
-    "match_foreground",
-    "match_mse",
-    "psnr_bg",
-    "read_ini",
-    "rope_encode",
-    "run_frame",
-    "run_group",
-    "run_identity",
-    "select_layers",
-    "select_tau_mask",
-    "select_tau_match",
-    "select_vital",
-    "similarity",
-    "softmax_average",
-    "sweep_layers_embed",
-    "write_group_outputs",
-    "write_ini",
-]

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, default_config, format_layer_set, parse_layer_set, read_ini
-from .dit import decode_video
-from .inject import CacheBudgetError, KvCache
-from .masks import write_mask_csv, write_mask_pgms
-from .pgm import video_sheet, write_pgm
+from .dit import PROFILES
+from .inject import CacheBudgetError
+from .masks import write_mask
 from .pipeline import (
+    IDENTITY_FILES,
+    SCENE_SIGMA_DEFAULT,
     IdentityBundle,
     capture_trace,
     make_workbench,
@@ -34,6 +35,7 @@ from .pipeline import (
     run_group,
     run_identity,
     write_group_outputs,
+    write_video,
 )
 from .scene import FRAME, IDENTITY
 from .select import (
@@ -45,7 +47,7 @@ from .select import (
     select_tau_match,
     select_vital,
 )
-from .trace import AttentionTrace, read_container
+from .trace import read_container
 from .vital import LayerReport, sweep_layers_embed
 
 
@@ -73,13 +75,14 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     """Shared flags, given after the command name."""
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="INI run configuration (exclusive with --profile)")
-    source.add_argument("--profile", choices=["desk8", "paper42"], help="built-in defaults")
+    source.add_argument("--profile", choices=sorted(PROFILES), help="built-in defaults")
     p.add_argument("--seed", type=int, help="base run seed")
     p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
     p.add_argument("--global-match", action="store_const", const=True,
                    help="match across the whole grid, not per frame")
     p.add_argument("--scene-seed", type=_seed, default=1, help="planted scene seed")
-    p.add_argument("--scene-sigma", type=_sigma, default=0.05, help="scene noise level")
+    p.add_argument("--scene-sigma", type=_sigma, default=SCENE_SIGMA_DEFAULT,
+                   help="scene noise level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,26 +149,16 @@ def _cmd_gen_identity(args) -> int:
     cfg = _run_config(args)
     bench = make_workbench(cfg, scene_seed=args.scene_seed)
     bundle = run_identity(bench, cfg, seed=cfg.seed, scene_sigma=args.scene_sigma)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    bundle.trace.save(out / "identity_trace.bvtr")
-    bundle.cache.save(out / "identity_cache.bvtr")
-    np.save(out / "identity_z0.npy", bundle.z0)
-    write_pgm(out / "identity_video.pgm", video_sheet(decode_video(bundle.z0)))
-    print(f"identity run complete: {out}/identity_trace.bvtr, identity_cache.bvtr, "
-          f"identity_z0.npy, identity_video.pgm")
+    bundle.save(args.out)
+    print(f"identity run complete: {Path(args.out)}/{', '.join(IDENTITY_FILES)}")
     return 0
 
 
 def _cmd_gen_frame(args) -> int:
     cfg = _run_config(args)
     bench = make_workbench(cfg, scene_seed=args.scene_seed)
-    src = Path(args.identity_dir)
-    bundle = None if args.no_inject else IdentityBundle(  # a vanilla run reads no identity
-        z0=np.load(src / "identity_z0.npy"),
-        trace=AttentionTrace.load(src / "identity_trace.bvtr"),
-        cache=KvCache.load(src / "identity_cache.bvtr", budget_bytes=cfg.kv_budget_bytes),
-    )
+    bundle = None if args.no_inject else IdentityBundle.load(  # a vanilla run reads no identity
+        args.identity_dir, bench.model.config, cfg.kv_budget_bytes)
     z0, injector = run_frame(
         bench, cfg, bundle,
         seed=cfg.seed + 1, action_seed=args.action_seed,
@@ -174,14 +167,12 @@ def _cmd_gen_frame(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "frame_z0.npy", z0)
-    write_pgm(out / "frame_video.pgm", video_sheet(decode_video(z0)))
-    wrote = ["frame_z0.npy", "frame_video.pgm"]
+    write_video(z0, out / "frame_video.pgm")
+    wrote = [out / "frame_z0.npy", out / "frame_video.pgm"]
     if injector is not None and injector.mask_frame is not None:
-        wrote += [p.name for p in write_mask_pgms(injector.mask_frame, out / "frame_mask")]
-        write_mask_csv(injector.mask_frame, out / "frame_mask.csv")
         injector.match.write_csv(out / "frame_match.csv")
-        wrote += ["frame_mask.csv", "frame_match.csv"]
-    print(f"frame run complete: {', '.join(str(out / w) for w in wrote)}")
+        wrote += write_mask(injector.mask_frame, out / "frame_mask") + [out / "frame_match.csv"]
+    print(f"frame run complete: {', '.join(map(str, wrote))}")
     return 0
 
 
@@ -248,7 +239,8 @@ def _cmd_select(args) -> int:
         raise ValueError(f"select {args.what} needs --grid")
     grid = AnalysisGrid.read_csv(args.grid)
     if args.what == "tau":
-        layers = None if args.layers is None else parse_layer_set(args.layers)
+        depth = max(grid.layers, default=-1) + 1  # bounds --layers before a range is expanded
+        layers = None if args.layers is None else parse_layer_set(args.layers, depth)
         curve = grid.step_curve(layers)
         step = select_tau_mask(curve) if args.kind == QUALITY else select_tau_match(curve)
         print(grid.steps[step])

@@ -15,24 +15,35 @@ from dataclasses import dataclass, replace
 from .dit import PROFILES, ModelConfig
 
 
-def parse_layer_set(text: str) -> tuple[int, ...]:
-    """Parse "1,3,5-9" into a sorted tuple of distinct layer indices."""
-    out: set[int] = set()
+def _layers_outside(what: str, first: int, count: int, depth: int) -> str:
+    """The message refusing `count` layers of `what` outside 0..depth-1,
+    `first` the lowest of them: one short line, however many there are."""
+    return f"{what} has {count} layer(s) outside 0..{depth - 1}, the first {first}"
+
+
+def parse_layer_set(text: str, depth: int) -> tuple[int, ...]:
+    """Parse "1,3,5-9" into a sorted tuple of distinct layer indices in
+    0..depth-1. A layer outside is refused (`_layers_outside`) before any
+    range is expanded, so a range's length costs nothing."""
+    spans = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"descending layer range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
-    if not out:
+        lo, hi = part.split("-", 1) if "-" in part else (part, part)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"descending layer range {part!r}")
+        spans.append((lo, hi))
+    if not spans:
         raise ValueError("empty layer set")
-    return tuple(sorted(out))
+    bad = sorted((max(lo, depth), hi) for lo, hi in spans if hi >= depth)
+    if bad:
+        count, end = 0, depth - 1
+        for lo, hi in bad:  # the size of the bad spans' union, counted without expanding it
+            count, end = count + max(0, hi - max(lo, end + 1) + 1), max(end, hi)
+        raise ValueError(_layers_outside("layer set", bad[0][0], count, depth))
+    return tuple(sorted({l for lo, hi in spans for l in range(lo, hi + 1)}))
 
 
 def format_layer_set(layers) -> str:
@@ -96,9 +107,9 @@ class RunConfig:
             ("match_layers", self.match_layers),
             ("kv_layers", self.kv_layers),
         ):
-            bad = [l for l in layers if not 0 <= l < depth]
+            bad = {l for l in layers if not 0 <= l < depth}
             if bad:
-                raise ValueError(f"{name} {bad} outside 0..{depth - 1}")
+                raise ValueError(_layers_outside(name, min(bad), len(bad), depth))
         for name, tau in (
             ("tau_mask", self.tau_mask),
             ("tau_match", self.tau_match),
@@ -178,7 +189,7 @@ def read_ini(path) -> RunConfig:
     ValueError too, and so does a config `RunConfig` refuses (an unknown
     profile, a layer or step outside it, ...), prefixed with `path: `.
     """
-    parser = configparser.ConfigParser(interpolation=None, converters={"layers": parse_layer_set})
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         try:
             parser.read_file(fh)
@@ -188,6 +199,9 @@ def read_ini(path) -> RunConfig:
             raise ValueError(f"{path}: {exc}") from None
     if parser.defaults():
         raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    profile = parser.get("model", "profile", fallback="desk8")  # its depth bounds a layer set
+    parser.converters["layers"] = lambda text: parse_layer_set(
+        text, PROFILES[_known_profile(profile)].depth)
     kw = {}
     for section in parser.sections():
         for key in parser.options(section):
@@ -199,7 +213,7 @@ def read_ini(path) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     try:
-        return replace(default_config(kw.pop("profile", "desk8")), **kw)
+        return replace(default_config(profile), **kw)
     except ValueError as exc:  # the RunConfig's own checks, and an unknown profile
         raise ValueError(f"{path}: {exc}") from None
 

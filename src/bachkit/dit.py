@@ -279,6 +279,13 @@ class LayerWeights:
     w_mlp2: np.ndarray  # (2C, C) small-gain
 
 
+def layer_kv(x: np.ndarray, weights: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-rotary keys and values of layer input rows `x`: the tied query/key
+    projection `x * qk_gain` and the value projection `x @ w_value`, row by
+    row, so an injection derives identity rows from cached inputs bit for bit."""
+    return x * weights.qk_gain[None, :], x @ weights.w_value
+
+
 @dataclass(frozen=True)
 class InjectionPlan:
     """Fused key/value rows plus the additive region mask, as returned by an
@@ -302,8 +309,8 @@ class Hooks:
     `observe(step, layer, name, value)`, one call per entry, as a view (copy
     to retain). The fields are "v2t", the head-averaged video-to-text weights
     (THW, text_len); "attn_out", the attention output's video rows (THW, C);
-    and "x", the layer input's video rows (THW, C), from which the layer's
-    pre-rotary keys (`x * qk_gain`) and values (`x @ w_value`) follow.
+    and "x", the layer input's video rows (THW, C), from which `layer_kv`
+    gives the layer's pre-rotary keys and values.
     `inject` may return an InjectionPlan to substitute fused key/value rows
     before attention; returning None leaves the layer untouched. A plan
     carries at most `ModelConfig.max_keys` keys (joint_len + THW), the most
@@ -494,8 +501,7 @@ def forward(
         if layer == skip:
             continue
         lw = model.layers[layer]
-        pre_k = x * lw.qk_gain[None, :]  # tied query/key projection
-        pre_v = x @ lw.w_value
+        pre_k, pre_v = layer_kv(x, lw)
         roped_k = pre_k.copy()
         roped_k[:thw] = rope_encode(pre_k[:thw], model.rotary)
 

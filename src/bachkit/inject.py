@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dit import Hooks, InjectionPlan, LayerWeights, Model
+from .dit import Hooks, InjectionPlan, LayerWeights, Model, layer_kv
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
 from .tensorops import DTYPE, NEG, rope_encode
@@ -45,7 +45,7 @@ class KvCache:
     with a byte budget.
 
     An entry is `x[:THW]`, the video rows of one layer's input at one step;
-    `identity_kv` derives that layer's pre-rotary keys and values from it.
+    `dit.layer_kv` derives that layer's pre-rotary keys and values from it.
     The plan decides both what the cache admits and what it costs: a key
     outside it is refused, and the whole plan is held to `budget_bytes` when
     the cache is made, so an undersized budget fails before any run starts
@@ -133,16 +133,6 @@ class KvCache:
         return cache
 
 
-def identity_kv(cached_x: np.ndarray, rows: np.ndarray, weights: LayerWeights):
-    """Pre-rotary keys and values of the cached input rows `rows`.
-
-    The same arithmetic as `forward`'s `x * qk_gain` and `x @ w_value`, on the
-    selected rows only.
-    """
-    x = cached_x[rows]
-    return x * weights.qk_gain[None, :], x @ weights.w_value
-
-
 class CacheRecorder(Hooks):
     """Hook that admits the video rows of a layer's input into a cache: its
     keys are the "x" entries of the cache plan's (step, layer) pairs."""
@@ -212,8 +202,9 @@ def build_plan(
     `cached_x` holds the video rows of the identity's input to this layer and
     `weights` are the layer's projections. The matched identity rows (for the
     foreground) and the background rows are projected to pre-rotary keys and
-    values (`identity_kv`); foreground keys are encoded at the frame pixel's
-    grid position so they align with the queries that should pull them,
+    values by `layer_kv`, as `forward` projects them; foreground keys are
+    encoded at the frame pixel's grid position so they align with the
+    queries that should pull them,
     background keys at their own (shared) positions. Values are
     position-free and enter unencoded.
 
@@ -221,7 +212,7 @@ def build_plan(
     `RotaryTable`. `add_mask` is the `region_mask` of `regions`.
     """
     cached_rows = np.concatenate([regions.identity_rows, regions.bg])
-    pre_k_id, v_id = identity_kv(cached_x, cached_rows, weights)
+    pre_k_id, v_id = layer_kv(cached_x[cached_rows], weights)
     key_positions = positions[np.concatenate([regions.fg, regions.bg])]
     k = np.concatenate([roped_k, rope_encode(pre_k_id, key_positions)], axis=0)
     v = np.concatenate([pre_v, v_id], axis=0)

@@ -8,14 +8,16 @@ video-to-text weight slices across the chosen layers before the comparison.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .dit import PromptLayout
-from .select import read_csv_records
+from .pgm import write_pgm
+from .select import read_csv_records, write_csv_records
 from .tensorops import DTYPE
+
+MASK_HEADER = ("frame", "h", "w", "fg")
 
 
 def verdict_from_v2t(v2t: np.ndarray, layout: PromptLayout) -> np.ndarray:
@@ -66,8 +68,6 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def write_mask_pgms(mask: np.ndarray, base) -> list:
     """One P5 image per frame (0 background, 255 foreground): `<base>_f{t}.pgm`."""
-    from .pgm import write_pgm
-
     base = Path(base)
     paths = []
     for t, frame in enumerate(np.asarray(mask, dtype=bool)):
@@ -78,13 +78,16 @@ def write_mask_pgms(mask: np.ndarray, base) -> list:
 
 
 def write_mask_csv(mask: np.ndarray, path) -> None:
-    """Flat per-pixel table `frame,h,w,fg` with fg in {0, 1}."""
+    """Flat per-pixel `MASK_HEADER` table with fg in {0, 1}."""
     m = np.asarray(mask, dtype=bool)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "h", "w", "fg"])
-        cells = np.indices(m.shape).reshape(3, -1)
-        w.writerows(np.vstack([cells, m.reshape(1, -1)]).T.tolist())
+    cells = np.indices(m.shape).reshape(3, -1)
+    write_csv_records(path, MASK_HEADER, np.vstack([cells, m.reshape(1, -1)]).T.tolist())
+
+
+def write_mask(mask: np.ndarray, base) -> list:
+    """`write_mask_pgms`, then `write_mask_csv` to `<base>.csv`; every path written."""
+    write_mask_csv(mask, f"{base}.csv")
+    return write_mask_pgms(mask, base) + [Path(f"{base}.csv")]
 
 
 def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
@@ -93,13 +96,9 @@ def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
     `fg` other than 0 or 1, and errors on an incomplete table."""
     out = np.zeros((frames, height, width), dtype=bool)
     seen = np.zeros((frames, height, width), dtype=bool)
-    for line, (t, i, j, v) in read_csv_records(
-        path, ("frame", "h", "w", "fg"), (int,) * 4, "mask table"
-    ):
+    for line, (t, i, j, v) in read_csv_records(path, MASK_HEADER, (int,) * 4, "mask table", 3):
         if not (0 <= t < frames and 0 <= i < height and 0 <= j < width):
             raise ValueError(f"mask table line {line}: cell ({t}, {i}, {j}) lies outside the grid")
-        if seen[t, i, j]:
-            raise ValueError(f"mask table line {line}: a second row for cell ({t}, {i}, {j})")
         if v not in (0, 1):
             raise ValueError(f"mask table line {line}: fg {v} is neither 0 nor 1")
         out[t, i, j] = bool(v)

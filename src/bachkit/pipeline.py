@@ -22,6 +22,7 @@ from .config import RunConfig
 from .dit import (
     ChainedHooks,
     Model,
+    ModelConfig,
     PromptLayout,
     StepSchedule,
     decode_video,
@@ -31,7 +32,7 @@ from .dit import (
     patch_shape,
 )
 from .inject import CacheRecorder, Injector, KvCache
-from .masks import mask_from_slices, mask_iou, write_mask_csv, write_mask_pgms
+from .masks import mask_from_slices, mask_iou, write_mask
 from .matching import MatchMap, match_foreground, match_mse, similarity
 from .pgm import video_sheet, write_pgm
 from .scene import FRAME, IDENTITY, Scene, make_scene
@@ -40,6 +41,14 @@ from .trace import AttentionTrace, TraceRecorder
 
 DEFAULT_LAYOUT = PromptLayout(bg=5, fg=5, action=4, pad=2)
 SCENE_SIGMA_DEFAULT = 0.05
+#: An identity directory's files, in the order `IdentityBundle.save` writes them.
+IDENTITY_FILES = IDENTITY_TRACE, IDENTITY_CACHE, IDENTITY_Z0, IDENTITY_VIDEO = (
+    "identity_trace.bvtr", "identity_cache.bvtr", "identity_z0.npy", "identity_video.pgm")
+
+
+def write_video(latent: np.ndarray, path) -> None:
+    """Write a latent as the PGM sheet of its decoded video."""
+    write_pgm(path, video_sheet(decode_video(latent)))
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,31 @@ class IdentityBundle:
     z0: np.ndarray
     trace: AttentionTrace
     cache: KvCache
+
+    def save(self, directory) -> None:
+        """Write the `IDENTITY_FILES` into `directory`, made if need be."""
+        d = Path(directory)
+        d.mkdir(parents=True, exist_ok=True)
+        self.trace.save(d / IDENTITY_TRACE)
+        self.cache.save(d / IDENTITY_CACHE)
+        np.save(d / IDENTITY_Z0, self.z0)
+        write_video(self.z0, d / IDENTITY_VIDEO)
+
+    @classmethod
+    def load(cls, directory, config: ModelConfig, budget_bytes: int) -> "IdentityBundle":
+        """Read what `save` wrote, before any compute: a ValueError names the
+        latent's file when `np.load` refuses it or it is not float32 of the
+        model's shape; the trace and the cache make their own checks."""
+        d = Path(directory)
+        shape = (config.frames, config.height, config.width, config.channels)
+        try:
+            z0 = np.load(d / IDENTITY_Z0, mmap_mode="r")  # reads and checks the header only
+        except (EOFError, ValueError) as exc:
+            raise ValueError(f"{d / IDENTITY_Z0}: {exc}") from None
+        if not isinstance(z0, np.ndarray) or z0.dtype != np.float32 or z0.shape != shape:
+            raise ValueError(f"{d / IDENTITY_Z0} does not hold a float32 latent of shape {shape}")
+        return cls(z0=np.array(z0), trace=AttentionTrace.load(d / IDENTITY_TRACE),
+                   cache=KvCache.load(d / IDENTITY_CACHE, budget_bytes=budget_bytes))
 
 
 def run_identity(
@@ -290,23 +324,17 @@ def write_group_outputs(report: GroupReport, outdir) -> list[Path]:
         writer(p)
         paths.append(p)
 
-    def emit_mask(base, mask):
-        paths.extend(write_mask_pgms(mask, out / base))
-        emit(f"{base}.csv", lambda p, m=mask: write_mask_csv(m, p))
-
-    emit("identity_trace.bvtr", report.identity.trace.save)
-    emit("identity_video.pgm", lambda p: write_pgm(p, video_sheet(decode_video(report.identity.z0))))
-    emit_mask("identity_mask", report.mask_identity)
+    emit(IDENTITY_TRACE, report.identity.trace.save)
+    emit(IDENTITY_VIDEO, lambda p: write_video(report.identity.z0, p))
+    paths.extend(write_mask(report.mask_identity, out / "identity_mask"))
     lines = ["group report", "decoded range (0, 1); psnr peak 1.0", ""]
     for f in report.frames:
-        emit(f"frame{f.index}_video.pgm",
-             lambda p, f=f: write_pgm(p, video_sheet(decode_video(f.z_injected))))
-        emit_mask(f"frame{f.index}_mask", f.mask_frame)
+        emit(f"frame{f.index}_video.pgm", lambda p, f=f: write_video(f.z_injected, p))
+        paths.extend(write_mask(f.mask_frame, out / f"frame{f.index}_mask"))
         emit(f"frame{f.index}_match.csv", f.match.write_csv)
         line = f"frame {f.index}: psnr_bg injected {f.psnr_bg_injected:.6f}"
         if f.z_vanilla is not None:
-            emit(f"frame{f.index}_vanilla.pgm",
-                 lambda p, f=f: write_pgm(p, video_sheet(decode_video(f.z_vanilla))))
+            emit(f"frame{f.index}_vanilla.pgm", lambda p, f=f: write_video(f.z_vanilla, p))
             line += f", vanilla {f.psnr_bg_vanilla:.6f}, gain {f.psnr_bg_gain:+.6f}"
         lines.append(line)
     emit("report.txt", lambda p: p.write_text("\n".join(lines) + "\n"))

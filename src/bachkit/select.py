@@ -12,6 +12,7 @@ curve's minimum.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,12 +20,25 @@ import numpy as np
 
 QUALITY = "quality"
 COST = "cost"
+GRID_HEADER = ("step", "layer", "value")
 
 
-def read_csv_records(path, header: tuple[str, ...], types, what: str):
+def write_csv_records(path, header: tuple[str, ...], rows) -> None:
+    """Write a CSV table: the `header` row, then each of `rows`. Floats are
+    written as their `repr`; `read_csv_records` reads the table back."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv_records(path, header: tuple[str, ...], types, what: str, key_columns: int):
     """Yield (line number, values) for each record of a CSV table with `header`,
     field i parsed by `types[i]`; ValueError naming the line of a bad record,
-    also of one the csv module refuses (a field over its size limit)."""
+    also of one the csv module refuses (a field over its size limit), and of
+    a record repeating an earlier one's first `key_columns` values (its key),
+    which is checked after the caller's own checks of that record."""
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -37,11 +51,17 @@ def read_csv_records(path, header: tuple[str, ...], types, what: str):
                     raise ValueError(f"{where}: {len(rec)} fields, the header has {len(header)}")
                 try:
                     values = tuple(t(f) for t, f in zip(types, rec))
-                except ValueError as exc:
+                    finite = all(math.isfinite(v) for v in values)
+                except (ValueError, OverflowError) as exc:  # an int past the float range
                     raise ValueError(f"{where}: {exc}") from None
-                if not all(math.isfinite(v) for v in values):
+                if not finite:
                     raise ValueError(f"{where}: non-finite value")
                 yield reader.line_num, values
+                key = values[:key_columns]  # checked once the caller has checked the record
+                if key in seen:
+                    named = " ".join(f"{n} {v}" for n, v in zip(header, key))
+                    raise ValueError(f"{where}: a second row for {named}")
+                seen.add(key)
         except csv.Error as exc:
             raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
 
@@ -70,42 +90,33 @@ class AnalysisGrid:
 
     def step_curve(self, layers=None) -> np.ndarray:
         """Per-step mean over a layer subset (default: all layers). A
-        ValueError names the subset's layers the grid lacks, and its own."""
+        ValueError names the first of the subset's layers the grid lacks,
+        how many it lacks, and how many layers the grid has."""
         if layers is None:
             return self.values.mean(axis=1)
         layers = [int(l) for l in layers]
         if not layers:
             raise ValueError("empty layer subset")
-        missing = [l for l in layers if l not in self.layers]
+        missing = sorted(set(layers) - set(self.layers))
         if missing:
-            raise ValueError(f"grid has no layer {missing}; its layers are {list(self.layers)}")
+            raise ValueError(f"grid has no layer {missing[0]} ({len(missing)} layer(s) missing) "
+                             f"among its {len(self.layers)} layers")
         return self.values[:, [self.layers.index(l) for l in layers]].mean(axis=1)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "layer", "value"])
-            for i, step in enumerate(self.steps):
-                for j, layer in enumerate(self.layers):
-                    writer.writerow([step, layer, repr(float(self.values[i, j]))])
+        cells = zip(itertools.product(self.steps, self.layers), self.values.ravel().tolist())
+        write_csv_records(path, GRID_HEADER, ((step, layer, v) for (step, layer), v in cells))
 
     @classmethod
     def read_csv(cls, path) -> "AnalysisGrid":
-        cells = {}
-        for line, (step, layer, value) in read_csv_records(
-            path, ("step", "layer", "value"), (int, int, float), "grid"
-        ):
-            if (step, layer) in cells:
-                raise ValueError(f"grid line {line}: a second value for step {step} layer {layer}")
-            cells[(step, layer)] = value
-        steps = tuple(sorted({k[0] for k in cells}))
-        layers = tuple(sorted({k[1] for k in cells}))
-        values = np.full((len(steps), len(layers)), np.nan)
-        for (s, l), v in cells.items():
-            values[steps.index(s), layers.index(l)] = v
-        if np.isnan(values).any():
+        cells = {(step, layer): value for _, (step, layer, value)
+                 in read_csv_records(path, GRID_HEADER, (int, int, float), "grid", 2)}
+        steps = tuple(sorted({s for s, _ in cells}))
+        layers = tuple(sorted({l for _, l in cells}))
+        if len(cells) != len(steps) * len(layers):  # the reader refuses a repeated cell
             raise ValueError("grid csv is not a complete step x layer table")
-        return cls(steps=steps, layers=layers, values=values)
+        values = [cells[s, l] for s in steps for l in layers]
+        return cls(steps=steps, layers=layers, values=np.reshape(values, (len(steps), len(layers))))
 
 
 def select_tau_mask(curve) -> int:

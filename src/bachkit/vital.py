@@ -14,16 +14,16 @@ the video, for graders that look at single frames.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dit import Model, _rng, decode_video, denoise, patch_shape
-from .select import read_csv_records
+from .select import read_csv_records, write_csv_records
 
 _EMBED_TAG = 0xE3B  # stream tag for the fixed projection draw
 EMBED_DIM = 32  # width of a frame embedding
+REPORT_HEADER = ("layer", "score_skip", "baseline", "drop")
 
 
 class FrameEmbedder:
@@ -97,23 +97,17 @@ class LayerReport:
         return {s.layer: s.drop for s in self.scores}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["layer", "score_skip", "baseline", "drop"])
-            for s in self.scores:
-                w.writerow([s.layer, repr(s.score_skip), repr(self.baseline), repr(s.drop)])
+        write_csv_records(path, REPORT_HEADER, (
+            (s.layer, s.score_skip, self.baseline, s.drop) for s in self.scores))
 
     @classmethod
     def read_csv(cls, path) -> "LayerReport":
         scores, baseline = {}, None
         for line, (layer, score_skip, b, drop) in read_csv_records(
-            path, ("layer", "score_skip", "baseline", "drop"), (int, float, float, float),
-            "layer report",
+            path, REPORT_HEADER, (int, float, float, float), "layer report", 1
         ):
             if baseline is not None and baseline != b:
                 raise ValueError(f"layer report line {line} disagrees on the baseline score")
-            if layer in scores:
-                raise ValueError(f"layer report line {line}: a second row for layer {layer}")
             baseline = b
             scores[layer] = LayerScore(layer=layer, score_skip=score_skip, drop=drop)
         if baseline is None:

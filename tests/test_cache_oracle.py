@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import bachkit.pipeline as pipeline
 from bachkit.config import default_config
-from bachkit.dit import ChainedHooks, Hooks, InjectionPlan, denoise, forward, init_model
-from bachkit.inject import CacheRecorder, Injector, KvCache, identity_kv
+from bachkit.dit import ChainedHooks, Hooks, InjectionPlan, denoise, forward, init_model, layer_kv
+from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.pipeline import IdentityBundle, run_frame
 from bachkit.scene import IDENTITY
 from bachkit.tensorops import DTYPE, rope_encode
@@ -70,7 +70,7 @@ def test_derived_rows_equal_forward_kv_rows(data):
         dtype=np.int64,
     )
     pre_k, pre_v = grab.kv[(3, layer)]
-    k, v = identity_kv(grab.x[(3, layer)], rows, model.layers[layer])
+    k, v = layer_kv(grab.x[(3, layer)][rows], model.layers[layer])
     np.testing.assert_array_equal(k, pre_k[rows])
     np.testing.assert_array_equal(v, pre_v[rows])
 

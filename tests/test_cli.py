@@ -1,7 +1,9 @@
 """End-to-end command flows through the argparse entry point."""
 
 import dataclasses
+import io
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -107,7 +109,7 @@ def test_select_tau_rules(grid_csv, capsys):
 
 def test_select_tau_names_the_layers_the_grid_lacks(grid_csv, capsys):
     assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "2,5-6"]) == 2
-    _one_line_error(capsys, "grid has no layer [5, 6]; its layers are [0, 1, 2, 3]")
+    _one_line_error(capsys, "layer set has 2 layer(s) outside 0..3, the first 5")
 
 
 def test_select_vital_from_report(tmp_path, capsys):
@@ -157,6 +159,13 @@ def test_select_tau_field_over_the_csv_limit_is_one_line(tmp_path, capsys):
     p.write_text("step,layer,value\n0,0," + "9" * 200_000 + "\n")
     assert main(["select", "tau", "--grid", str(p)]) == 2
     _one_line_error(capsys, "grid line 2: field larger than field limit (131072)")
+
+
+def test_select_tau_integer_past_the_float_range_is_one_line(tmp_path, capsys):
+    p = tmp_path / "grid.csv"
+    p.write_text("step,layer,value\n0," + "9" * 400 + ",1.0\n")
+    assert main(["select", "tau", "--grid", str(p)]) == 2
+    _one_line_error(capsys, "grid line 2: int too large to convert to float")
 
 
 def test_config_that_is_not_utf8_is_one_line_naming_it(tmp_path, monkeypatch, capsys):
@@ -298,6 +307,51 @@ def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("bachkit: error: ") and "identity_z0.npy" in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def identity_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("identity")
+    assert main(["gen-identity", "--out", str(d), "--seed", "11"]) == 0
+    return d
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _flip_first_tag(data: bytes) -> bytes:
+    tag = struct.calcsize("<4sHHI") + struct.calcsize("<II")  # entry 0's field tag, 5 ("x")
+    return data[:tag] + bytes([data[tag] ^ 0xFF]) + data[tag + 1:]
+
+
+@pytest.mark.parametrize("name, spoil, message", [
+    ("identity_z0.npy", lambda data: b"", "{path}: No data left in file"),
+    ("identity_z0.npy", lambda data: _npy(np.zeros((2, 2), dtype=np.float32)),
+     "{path} does not hold a float32 latent of shape (4, 8, 8, 48)"),
+    ("identity_trace.bvtr", lambda data: data[: len(data) // 2], "container truncated"),
+    ("identity_cache.bvtr", _flip_first_tag, "entry 0 has unknown field tag 250"),
+    ("identity_cache.bvtr", lambda data: data + bytes(4), "4 trailing bytes after the payloads"),
+], ids=["empty-z0", "z0-of-another-shape", "truncated-trace", "cache-tag-flipped",
+        "cache-trailing-bytes"])
+def test_gen_frame_refuses_a_hostile_identity_file_in_one_line(
+    identity_dir, tmp_path, monkeypatch, capsys, name, spoil, message
+):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    d = tmp_path / "identity"
+    shutil.copytree(identity_dir, d)
+    path = d / name
+    path.write_bytes(spoil(path.read_bytes()))
+    assert main(["gen-frame", "--identity-dir", str(d), "--out", str(tmp_path / "f")]) == 2
+    _one_line_error(capsys, message.format(path=path))
+    assert not (tmp_path / "f").exists()
+
+
+def test_select_tau_huge_layer_range_is_one_short_line(grid_csv, capsys):
+    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "0-2000000"]) == 2
+    _one_line_error(capsys, "layer set has 1999997 layer(s) outside 0..3, the first 4")
 
 
 def test_gen_frame_without_injection_reads_no_identity(tmp_path, bench, desk_cfg):

@@ -17,20 +17,51 @@ from bachkit.inject import KvCache
 
 
 def test_parse_layer_set():
-    assert parse_layer_set("1,3,5-9") == (1, 3, 5, 6, 7, 8, 9)
-    assert parse_layer_set("7") == (7,)
-    assert parse_layer_set("3-3") == (3,)
-    assert parse_layer_set(" 2 , 0 ") == (0, 2)
-    assert parse_layer_set("1,1,0-2") == (0, 1, 2)  # duplicates collapse
+    assert parse_layer_set("1,3,5-9", 10) == (1, 3, 5, 6, 7, 8, 9)
+    assert parse_layer_set("7", 8) == (7,)
+    assert parse_layer_set("3-3", 8) == (3,)
+    assert parse_layer_set(" 2 , 0 ", 8) == (0, 2)
+    assert parse_layer_set("1,1,0-2", 8) == (0, 1, 2)  # duplicates collapse
 
 
 def test_parse_layer_set_rejects():
     with pytest.raises(ValueError, match="descending"):
-        parse_layer_set("9-5")
+        parse_layer_set("9-5", 10)
     with pytest.raises(ValueError, match="empty"):
-        parse_layer_set("")
+        parse_layer_set("", 8)
     with pytest.raises(ValueError):
-        parse_layer_set("a,b")
+        parse_layer_set("a,b", 8)
+    with pytest.raises(ValueError, match="^layer set has 1 layer"):
+        parse_layer_set("3-8", 8)  # the bound is the depth: layers 0..7
+
+
+def test_parse_layer_set_bounds_a_range_before_expanding_it():
+    # ten billion layers would not fit in memory: the range is never expanded
+    for text, count, first in [("0-9999999999", 9_999_999_992, 8), ("9-12,10-20,5,30", 13, 9)]:
+        with pytest.raises(ValueError) as exc:
+            parse_layer_set(text, 8)
+        assert str(exc.value) == f"layer set has {count} layer(s) outside 0..7, the first {first}"
+
+
+def test_ini_huge_layer_range_is_one_short_line(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[readout]\nkv_layers = 0-2000000\n")
+    with pytest.raises(ValueError) as exc:
+        read_ini(p)
+    message = str(exc.value)
+    assert message == (
+        f"{p}: [readout] kv_layers: layer set has 1999993 layer(s) outside 0..7, the first 8")
+    assert len(message) - len(str(p)) < 200
+
+
+def test_check_fits_names_the_first_bad_layer_and_the_count():
+    cfg = default_config("desk8")
+    with pytest.raises(ValueError) as exc:
+        cfg.check_fits(4, 50)
+    assert str(exc.value) == "mask_layers has 4 layer(s) outside 0..3, the first 4"
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(cfg, match_layers=tuple(range(-3, 100_000)))
+    assert str(exc.value) == "match_layers has 99995 layer(s) outside 0..7, the first -3"
 
 
 def test_format_layer_set():
@@ -42,7 +73,7 @@ def test_format_layer_set():
 
 def test_layer_set_roundtrip():
     for text in ("1,3,5-9", "0-7", "0-1,11-15,17,19-21,23,29,34,41"):
-        assert format_layer_set(parse_layer_set(text)) == text
+        assert format_layer_set(parse_layer_set(text, 42)) == text
 
 
 def test_desk_profile_defaults():
@@ -148,7 +179,8 @@ def test_ini_config_errors_name_the_file(tmp_path):
     for text, message in [
         ("[readout]\ntau_inject = 5\n", "tau_inject must come after tau_mask and tau_match"),
         ("[model]\nprofile = desk9\n", "unknown profile 'desk9'; choose from ['desk8', 'paper42']"),
-        ("[readout]\nkv_layers = 1,99\n", "kv_layers [99] outside 0..7"),
+        ("[readout]\nkv_layers = 1,99\n",
+         "[readout] kv_layers: layer set has 1 layer(s) outside 0..7, the first 99"),
     ]:
         p.write_text(text)
         with pytest.raises(ValueError) as exc:

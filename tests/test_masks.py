@@ -151,7 +151,7 @@ def test_mask_csv_rejects_cells_outside_grid(tmp_path):
 def test_mask_csv_rejects_repeated_cells_and_bad_rows_naming_the_line(tmp_path):
     p = tmp_path / "bad.csv"
     for body, message in [
-        ("0,0,0,1\n0,0,0,0\n", r"mask table line 3: a second row for cell \(0, 0, 0\)"),
+        ("0,0,0,1\n0,0,0,0\n", "mask table line 3: a second row for frame 0 h 0 w 0"),
         ("0,0,0,1\n0,0,1\n", "mask table line 3: 3 fields, the header has 4"),
         ("0,0,0,x\n", "mask table line 2: invalid literal"),
         ("0,0,9,1\n", r"mask table line 2: cell \(0, 0, 9\) lies outside the grid"),

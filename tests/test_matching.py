@@ -167,7 +167,7 @@ def test_match_map_read_csv_rejects_repeated_source_cells(tmp_path):
     p = tmp_path / "match.csv"
     p.write_text("frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0,0,1,1\n0,1,0,0,0,0\n0,0,0,0,0,1\n")
     with pytest.raises(ValueError,
-                       match=r"match table line 4: a second row for source cell \(0, 0, 0\)"):
+                       match=r"match table line 4: a second row for frame 0 src_h 0 src_w 0"):
         MatchMap.read_csv(p, frames=1, height=2, width=2)
 
 

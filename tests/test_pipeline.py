@@ -143,7 +143,7 @@ def test_runs_check_the_config_against_the_model_before_compute(bench, desk_cfg,
         bench, model=init_model(dataclasses.replace(bench.model.config, depth=4)))
     cases = [
         (short, dict(tau_mask=2, tau_match=2, tau_inject=40), r"^tau_inject=40 outside 0\.\.5$"),
-        (shallow, {}, r"^mask_layers \[4, 5, 6, 7\] outside 0\.\.3$"),
+        (shallow, {}, r"^mask_layers has 4 layer\(s\) outside 0\.\.3, the first 4$"),
     ]
     with monkeypatch.context() as m:
         m.setattr(pipeline, "denoise", lambda *a, **k: pytest.fail("denoising started"))

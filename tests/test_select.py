@@ -139,8 +139,11 @@ def test_grid_value_and_curve():
 
 def test_step_curve_names_the_layers_the_grid_lacks():
     grid = AnalysisGrid(steps=(0, 1), layers=(0, 1), values=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match=r"^grid has no layer \[5\]; its layers are \[0, 1\]$"):
+    with pytest.raises(ValueError,
+                       match=r"^grid has no layer 5 \(1 layer\(s\) missing\) among its 2 layers$"):
         grid.step_curve([1, 5])
+    with pytest.raises(ValueError, match=r"^grid has no layer 2 \(99998 layer\(s\) missing\)"):
+        grid.step_curve(range(100_000))
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -168,7 +171,7 @@ def test_grid_csv_names_the_bad_line(tmp_path):
     for body, message in (
         ("0,0,1.0\n0,1\n", "grid line 3: 2 fields, the header has 3"),
         ("0,0,1.0\n0,1,2.0,7\n", "grid line 3: 4 fields, the header has 3"),
-        ("0,0,1.0\n0,0,2.0\n", "grid line 3: a second value for step 0 layer 0"),
+        ("0,0,1.0\n0,0,2.0\n", "grid line 3: a second row for step 0 layer 0"),
         ("0,0,nan\n", "grid line 2: non-finite value"),
         ("0,x,1.0\n", "grid line 2: invalid literal for int"),
     ):
