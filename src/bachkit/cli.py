@@ -3,8 +3,8 @@
 Commands drive planted-scene runs end to end: generate an identity with its
 trace and layer-input cache, generate frames with injection, sweep analysis
 grids, apply the selection rules, and inspect stored artifacts. Shared
-flags, given after the command name, choose the profile or config file;
-command flags point at inputs/outputs.
+flags, given after the command name, choose the profile or config file
+and set the run and scene; a command takes only the ones it reads.
 Library errors end the command with a one-line `bachkit: error: ...` on
 stderr and exit status 2.
 """
@@ -71,18 +71,21 @@ def _sigma(text: str) -> float:
     return value
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    """Shared flags, given after the command name."""
+def _add_shared_flags(p: argparse.ArgumentParser, *without: str) -> None:
+    """--config or --profile, then each run and scene flag not in `without`."""
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="INI run configuration (exclusive with --profile)")
     source.add_argument("--profile", choices=sorted(PROFILES), help="built-in defaults")
-    p.add_argument("--seed", type=int, help="base run seed")
-    p.add_argument("--kv-budget-bytes", type=int, help="identity cache byte budget")
-    p.add_argument("--global-match", action="store_const", const=True,
-                   help="match across the whole grid, not per frame")
-    p.add_argument("--scene-seed", type=_seed, default=1, help="planted scene seed")
-    p.add_argument("--scene-sigma", type=_sigma, default=SCENE_SIGMA_DEFAULT,
-                   help="scene noise level")
+
+    def add(flag, **kw):
+        if flag not in without:
+            p.add_argument(flag, **kw)
+    add("--seed", type=int, help="base run seed")
+    add("--kv-budget-bytes", type=int, help="identity cache byte budget")
+    add("--global-match", action="store_const", const=True,
+        help="match across the whole grid, not per frame")
+    add("--scene-seed", type=_seed, default=1, help="planted scene seed")
+    add("--scene-sigma", type=_sigma, default=SCENE_SIGMA_DEFAULT, help="scene noise level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,30 +96,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-identity", help="generate the identity run; save trace, cache, video")
-    _add_global_flags(sp)
+    _add_shared_flags(sp, "--global-match")
     sp.add_argument("--out", default="bachkit-out", help="output directory")
 
     sp = sub.add_parser("gen-frame", help="generate one frame run against saved identity artifacts")
-    _add_global_flags(sp)
+    _add_shared_flags(sp)
     sp.add_argument("--identity-dir", required=True, help="directory written by gen-identity")
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--action-seed", type=_seed, default=1, help="action segment seed")
     sp.add_argument("--no-inject", action="store_true", help="run vanilla instead of injecting")
 
     sp = sub.add_parser("run-group", help="identity plus injected frames, full artifact set")
-    _add_global_flags(sp)
+    _add_shared_flags(sp)
     sp.add_argument("--out", default="bachkit-out", help="output directory")
     sp.add_argument("--frames", type=int, default=1, help="frame runs in the group")
     sp.add_argument("--ablate", action="store_true",
                     help="also run frames without injection for comparison")
 
     sp = sub.add_parser("analyze", help="sweep a per-(step, layer) analysis table")
-    _add_global_flags(sp)
+    _add_shared_flags(sp, "--kv-budget-bytes")
     sp.add_argument("what", choices=["mask", "match", "vital"])
     sp.add_argument("--out", default="bachkit-out", help="output directory")
 
     sp = sub.add_parser("select", help="apply a selection rule to a stored table")
-    _add_global_flags(sp)
+    _add_shared_flags(sp, "--seed", "--kv-budget-bytes", "--global-match", "--scene-seed",
+                      "--scene-sigma")
     sp.add_argument("what", choices=["mask-layers", "match-layers", "tau", "vital"])
     sp.add_argument("--grid", help="analysis grid csv (mask-layers, match-layers, tau)")
     sp.add_argument("--report", help="layer report csv (vital)")
@@ -135,13 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    """The config file or profile, with the run flags given on top of it."""
+    """The config file or profile, with the run flags the command took on top of it."""
     cfg = read_ini(args.config) if args.config else default_config(args.profile or "desk8")
-    flags = {
-        "seed": args.seed,
-        "kv_budget_bytes": args.kv_budget_bytes,
-        "global_match": args.global_match,
-    }
+    flags = {k: getattr(args, k, None) for k in ("seed", "kv_budget_bytes", "global_match")}
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 

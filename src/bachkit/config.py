@@ -69,9 +69,9 @@ def _known_profile(name: str) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one consistency run group needs besides the scene. It is
-    valid when made, by `replace` too: a negative seed, a field outside its
-    profile's depth, steps or ranges, or an unknown profile, raises a
-    ValueError."""
+    valid when made, by `replace` too: a negative seed, a layer set that is
+    empty or not strictly increasing, a field outside its profile's depth,
+    steps or ranges, or an unknown profile, raises a ValueError."""
 
     profile: str
     seed: int
@@ -81,7 +81,6 @@ class RunConfig:
     mask_layers: tuple[int, ...]
     match_layers: tuple[int, ...]
     kv_layers: tuple[int, ...]
-    vital_k: int
     kv_budget_bytes: int = 0  # 0 means unlimited
     global_match: bool = False
 
@@ -92,14 +91,13 @@ class RunConfig:
         self.check_fits(cfg.depth, cfg.steps)
         if self.tau_inject <= max(self.tau_mask, self.tau_match):
             raise ValueError("tau_inject must come after tau_mask and tau_match")
-        if not 1 <= self.vital_k <= cfg.depth:
-            raise ValueError(f"vital_k={self.vital_k} outside 1..{cfg.depth}")
         if self.kv_budget_bytes < 0:
             raise ValueError(f"kv_budget_bytes={self.kv_budget_bytes} is negative; 0 means unlimited")
 
     def check_fits(self, depth: int, steps: int) -> None:
-        """Raise a ValueError naming the first layer set with a layer outside
-        0..depth-1, or the first readout or injection step outside 0..steps-1.
+        """Raise a ValueError naming the first layer set that is empty, not
+        strictly increasing or has a layer outside 0..depth-1, or the first
+        readout or injection step outside 0..steps-1.
         A run checks this against its model, whose depth and steps may differ
         from the profile's, before any compute."""
         for name, layers in (
@@ -107,6 +105,8 @@ class RunConfig:
             ("match_layers", self.match_layers),
             ("kv_layers", self.kv_layers),
         ):
+            if not layers or any(a >= b for a, b in zip(layers, layers[1:])):
+                raise ValueError(f"{name} is not a nonempty, strictly increasing layer set")
             bad = {l for l in layers if not 0 <= l < depth}
             if bad:
                 raise ValueError(_layers_outside(name, min(bad), len(bad), depth))
@@ -117,6 +117,11 @@ class RunConfig:
         ):
             if not 0 <= tau < steps:
                 raise ValueError(f"{name}={tau} outside 0..{steps - 1}")
+
+    @property
+    def vital_k(self) -> int:
+        """The layer count a selection keeps: the kv layers, which get injected."""
+        return len(self.kv_layers)
 
     def model_config(self) -> ModelConfig:
         return PROFILES[self.profile]
@@ -145,7 +150,6 @@ _PROFILE_DEFAULTS = {
         mask_layers=tuple(range(8)),
         match_layers=tuple(range(8)),
         kv_layers=(1, 3, 5, 7),
-        vital_k=4,
     ),
     "paper42": RunConfig(
         profile="paper42",
@@ -156,7 +160,6 @@ _PROFILE_DEFAULTS = {
         mask_layers=tuple(range(5, 20)),
         match_layers=tuple(range(1, 16)),
         kv_layers=(0, 1, 11, 12, 13, 14, 15, 17, 19, 20, 21, 23, 29, 34, 41),
-        vital_k=15,
     ),
 }
 
@@ -173,7 +176,6 @@ _INI_KEYS = {
     **{("readout", k): (k, "getlayers") for k in ("mask_layers", "match_layers", "kv_layers")},
     ("inject", "kv_budget_bytes"): ("kv_budget_bytes", "getint"),
     ("inject", "global_match"): ("global_match", "getboolean"),
-    ("vital", "k"): ("vital_k", "getint"),
 }
 
 # ConfigParser getter -> the formatter it inverts; `str` inverts the others.

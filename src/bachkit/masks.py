@@ -14,7 +14,7 @@ import numpy as np
 
 from .dit import PromptLayout
 from .pgm import write_pgm
-from .select import read_csv_records, write_csv_records
+from .select import write_csv_records
 from .tensorops import DTYPE
 
 MASK_HEADER = ("frame", "h", "w", "fg")
@@ -89,20 +89,3 @@ def write_mask(mask: np.ndarray, base) -> list:
     write_mask_csv(mask, f"{base}.csv")
     return write_mask_pgms(mask, base) + [Path(f"{base}.csv")]
 
-
-def read_mask_csv(path, frames: int, height: int, width: int) -> np.ndarray:
-    """Inverse of `write_mask_csv`; errors naming the line of a bad row, a
-    cell outside the (frames, height, width) grid, a cell given twice or an
-    `fg` other than 0 or 1, and errors on an incomplete table."""
-    out = np.zeros((frames, height, width), dtype=bool)
-    seen = np.zeros((frames, height, width), dtype=bool)
-    for line, (t, i, j, v) in read_csv_records(path, MASK_HEADER, (int,) * 4, "mask table", 3):
-        if not (0 <= t < frames and 0 <= i < height and 0 <= j < width):
-            raise ValueError(f"mask table line {line}: cell ({t}, {i}, {j}) lies outside the grid")
-        if v not in (0, 1):
-            raise ValueError(f"mask table line {line}: fg {v} is neither 0 nor 1")
-        out[t, i, j] = bool(v)
-        seen[t, i, j] = True
-    if not seen.all():
-        raise ValueError("mask csv is not a complete frame x h x w table")
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .select import read_csv_records, write_csv_records
+from .select import write_csv_records
 from .tensorops import cosine_normalize_rows
 
 MATCH_HEADER = ("frame", "src_h", "src_w", "dst_t", "dst_h", "dst_w")
@@ -47,19 +47,6 @@ class MatchMap:
 
     def write_csv(self, path) -> None:
         write_csv_records(path, MATCH_HEADER, self.rows.tolist())
-
-    @classmethod
-    def read_csv(cls, path, frames: int, height: int, width: int) -> "MatchMap":
-        """Inverse of `write_csv`; errors naming the line of a bad row, a cell
-        outside the (frames, height, width) grid or a source cell given twice."""
-        grid, rows = (frames, height, width), []
-        for line, row in read_csv_records(path, MATCH_HEADER, (int,) * 6, "match table", 3):
-            for cell in (row[:3], row[3:]):
-                if not all(0 <= c < n for c, n in zip(cell, grid)):
-                    raise ValueError(f"match table line {line}: cell {cell} lies outside the grid")
-            rows.append(row)
-        return cls(rows=np.array(rows, dtype=np.int64).reshape(-1, 6), frames=frames,
-                   height=height, width=width)
 
 
 def similarity(

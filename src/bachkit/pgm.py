@@ -1,4 +1,4 @@
-"""Minimal binary PGM (P5) image io for masks and decoded frames."""
+"""Minimal binary PGM (P5) image writer for masks and decoded frames."""
 
 from __future__ import annotations
 
@@ -23,28 +23,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(gray).tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM; ValueError for another format, a size line that is
-    not two integers, a size that is not positive, a maxval other than 255 or
-    a payload of other than w*h bytes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ValueError("not a binary PGM file")
-    try:
-        w, h = (int(x) for x in parts[1].split())
-    except ValueError:
-        raise ValueError(f"PGM size line {parts[1]!r} is not two integers") from None
-    if w < 1 or h < 1:
-        raise ValueError(f"PGM size {w}x{h} is not positive")
-    if parts[2] != b"255":
-        raise ValueError("only maxval 255 is supported")
-    if len(parts[3]) != w * h:
-        raise ValueError(f"PGM payload holds {len(parts[3])} bytes, {w}x{h} needs {w * h}")
-    return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w)
 
 
 def video_sheet(video: np.ndarray) -> np.ndarray:

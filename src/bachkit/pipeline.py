@@ -105,19 +105,23 @@ class IdentityBundle:
 
     @classmethod
     def load(cls, directory, config: ModelConfig, budget_bytes: int) -> "IdentityBundle":
-        """Read what `save` wrote, before any compute: a ValueError names the
-        latent's file when `np.load` refuses it or it is not float32 of the
-        model's shape; the trace and the cache make their own checks."""
+        """Read what `save` wrote, before any compute: a ValueError starts with the
+        path of the file at fault, a latent `np.load` refuses or that is not float32
+        of the model's shape, or a trace or cache container that fails its checks."""
         d = Path(directory)
+
+        def read(name, load, **kw):
+            try:
+                return load(d / name, **kw)
+            except (EOFError, ValueError) as exc:
+                raise ValueError(f"{d / name}: {exc}") from None
+
         shape = (config.frames, config.height, config.width, config.channels)
-        try:
-            z0 = np.load(d / IDENTITY_Z0, mmap_mode="r")  # reads and checks the header only
-        except (EOFError, ValueError) as exc:
-            raise ValueError(f"{d / IDENTITY_Z0}: {exc}") from None
+        z0 = read(IDENTITY_Z0, np.load, mmap_mode="r")  # reads and checks the header only
         if not isinstance(z0, np.ndarray) or z0.dtype != np.float32 or z0.shape != shape:
             raise ValueError(f"{d / IDENTITY_Z0} does not hold a float32 latent of shape {shape}")
-        return cls(z0=np.array(z0), trace=AttentionTrace.load(d / IDENTITY_TRACE),
-                   cache=KvCache.load(d / IDENTITY_CACHE, budget_bytes=budget_bytes))
+        return cls(z0=np.array(z0), trace=read(IDENTITY_TRACE, AttentionTrace.load),
+                   cache=read(IDENTITY_CACHE, KvCache.load, budget_bytes=budget_bytes))
 
 
 def run_identity(

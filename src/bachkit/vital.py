@@ -120,11 +120,10 @@ def report_from_runs(runs: dict[int | None, np.ndarray], video_score) -> LayerRe
     if None not in runs:
         raise ValueError("runs lack a baseline entry (key None)")
     baseline = float(video_score(runs[None]))
-    scores = tuple(
-        LayerScore(layer=layer, score_skip=float(video_score(z)), drop=baseline - float(video_score(z)))
-        for layer, z in sorted((k, v) for k, v in runs.items() if k is not None)
-    )
-    return LayerReport(baseline=baseline, scores=scores)
+    graded = [(layer, float(video_score(z)))  # one call per video
+              for layer, z in sorted((k, v) for k, v in runs.items() if k is not None)]
+    return LayerReport(baseline=baseline, scores=tuple(
+        LayerScore(layer=layer, score_skip=s, drop=baseline - s) for layer, s in graded))
 
 
 def sweep_layers_embed(

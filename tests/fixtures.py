@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import default_config
-from .select import AnalysisGrid
+from bachkit.config import default_config
+from bachkit.select import AnalysisGrid
 
 
 def _paper_axes() -> tuple[tuple[int, ...], tuple[int, ...]]:

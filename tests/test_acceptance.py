@@ -24,7 +24,6 @@ from bachkit.dit import (
     denoise,
     init_model,
 )
-from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from bachkit.inject import (
     CacheBudgetError,
     KvCache,
@@ -55,6 +54,7 @@ from bachkit.select import (
 from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
 from bachkit.trace import TraceRecorder
 from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
+from fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from refs import (
     frame_digest,
     planted_scorer,

@@ -186,6 +186,32 @@ def test_shared_flags_go_after_the_command(capsys):
     assert "unrecognized arguments: --global-match" in err and "invalid choice: '3'" in err
 
 
+def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
+    run = {"--config", "--profile", "--seed", "--kv-budget-bytes", "--global-match",
+           "--scene-seed", "--scene-sigma"}
+    want = {
+        "gen-identity": run - {"--global-match"} | {"--out"},
+        "gen-frame": run | {"--identity-dir", "--out", "--action-seed", "--no-inject"},
+        "run-group": run | {"--out", "--frames", "--ablate"},
+        "analyze": run - {"--kv-budget-bytes"} | {"--out"},
+        "select": {"--config", "--profile", "--grid", "--report", "-k", "--kind", "--layers"},
+        "dump-trace": set(),
+        "report": {"--dir"},
+    }
+    sub = next(a for a in _build_parser()._actions if a.choices and "select" in a.choices)
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == want
+    for command, flag in ((["gen-identity"], ["--global-match"]),
+                          (["analyze", "mask"], ["--kv-budget-bytes", "1"]),
+                          (["select", "vital"], ["--seed", "3"]),
+                          (["select", "tau"], ["--scene-sigma", "0"])):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)  # a usage error, before any command runs
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_select_requires_its_input(capsys):
     assert main(["select", "vital"]) == 2
     _one_line_error(capsys, "select vital needs --report")
@@ -232,7 +258,7 @@ def test_flags_beat_the_config_source(tmp_path, source):
     ini = tmp_path / "run.ini"
     ini.write_text("[model]\nprofile = paper42\nseed = 4\n\n"
                    "[inject]\nkv_budget_bytes = 77\nglobal_match = true\n")
-    base = ["gen-identity", source, str(ini) if source == "--config" else "paper42"]
+    base = ["run-group", source, str(ini) if source == "--config" else "paper42"]
     file_cfg = read_ini(ini) if source == "--config" else default_config("paper42")
     parse = _build_parser().parse_args
     assert _run_config(parse(base)) == file_cfg  # a flag left out keeps the source's value
@@ -300,7 +326,8 @@ def test_gen_frame_errors_are_one_line(tmp_path, monkeypatch, capsys):
     write_kv_cache_of_earlier_format(old / "identity_cache.bvtr", 11, 3, 4 * 8 * 8 + 16, 48)
     assert main(["gen-frame", "--identity-dir", str(old), "--out", str(tmp_path / "f")]) == 2
     err = capsys.readouterr().err
-    assert err == "bachkit: error: entry 0 has unknown field tag 3\n"
+    cache = old / "identity_cache.bvtr"
+    assert err == f"bachkit: error: {cache}: entry 0 has unknown field tag 3\n"
 
     missing = tmp_path / "nowhere"
     assert main(["gen-frame", "--identity-dir", str(missing), "--out", str(tmp_path / "f")]) == 2
@@ -323,19 +350,27 @@ def _npy(array) -> bytes:
 
 
 def _flip_first_tag(data: bytes) -> bytes:
-    tag = struct.calcsize("<4sHHI") + struct.calcsize("<II")  # entry 0's field tag, 5 ("x")
+    # entry 0's field tag: 1 ("v2t") in the trace, 5 ("x") in the cache
+    tag = struct.calcsize("<4sHHI") + struct.calcsize("<II")
     return data[:tag] + bytes([data[tag] ^ 0xFF]) + data[tag + 1:]
+
+
+def _cut(data: bytes) -> bytes:
+    return data[: len(data) // 2]
 
 
 @pytest.mark.parametrize("name, spoil, message", [
     ("identity_z0.npy", lambda data: b"", "{path}: No data left in file"),
     ("identity_z0.npy", lambda data: _npy(np.zeros((2, 2), dtype=np.float32)),
      "{path} does not hold a float32 latent of shape (4, 8, 8, 48)"),
-    ("identity_trace.bvtr", lambda data: data[: len(data) // 2], "container truncated"),
-    ("identity_cache.bvtr", _flip_first_tag, "entry 0 has unknown field tag 250"),
-    ("identity_cache.bvtr", lambda data: data + bytes(4), "4 trailing bytes after the payloads"),
-], ids=["empty-z0", "z0-of-another-shape", "truncated-trace", "cache-tag-flipped",
-        "cache-trailing-bytes"])
+    ("identity_trace.bvtr", _cut, "{path}: container truncated"),
+    ("identity_trace.bvtr", _flip_first_tag, "{path}: entry 0 has unknown field tag 254"),
+    ("identity_cache.bvtr", _cut, "{path}: container truncated"),
+    ("identity_cache.bvtr", _flip_first_tag, "{path}: entry 0 has unknown field tag 250"),
+    ("identity_cache.bvtr", lambda data: data + bytes(4),
+     "{path}: 4 trailing bytes after the payloads"),
+], ids=["empty-z0", "z0-of-another-shape", "truncated-trace", "trace-tag-flipped",
+        "truncated-cache", "cache-tag-flipped", "cache-trailing-bytes"])
 def test_gen_frame_refuses_a_hostile_identity_file_in_one_line(
     identity_dir, tmp_path, monkeypatch, capsys, name, spoil, message
 ):

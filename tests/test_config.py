@@ -128,7 +128,6 @@ def test_ini_roundtrip_sets_every_key(tmp_path, profile, budget):
         mask_layers=(0, 2, depth - 1),
         match_layers=(1, 3, 4, depth - 2),
         kv_layers=(2, depth - 3),
-        vital_k=base.vital_k - 1,
         kv_budget_bytes=budget,
         global_match=not base.global_match,
     )
@@ -233,13 +232,27 @@ def test_config_rejects_bad_fields_when_made():
         (dict(kv_layers=(99,), tau_inject=5), "kv_layers"),
         (dict(tau_mask=50), "tau_mask"),
         (dict(tau_inject=5), "tau_inject"),
-        (dict(vital_k=0), "vital_k"),
-        (dict(vital_k=9), "vital_k"),
+        (dict(kv_layers=(3, 1, 3)), "^kv_layers is not a nonempty, strictly increasing layer set$"),
+        (dict(mask_layers=(1, 1, 2)), "^mask_layers is not a nonempty, strictly increasing"),
+        (dict(match_layers=()), "^match_layers is not a nonempty, strictly increasing"),
         (dict(profile="desk9"), r"unknown profile 'desk9'; choose from \['desk8', 'paper42'\]"),
     ]
     for kw, needle in cases:
         with pytest.raises(ValueError, match=needle):
             dataclasses.replace(base, **kw)  # raises here, so no run can start from it
+
+
+def test_vital_k_is_the_number_of_kv_layers(tmp_path):
+    for profile, k in (("desk8", 4), ("paper42", 15)):
+        cfg = default_config(profile)
+        assert cfg.vital_k == len(cfg.kv_layers) == k
+    assert dataclasses.replace(default_config("desk8"), kv_layers=(2, 6)).vital_k == 2
+    assert "vital_k" not in {f.name for f in dataclasses.fields(RunConfig)}
+    p = tmp_path / "run.ini"
+    p.write_text("[vital]\nk = 4\n")
+    with pytest.raises(ValueError) as exc:
+        read_ini(p)
+    assert str(exc.value) == f"{p}: unknown key 'k' in section [vital]"
 
 
 def test_negative_seed_is_refused_when_made():

@@ -1,4 +1,4 @@
-"""Mask extraction from video-to-text weight slices, plus mask IO."""
+"""Mask extraction from video-to-text weight slices, plus the mask writers."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from bachkit.masks import (
     aggregate_v2t,
     mask_from_slices,
     mask_iou,
-    read_mask_csv,
     verdict_from_v2t,
     write_mask_csv,
     write_mask_pgms,
 )
-from bachkit.pgm import read_pgm
 
 LAYOUT = PromptLayout(bg=2, fg=2, action=1, pad=1)
 
@@ -88,89 +86,16 @@ def test_mask_pgm_export(tmp_path):
     mask[0, 1, 2] = mask[2, 0, 0] = True
     paths = write_mask_pgms(mask, tmp_path / "m")
     assert [p.name for p in paths] == ["m_f0.pgm", "m_f1.pgm", "m_f2.pgm"]
-    img0 = read_pgm(paths[0])
-    assert img0.shape == (4, 5) and img0.dtype == np.uint8
-    assert img0[1, 2] == 255 and img0.sum() == 255
-    assert read_pgm(paths[1]).sum() == 0
-
-
-def test_read_pgm_rejects_non_positive_sizes(tmp_path):
-    p = tmp_path / "bad.pgm"
-    for size in (b"-1 4", b"0 3", b"2 0"):
-        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(8))
-        with pytest.raises(ValueError, match="is not positive"):
-            read_pgm(p)
-
-
-def test_read_pgm_names_a_size_line_that_is_not_two_integers(tmp_path):
-    p = tmp_path / "bad.pgm"
-    for size in (b"2 1 1", b"2", b"2 x", b"2.0 1", b""):
-        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(2))
-        with pytest.raises(ValueError) as exc:
-            read_pgm(p)
-        assert str(exc.value) == f"PGM size line {size!r} is not two integers"
-
-
-def test_read_pgm_requires_exactly_w_times_h_bytes(tmp_path):
-    p = tmp_path / "bad.pgm"
-    for n in (3, 5, 9):
-        p.write_bytes(b"P5\n2 2\n255\n" + bytes(n))
-        with pytest.raises(ValueError, match=f"payload holds {n} bytes, 2x2 needs 4"):
-            read_pgm(p)
-    p.write_bytes(b"P5\n2 2\n255\n" + b"\n\x01\x02\x03")  # a newline byte is pixel data
-    assert read_pgm(p).tolist() == [[10, 1], [2, 3]]
-
-
-def test_mask_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    mask = rng.random((2, 3, 4)) < 0.4
-    p = tmp_path / "mask.csv"
-    write_mask_csv(mask, p)
-    header = p.read_text().splitlines()[0]
-    assert header == "frame,h,w,fg"
-    np.testing.assert_array_equal(read_mask_csv(p, 2, 3, 4), mask)
+    head = b"P5\n5 4\n255\n"  # width, then height
+    assert paths[0].read_bytes() == head + bytes(7) + b"\xff" + bytes(12)  # row 1, column 2
+    assert paths[1].read_bytes() == head + bytes(20)
+    assert paths[2].read_bytes() == head + b"\xff" + bytes(19)
 
 
 def test_mask_csv_rows_in_row_major_order(tmp_path):
     mask = np.random.default_rng(4).random((3, 2, 5)) < 0.5
     p = tmp_path / "mask.csv"
     write_mask_csv(mask, p)
-    want = [f"{t},{i},{j},{int(mask[t, i, j])}"
-            for t in range(3) for i in range(2) for j in range(5)]
-    assert p.read_text().splitlines()[1:] == want
-
-
-def test_mask_csv_rejects_cells_outside_grid(tmp_path):
-    p = tmp_path / "outside.csv"
-    for row in ("-1,0,0,1", "0,-1,0,1", "0,0,-1,1", "1,0,0,1", "0,0,1,1"):
-        p.write_text(f"frame,h,w,fg\n{row}\n")
-        with pytest.raises(ValueError, match="outside the grid"):
-            read_mask_csv(p, 1, 1, 1)
-
-
-def test_mask_csv_rejects_repeated_cells_and_bad_rows_naming_the_line(tmp_path):
-    p = tmp_path / "bad.csv"
-    for body, message in [
-        ("0,0,0,1\n0,0,0,0\n", "mask table line 3: a second row for frame 0 h 0 w 0"),
-        ("0,0,0,1\n0,0,1\n", "mask table line 3: 3 fields, the header has 4"),
-        ("0,0,0,x\n", "mask table line 2: invalid literal"),
-        ("0,0,9,1\n", r"mask table line 2: cell \(0, 0, 9\) lies outside the grid"),
-    ]:
-        p.write_text("frame,h,w,fg\n" + body)
-        with pytest.raises(ValueError, match=message):
-            read_mask_csv(p, 1, 1, 2)
-
-
-def test_mask_csv_rejects_fg_other_than_zero_or_one(tmp_path):
-    p = tmp_path / "fg.csv"
-    for v in (7, -3, 2):
-        p.write_text(f"frame,h,w,fg\n0,0,0,1\n0,0,1,{v}\n")
-        with pytest.raises(ValueError, match=f"mask table line 3: fg {v} is neither 0 nor 1"):
-            read_mask_csv(p, 1, 1, 2)
-
-
-def test_mask_csv_rejects_incomplete(tmp_path):
-    p = tmp_path / "short.csv"
-    p.write_text("frame,h,w,fg\n0,0,0,1\n")
-    with pytest.raises(ValueError, match="complete"):
-        read_mask_csv(p, 1, 2, 2)
+    want = ["frame,h,w,fg"] + [f"{t},{i},{j},{int(mask[t, i, j])}"
+                               for t in range(3) for i in range(2) for j in range(5)]
+    assert p.read_bytes() == "".join(line + "\r\n" for line in want).encode()

@@ -133,49 +133,14 @@ def test_match_map_lookup_and_csv(tmp_path):
     assert (lk == -1).sum() == 14
     p = tmp_path / "match.csv"
     mm.write_csv(p)
-    assert p.read_text().splitlines()[0] == "frame,src_h,src_w,dst_t,dst_h,dst_w"
-    back = MatchMap.read_csv(p, frames=1, height=4, width=4)
-    np.testing.assert_array_equal(back.rows, mm.rows)
+    assert p.read_bytes() == (b"frame,src_h,src_w,dst_t,dst_h,dst_w\r\n"
+                              b"0,0,1,0,2,3\r\n0,1,0,0,0,0\r\n")
 
 
 def test_match_map_empty_csv(tmp_path):
     p = tmp_path / "empty.csv"
     _map_of([], frames=1, h=2, w=2).write_csv(p)
-    back = MatchMap.read_csv(p, frames=1, height=2, width=2)
-    assert back.rows.shape == (0, 6)
-
-
-def test_match_map_read_csv_rejects_empty_file(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("")
-    with pytest.raises(ValueError, match="header"):
-        MatchMap.read_csv(p, frames=1, height=2, width=2)
-
-
-@pytest.mark.parametrize("row", ["0,-1,0,0,9,9", "0,0,0,0,2,0", "1,0,0,0,0,0", "0,0,2,0,0,0",
-                                 "0,0,0,-1,0,0", "0,0,0,0,0,-1"])
-def test_match_map_read_csv_rejects_cells_outside_grid(tmp_path, row):
-    # a 1x2x2 grid; negative indices used to wrap around and large ones to
-    # produce destinations past the grid
-    p = tmp_path / "match.csv"
-    p.write_text(f"frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0,0,1,1\n{row}\n")
-    with pytest.raises(ValueError, match="outside the grid"):
-        MatchMap.read_csv(p, frames=1, height=2, width=2)
-
-
-def test_match_map_read_csv_rejects_repeated_source_cells(tmp_path):
-    p = tmp_path / "match.csv"
-    p.write_text("frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0,0,1,1\n0,1,0,0,0,0\n0,0,0,0,0,1\n")
-    with pytest.raises(ValueError,
-                       match=r"match table line 4: a second row for frame 0 src_h 0 src_w 0"):
-        MatchMap.read_csv(p, frames=1, height=2, width=2)
-
-
-def test_match_map_read_csv_rejects_short_rows(tmp_path):
-    p = tmp_path / "match.csv"
-    p.write_text("frame,src_h,src_w,dst_t,dst_h,dst_w\n0,0,0\n")
-    with pytest.raises(ValueError, match="match table line 2: 3 fields, the header has 6"):
-        MatchMap.read_csv(p, frames=1, height=2, width=2)
+    assert p.read_bytes() == b"frame,src_h,src_w,dst_t,dst_h,dst_w\r\n"
 
 
 # Brute-force per-row references for the vectorized matching code.

@@ -1,4 +1,4 @@
-"""Hostile bytes against every reader of a text table, an INI file or a PGM.
+"""Hostile bytes against every reader of a text table or an INI file.
 
 Each fuzzer starts from a file the reader's own writer wrote, then flips,
 cuts or inserts bytes: NUL, 0xff, a 200,000-character field, extra
@@ -14,14 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bachkit.config import RunConfig, default_config, read_ini, write_ini
-from bachkit.masks import read_mask_csv, write_mask_csv
-from bachkit.matching import MatchMap
-from bachkit.pgm import read_pgm, write_pgm
 from bachkit.select import AnalysisGrid
 from bachkit.vital import LayerReport, LayerScore
 
 LONG_FIELD = b"9" * 200_000  # over the csv module's field limit, and int's digit limit
-GRID = (2, 3, 3)  # frames, height, width of the mask and match tables
 
 
 def _edits(separators: tuple[bytes, ...]):
@@ -74,29 +70,6 @@ _CSV = dict(max_examples=100, deadline=None)
 
 
 @settings(**_CSV)
-@given(edits=_edits((b",", b",,", b'"')))
-def test_hostile_mask_table_reads_a_whole_mask_or_raises_value_error(fuzz_dir, edits):
-    p = fuzz_dir / "mask.csv"
-    write_mask_csv(np.arange(np.prod(GRID)).reshape(GRID) % 3 == 0, p)
-    got = _read_hostile(p, p.read_bytes(), edits, lambda q: read_mask_csv(q, *GRID))
-    if got is not None:
-        assert got.shape == GRID and got.dtype == bool
-
-
-@settings(**_CSV)
-@given(edits=_edits((b",", b",,", b'"')))
-def test_hostile_match_table_reads_cells_in_the_grid_or_raises_value_error(fuzz_dir, edits):
-    p = fuzz_dir / "match.csv"
-    rows = np.array([[0, 0, 1, 0, 2, 2], [0, 1, 1, 1, 0, 0], [1, 2, 0, 0, 1, 2]])
-    MatchMap(rows=rows, frames=GRID[0], height=GRID[1], width=GRID[2]).write_csv(p)
-    got = _read_hostile(p, p.read_bytes(), edits, lambda q: MatchMap.read_csv(q, *GRID))
-    if got is not None:
-        assert got.rows.shape[1] == 6 and got.rows.dtype == np.int64
-        assert ((got.rows >= 0) & (got.rows < np.tile(GRID, 2))).all()
-        assert len({tuple(r) for r in got.rows[:, :3].tolist()}) == len(got.rows)
-
-
-@settings(**_CSV)
 @given(edits=_edits((b",", b",,", b'"', b".", b"e")))
 def test_hostile_grid_reads_a_whole_finite_table_or_raises_value_error(fuzz_dir, edits):
     p = fuzz_dir / "grid.csv"
@@ -144,16 +117,3 @@ def test_hostile_ini_reads_a_valid_config_or_raises_value_error_naming_it(fuzz_d
     again = fuzz_dir / "again.ini"
     write_ini(got, again)
     assert read_ini(again) == got
-
-
-@settings(max_examples=100, deadline=None)
-@given(edits=_edits((b" ", b"\t", b"P5", b"255")))
-def test_hostile_pgm_reads_its_stated_size_or_raises_value_error(fuzz_dir, edits):
-    p = fuzz_dir / "image.pgm"
-    write_pgm(p, np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
-    written = p.read_bytes()
-    got = _read_hostile(p, written, edits, read_pgm)
-    if got is not None:
-        assert got.dtype == np.uint8 and got.ndim == 2 and min(got.shape) >= 1
-        raw = p.read_bytes()
-        assert raw.startswith(b"P5\n") and raw.endswith(got.tobytes())

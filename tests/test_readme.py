@@ -14,7 +14,10 @@ from bachkit.config import default_config, read_ini
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 REFERENCE = README.split("## Command reference", 1)[1].split("\n## ", 1)[0]
 PREAMBLE, *_BULLETS = REFERENCE.split("\n- `")
-SHARED = set(re.findall(r"`(--[a-z-]+)", PREAMBLE))  # flags every run command takes
+SHARED = set(re.findall(r"`(--[a-z-]+)", PREAMBLE))  # flags shared by the run commands
+# the preamble's table: (commands of a row, the shared flags they take)
+SHARED_BY = [(re.findall(r"`([a-z-]+)`", commands), set(re.findall(r"`(--[a-z-]+)`", flags)))
+             for commands, flags in re.findall(r"^\| (`[a-z].*?) \| (.*) \|$", PREAMBLE, re.M)]
 BULLETS = {b.split(" ", 1)[0].rstrip("`"): b for b in _BULLETS}  # command -> its bullet
 USAGES = dict(re.findall(r"^- `([a-z-]+) ([^`]*)`", REFERENCE, re.M))  # command -> usage
 
@@ -33,8 +36,11 @@ def test_readme_ini_example_loads_as_the_desk8_defaults(tmp_path):
 
 def test_readme_shared_flags_are_the_parsers():
     assert {"--config", "--profile", "--seed"} <= SHARED
-    for command in ("gen-identity", "gen-frame", "run-group", "analyze", "select"):
-        assert SHARED <= _options(command), command
+    commands = [c for row, _ in SHARED_BY for c in row]
+    assert sorted(commands) == ["analyze", "gen-frame", "gen-identity", "run-group", "select"]
+    for row, flags in SHARED_BY:
+        for command in row:
+            assert flags == SHARED & _options(command), command
     for command in ("dump-trace", "report"):  # they read stored files only
         assert not SHARED & _options(command), command
 

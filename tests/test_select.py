@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from bachkit.fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from bachkit.select import (
     AnalysisGrid,
     COST,
@@ -16,6 +15,7 @@ from bachkit.select import (
     select_vital,
 )
 from bachkit.vital import LayerReport, LayerScore
+from fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
 from refs import random_drops, random_grid
 
 
@@ -161,9 +161,10 @@ def test_grid_csv_rejects_holes(tmp_path):
     p.write_text("step,layer,value\n0,0,1.0\n0,1,2.0\n1,0,3.0\n")
     with pytest.raises(ValueError, match="complete"):
         AnalysisGrid.read_csv(p)
-    p.write_text("stop,layer,value\n")
-    with pytest.raises(ValueError, match="header"):
-        AnalysisGrid.read_csv(p)
+    for text in ("stop,layer,value\n", ""):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="header"):
+            AnalysisGrid.read_csv(p)
 
 
 def test_grid_csv_names_the_bad_line(tmp_path):

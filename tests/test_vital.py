@@ -152,6 +152,22 @@ def test_planted_rigging_recovers_set(runs):
     assert report.baseline == 1.0
 
 
+def test_report_from_runs_grades_each_video_once():
+    runs = {None: np.full((1, 2, 2), 0.5), 1: np.full((1, 2, 2), 0.25), 0: np.zeros((1, 2, 2))}
+    calls = []
+
+    def score(video):
+        calls.append(float(video.mean()))
+        return float(video.mean())
+
+    report = report_from_runs(runs, score)
+    assert sorted(calls) == [0.0, 0.25, 0.5]  # depth + 1 calls, not 2 * depth + 1
+    assert report == LayerReport(baseline=0.5, scores=(
+        LayerScore(layer=0, score_skip=0.0, drop=0.5),
+        LayerScore(layer=1, score_skip=0.25, drop=0.25),
+    ))
+
+
 def test_report_from_runs_requires_baseline():
     with pytest.raises(ValueError, match="baseline"):
         report_from_runs({0: np.zeros((1, 2, 2))}, lambda z: 0.0)
