@@ -5,6 +5,7 @@ import pytest
 
 from bachkit.dit import PromptLayout
 from bachkit.masks import (
+    MASK_HEADER,
     aggregate_v2t,
     mask_from_slices,
     mask_iou,
@@ -12,6 +13,7 @@ from bachkit.masks import (
     write_mask_csv,
     write_mask_pgms,
 )
+from bachkit.select import read_csv_records
 
 LAYOUT = PromptLayout(bg=2, fg=2, action=1, pad=1)
 
@@ -90,6 +92,19 @@ def test_mask_pgm_export(tmp_path):
     assert paths[0].read_bytes() == head + bytes(7) + b"\xff" + bytes(12)  # row 1, column 2
     assert paths[1].read_bytes() == head + bytes(20)
     assert paths[2].read_bytes() == head + b"\xff" + bytes(19)
+
+
+def test_mask_csv_roundtrip(tmp_path):
+    rng = np.random.default_rng(2)
+    mask = rng.random((2, 3, 4)) < 0.4
+    p = tmp_path / "mask.csv"
+    write_mask_csv(mask, p)
+    header = p.read_text().splitlines()[0]
+    assert header == "frame,h,w,fg"
+    back = np.zeros(mask.shape, dtype=bool)
+    for _, (t, i, j, fg) in read_csv_records(p, MASK_HEADER, (int,) * 4, "mask table", 3):
+        back[t, i, j] = fg
+    np.testing.assert_array_equal(back, mask)
 
 
 def test_mask_csv_rows_in_row_major_order(tmp_path):

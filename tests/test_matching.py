@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bachkit.matching import (
+    MATCH_HEADER,
     MatchMap,
     exact_fraction,
     match_foreground,
     match_mse,
     similarity,
 )
+from bachkit.select import read_csv_records
 from bachkit.tensorops import cosine_normalize_rows
 
 
@@ -141,6 +143,13 @@ def test_match_map_empty_csv(tmp_path):
     p = tmp_path / "empty.csv"
     _map_of([], frames=1, h=2, w=2).write_csv(p)
     assert p.read_bytes() == b"frame,src_h,src_w,dst_t,dst_h,dst_w\r\n"
+
+
+def test_match_map_read_csv_rejects_empty_file(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        list(read_csv_records(p, MATCH_HEADER, (int,) * 6, "match table", 3))
 
 
 # Brute-force per-row references for the vectorized matching code.
