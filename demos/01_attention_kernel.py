@@ -33,21 +33,25 @@ print(f"head 1 is attention on channels 4:8: "
 
 print("\n== rotary encoding on the (frame, row, column) grid ==")
 pos = grid_positions(2, 2, 2)
+table = RotaryTable.at(pos, 12)  # cos/sin of every rotary pair's angle at each position
 x = rng.standard_normal((8, 12)).astype(np.float32)
-enc = rope_encode(x, pos)
+enc = rope_encode(x, table)
 print(f"norms preserved: "
       f"{np.allclose(np.linalg.norm(enc, axis=1), np.linalg.norm(x, axis=1), atol=1e-4)}")
 print(f"origin row unchanged: {np.allclose(enc[0], x[0], atol=1e-6)}")
 
-# a model computes the cos/sin table of its grid once; its rows serve any subset
-table = RotaryTable.at(pos, 12)
-print(f"table rows encode bit for bit: {np.array_equal(rope_encode(x, table), enc)}, "
-      f"subset {np.array_equal(rope_encode(x[[1, 6]], table[[1, 6]]), enc[[1, 6]])}")
+# a model computes the table of its grid once; its rows serve any subset
+rows = [1, 6]
+sub = rope_encode(x[rows], table[rows])
+print(f"table rows encode bit for bit: "
+      f"{np.array_equal(sub, rope_encode(x[rows], RotaryTable.at(pos[rows], 12)))}, "
+      f"subset {np.array_equal(sub, enc[rows])}")
 
 # scores depend on relative position only: shift both tokens, dot is invariant
 a = rng.standard_normal((1, 12)).astype(np.float32)
 b = rng.standard_normal((1, 12)).astype(np.float32)
 p1, p2, d = np.array([[0, 1, 2]]), np.array([[1, 3, 0]]), np.array([[2, 2, 5]])
-lhs = (rope_encode(a, p1) @ rope_encode(b, p2).T).item()
-rhs = (rope_encode(a, p1 + d) @ rope_encode(b, p2 + d).T).item()
+shifts = RotaryTable.at(np.concatenate([p1, p2, p1 + d, p2 + d]), 12)
+lhs = (rope_encode(a, shifts[[0]]) @ rope_encode(b, shifts[[1]]).T).item()
+rhs = (rope_encode(a, shifts[[2]]) @ rope_encode(b, shifts[[3]]).T).item()
 print(f"relative-position law: {lhs:.6f} vs {rhs:.6f}")

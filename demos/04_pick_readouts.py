@@ -18,6 +18,6 @@ mc = wb.model.config
 trace = capture_trace(wb, IDENTITY, seed=cfg.seed)
 grid = mask_grid(trace, wb.layout, mc.frames, mc.height, mc.width, wb.scene.mask(IDENTITY))
 layers = select_layers(grid, 4, QUALITY)
-tau = grid.steps[select_tau_mask(grid.step_curve(layers))]
-print(f"selected: step {tau}, layers {layers}")
-print(f"grid cell at the selection: IoU {grid.value(tau, layers[0]):.4f}")
+row = select_tau_mask(grid.step_curve(layers))
+print(f"selected: step {grid.steps[row]}, layers {layers}")
+print(f"grid cell at the selection: IoU {grid.values[row, grid.layers.index(layers[0])]:.4f}")

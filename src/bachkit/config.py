@@ -31,7 +31,10 @@ def parse_layer_set(text: str, depth: int) -> tuple[int, ...]:
         if not part:
             continue
         lo, hi = part.split("-", 1) if "-" in part else (part, part)
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"layer set part {part!r} is not a layer or a lo-hi range") from None
         if hi < lo:
             raise ValueError(f"descending layer range {part!r}")
         spans.append((lo, hi))

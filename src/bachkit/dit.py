@@ -372,9 +372,8 @@ class Model:
 
     config: ModelConfig
     layers: tuple[LayerWeights, ...]
-    positions: np.ndarray = field(repr=False)  # (THW, 3)
     texture_bank: np.ndarray = field(repr=False)  # (THW + 1, C): detail direction last
-    rotary: RotaryTable = field(repr=False)  # cos/sin at `positions`, (THW, C/2) each
+    rotary: RotaryTable = field(repr=False)  # cos/sin at the THW grid positions, (THW, C/2) each
 
     def weights_checksum(self) -> str:
         h = hashlib.sha256()
@@ -415,7 +414,6 @@ def init_model(config: ModelConfig) -> Model:
     return Model(
         config=config,
         layers=tuple(layers),
-        positions=positions,
         texture_bank=texture_bank(config.frames, config.height, config.width, config.channels),
         rotary=RotaryTable.at(positions, c),
     )
@@ -429,7 +427,7 @@ def score_workspace(config: ModelConfig) -> np.ndarray:
 
 
 def predict_clean(
-    model: Model, hidden_video: np.ndarray, z_text: np.ndarray, *, out: np.ndarray | None = None
+    model: Model, hidden_video: np.ndarray, z_text: np.ndarray, *, out: np.ndarray
 ) -> np.ndarray:
     """Snap hidden video rows onto prompt content and the texture-rotation bank.
 
@@ -438,16 +436,17 @@ def predict_clean(
     texture basis. All other channels are pulled to zero. Both softmaxes run
     key-major through `softmax_average`; the temperatures are powers of two,
     so folding them into the (keys, C) operand scales the logits exactly.
-    With a score buffer `out` (see `tensorops.scratch_block`), the logits,
-    (text_len, THW) and then (THW + 1, THW), are formed in it.
+    The logits, (text_len, THW) and then (THW + 1, THW), are formed in the
+    score buffer `out` (see `tensorops.scratch_block`).
     """
-    n = hidden_video.shape[0]
-    logits = np.matmul(BETA_TEXT * z_text, hidden_video.T,
-                       out=scratch_block(out, (len(z_text), n)))
+    n, bank = hidden_video.shape[0], model.texture_bank
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax_average refuses non-finite
+        logits = np.matmul(BETA_TEXT * z_text, hidden_video.T,
+                           out=scratch_block(out, (len(z_text), n)))
     x_text, _, _ = softmax_average(logits, z_text)
-
-    bank = model.texture_bank
-    logits = np.matmul(BETA_TEXTURE * bank, hidden_video.T, out=scratch_block(out, (len(bank), n)))
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax_average refuses non-finite
+        logits = np.matmul(BETA_TEXTURE * bank, hidden_video.T,
+                           out=scratch_block(out, (len(bank), n)))
     blend, _, _ = softmax_average(logits, bank)
     direction = cosine_normalize_rows(blend)
     coeff = np.maximum(np.sum(hidden_video * direction, axis=1), 0.0).astype(DTYPE)
@@ -462,7 +461,8 @@ def forward(
     hooks: Hooks | None = None,
     skip: int | None = None,
     sigma: float = 1.0,
-    scratch: np.ndarray | None = None,
+    *,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """One denoiser evaluation over the joint sequence.
 
@@ -473,7 +473,7 @@ def forward(
 
     Every layer's attention scores and the head's logits are formed in
     `scratch`, a `score_workspace` of the model's config; `denoise` passes
-    the one it owns. Without it, the call allocates one for itself.
+    the one it owns.
 
     Returns:
         Noise prediction shaped like `z_video`.
@@ -489,9 +489,6 @@ def forward(
         raise ValueError(f"z_text shape {z_text.shape} does not match config")
     if skip is not None and not (0 <= skip < cfg.depth):
         raise ValueError(f"skip layer {skip} out of range")
-
-    if scratch is None:
-        scratch = score_workspace(cfg)
 
     thw = cfg.thw
     z_flat = z_video.reshape(thw, cfg.channels).astype(DTYPE)

@@ -21,7 +21,7 @@ import numpy as np
 from .dit import Hooks, InjectionPlan, LayerWeights, Model, layer_kv
 from .masks import mask_from_slices
 from .matching import MatchMap, match_foreground, similarity
-from .tensorops import DTYPE, NEG, rope_encode
+from .tensorops import DTYPE, NEG, RotaryTable, rope_encode
 from .trace import FIELD_TAGS, FIELD_X, AttentionTrace, EntryStore, read_container, write_container
 
 
@@ -194,7 +194,7 @@ def build_plan(
     cached_x: np.ndarray,
     weights: LayerWeights,
     regions: InjectionRegions,
-    positions,
+    rotary: RotaryTable,
     add_mask: np.ndarray,
 ) -> InjectionPlan:
     """Fuse natural frame keys/values with identity rows derived from the cache.
@@ -208,13 +208,13 @@ def build_plan(
     background keys at their own (shared) positions. Values are
     position-free and enter unencoded.
 
-    `positions` are the video tokens' (THW, 3) grid positions or their
-    `RotaryTable`. `add_mask` is the `region_mask` of `regions`.
+    `rotary` is the model's `RotaryTable` of the THW video positions, whose
+    rows encode the injected keys. `add_mask` is the `region_mask` of `regions`.
     """
     cached_rows = np.concatenate([regions.identity_rows, regions.bg])
     pre_k_id, v_id = layer_kv(cached_x[cached_rows], weights)
-    key_positions = positions[np.concatenate([regions.fg, regions.bg])]
-    k = np.concatenate([roped_k, rope_encode(pre_k_id, key_positions)], axis=0)
+    key_table = rotary[np.concatenate([regions.fg, regions.bg])]
+    k = np.concatenate([roped_k, rope_encode(pre_k_id, key_table)], axis=0)
     v = np.concatenate([pre_v, v_id], axis=0)
     return InjectionPlan(k=k, v=v, add_mask=add_mask)
 

@@ -31,7 +31,7 @@ from .dit import (
     init_model,
     patch_shape,
 )
-from .inject import CacheRecorder, Injector, KvCache
+from .inject import CacheBudgetError, CacheRecorder, Injector, KvCache
 from .masks import mask_from_slices, mask_iou, write_mask
 from .matching import MatchMap, match_foreground, match_mse, similarity
 from .pgm import video_sheet, write_pgm
@@ -107,12 +107,15 @@ class IdentityBundle:
     def load(cls, directory, config: ModelConfig, budget_bytes: int) -> "IdentityBundle":
         """Read what `save` wrote, before any compute: a ValueError starts with the
         path of the file at fault, a latent `np.load` refuses or that is not float32
-        of the model's shape, or a trace or cache container that fails its checks."""
+        of the model's shape, or a trace or cache container that fails its checks;
+        so does the CacheBudgetError of a cache over `budget_bytes`."""
         d = Path(directory)
 
         def read(name, load, **kw):
             try:
                 return load(d / name, **kw)
+            except CacheBudgetError as exc:
+                raise CacheBudgetError(f"{d / name}: {exc}") from None
             except (EOFError, ValueError) as exc:
                 raise ValueError(f"{d / name}: {exc}") from None
 
@@ -174,7 +177,7 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
         if (step, layer, "x") not in cache.entries:
             raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
     for step, layer, name in run_cfg.readout_keys():
-        if not identity.trace.has(step, layer, name):
+        if (step, layer, name) not in identity.trace.entries:
             raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
     return Injector(model=bench.model, layout=bench.layout, identity=identity, run_cfg=run_cfg)
 

@@ -81,12 +81,11 @@ class AnalysisGrid:
                 f"grid shape {v.shape} does not match {len(self.steps)} steps "
                 f"x {len(self.layers)} layers"
             )
+        if not v.size:
+            raise ValueError("grid holds no cells")
         if not np.isfinite(v).all():
             raise ValueError("grid holds non-finite entries")
         object.__setattr__(self, "values", v)
-
-    def value(self, step: int, layer: int) -> float:
-        return float(self.values[self.steps.index(step), self.layers.index(layer)])
 
     def step_curve(self, layers=None) -> np.ndarray:
         """Per-step mean over a layer subset (default: all layers). A

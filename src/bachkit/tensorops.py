@@ -118,7 +118,8 @@ def softmax_average(
         raise ValueError("non-finite input")
     if masked and col_max.size and col_max.min() <= NEG / 2:
         raise ValueError("fully masked query row")
-    exp = np.subtract(scores, col_max, out=scores)
+    with np.errstate(over="ignore"):  # a spread past float32's range gives -inf, exp 0
+        exp = np.subtract(scores, col_max, out=scores)
     np.exp(exp, out=exp)
     sums = np.sum(exp, axis=-2, keepdims=True)
     out = np.swapaxes(exp, -1, -2) @ values
@@ -221,7 +222,8 @@ def joint_attention(
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
     scale = DTYPE(1.0 / np.sqrt(q.shape[1] // heads))
-    scores = np.matmul(split(k), split(q * scale).transpose(0, 2, 1), out=block)
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax_average refuses non-finite
+        scores = np.matmul(split(k), split(q * scale).transpose(0, 2, 1), out=block)
     if add_mask is not None:
         scores += add_mask.T
 
@@ -278,7 +280,7 @@ class RotaryTable:
         return RotaryTable(cos=self.cos[rows], sin=self.sin[rows])
 
 
-def rope_encode(x: np.ndarray, positions) -> np.ndarray:
+def rope_encode(x: np.ndarray, table: RotaryTable) -> np.ndarray:
     """Three-axis rotary encoding of row vectors at grid positions.
 
     Channels split into three equal contiguous groups for the (t, h, w) axes;
@@ -289,9 +291,8 @@ def rope_encode(x: np.ndarray, positions) -> np.ndarray:
 
     Args:
         x: (N, C) rows to encode.
-        positions: (N, 3) int array of (t, h, w) grid coordinates, whose
-            table is then computed for this call, or the `RotaryTable` of
-            those positions, which a model computes once and reuses.
+        table: the `RotaryTable` of the rows' (t, h, w) grid positions, which
+            a model computes once and reuses (`RotaryTable.at` makes one).
 
     Returns:
         (N, C) encoded rows.
@@ -299,9 +300,6 @@ def rope_encode(x: np.ndarray, positions) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2:
         raise ValueError("x must be 2-D")
-    table = positions
-    if not isinstance(table, RotaryTable):
-        table = RotaryTable.at(positions, x.shape[1])
     if len(table) != x.shape[0]:
         raise ValueError(f"{len(table)} positions for {x.shape[0]} rows")
     if 2 * table.cos.shape[1] != x.shape[1]:

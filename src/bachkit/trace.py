@@ -212,9 +212,6 @@ class AttentionTrace:
             raise KeyError(f"trace holds no {name!r} at step {step} layer {layer}")
         return self.entries[key]
 
-    def has(self, step: int, layer: int, name: str) -> bool:
-        return (step, layer, name) in self.entries
-
     def layer_slices(self, step: int, layers, name: str) -> list[np.ndarray]:
         return [self.get(step, layer, name) for layer in layers]
 

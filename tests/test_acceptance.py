@@ -51,7 +51,7 @@ from bachkit.select import (
     select_tau_match,
     select_vital,
 )
-from bachkit.tensorops import DTYPE, NEG, joint_attention, rope_encode
+from bachkit.tensorops import DTYPE, NEG, RotaryTable, joint_attention, rope_encode
 from bachkit.trace import TraceRecorder
 from bachkit.vital import aesthetic_score, collect_skip_runs, report_from_runs
 from fixtures import paper_mask_grid, paper_match_grid, paper_vital_drops
@@ -149,10 +149,10 @@ def test_ac02_rotary_encoding_laws():
         x = rng.standard_normal((n, c)).astype(DTYPE)
         pos = rng.integers(0, 12, size=(n, 3))
         np.testing.assert_allclose(
-            rope_encode(x, np.zeros((n, 3), dtype=np.int64)), x, atol=1e-6
+            rope_encode(x, RotaryTable.at(np.zeros((n, 3), dtype=np.int64), c)), x, atol=1e-6
         )
         np.testing.assert_allclose(
-            np.linalg.norm(rope_encode(x, pos), axis=1),
+            np.linalg.norm(rope_encode(x, RotaryTable.at(pos, c)), axis=1),
             np.linalg.norm(x, axis=1),
             atol=1e-5,
         )
@@ -162,11 +162,12 @@ def test_ac02_rotary_encoding_laws():
         p1, p2 = rng.integers(0, 12, size=(1, 3)), rng.integers(0, 12, size=(1, 3))
         d = rng.integers(0, 8, size=(1, 3))
 
-        def dot(a, b):
-            return (a.astype(np.float64) @ b.astype(np.float64).T).item()
+        def dot(p_q, p_k):
+            a = rope_encode(q, RotaryTable.at(p_q, c)).astype(np.float64)
+            b = rope_encode(k, RotaryTable.at(p_k, c)).astype(np.float64)
+            return (a @ b.T).item()
 
-        lhs = dot(rope_encode(q, p1), rope_encode(k, p2))
-        rhs = dot(rope_encode(q, p1 + d), rope_encode(k, p2 + d))
+        lhs, rhs = dot(p1, p2), dot(p1 + d, p2 + d)
         assert math.isclose(lhs, rhs, rel_tol=1e-5, abs_tol=1e-5)
 
 

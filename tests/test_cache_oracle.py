@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 
 import bachkit.pipeline as pipeline
 from bachkit.config import default_config
-from bachkit.dit import ChainedHooks, Hooks, InjectionPlan, denoise, forward, init_model, layer_kv
+from bachkit.dit import (
+    ChainedHooks,
+    Hooks,
+    InjectionPlan,
+    denoise,
+    forward,
+    init_model,
+    layer_kv,
+    score_workspace,
+)
 from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.pipeline import IdentityBundle, run_frame
 from bachkit.scene import IDENTITY
@@ -54,7 +63,7 @@ def _desk8_layer_captures():
     z = rng.standard_normal((cfg.frames, cfg.height, cfg.width, cfg.channels)).astype(DTYPE)
     text = 3 * rng.standard_normal((cfg.text_len, cfg.channels)).astype(DTYPE)
     grab = _KvGrab(steps=[3], layers=range(cfg.depth))
-    forward(model, z, text, 3, hooks=grab)
+    forward(model, z, text, 3, hooks=grab, scratch=score_workspace(cfg))
     assert sorted(grab.x) == sorted(grab.kv) == [(3, l) for l in range(cfg.depth)]
     return model, grab
 
@@ -75,10 +84,10 @@ def test_derived_rows_equal_forward_kv_rows(data):
     np.testing.assert_array_equal(v, pre_v[rows])
 
 
-def _kv_build_plan(roped_k, pre_v, cached_k, cached_v, regions, positions, add_mask):
+def _kv_build_plan(roped_k, pre_v, cached_k, cached_v, regions, rotary, add_mask):
     """The earlier `build_plan`: fused rows taken from cached K and V."""
-    k_fg = rope_encode(cached_k[regions.identity_rows], positions[regions.fg])
-    k_bg = rope_encode(cached_k[regions.bg], positions[regions.bg])
+    k_fg = rope_encode(cached_k[regions.identity_rows], rotary[regions.fg])
+    k_bg = rope_encode(cached_k[regions.bg], rotary[regions.bg])
     k = np.concatenate([roped_k, k_fg, k_bg], axis=0)
     v = np.concatenate([pre_v, cached_v[regions.identity_rows], cached_v[regions.bg]], axis=0)
     return InjectionPlan(k=k, v=v, add_mask=add_mask)

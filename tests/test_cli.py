@@ -15,10 +15,13 @@ import pytest
 import bachkit.pipeline as pipeline
 from bachkit.cli import _build_parser, _run_config, main
 from bachkit.config import default_config, read_ini
+from bachkit.inject import CacheBudgetError
 from bachkit.select import AnalysisGrid
 from bachkit.trace import MAGIC, VERSION, AttentionTrace
 from bachkit.vital import LayerReport, LayerScore
 from refs import write_kv_cache_of_earlier_format
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")  # a leak fails, not just prints
 
 
 def test_config_and_profile_are_exclusive(tmp_path, capsys):
@@ -138,6 +141,17 @@ def test_select_k_zero_is_one_line(tmp_path, grid_csv, capsys):
 def test_select_tau_empty_layer_set_is_one_line(grid_csv, capsys):
     assert main(["select", "tau", "--grid", str(grid_csv), "--layers", ""]) == 2
     _one_line_error(capsys, "empty layer set")
+    for text in ("1-", "-1", "2-3-4"):
+        assert main(["select", "tau", "--grid", str(grid_csv), "--layers", text]) == 2
+        _one_line_error(capsys, f"layer set part {text!r} is not a layer or a lo-hi range")
+
+
+def test_select_on_a_grid_of_only_its_header_is_one_line(tmp_path, capsys):
+    p = tmp_path / "grid.csv"
+    p.write_text("step,layer,value\n")
+    for argv in (["tau"], ["mask-layers", "-k", "2"], ["match-layers"]):
+        assert main(["select", *argv, "--grid", str(p)]) == 2
+        _one_line_error(capsys, "grid holds no cells")
 
 
 @pytest.mark.parametrize("what, flag, text", [
@@ -310,6 +324,12 @@ def test_bad_scene_sigma_is_a_usage_error(value, monkeypatch, capsys):
         f"error: argument --scene-sigma: expected a finite number >= 0, got '{value}'")
 
 
+def test_scene_sigma_past_the_score_range_is_one_line(tmp_path, capsys):
+    # the scores overflow float32; the finiteness check refuses them, with no numpy warning
+    assert main(["gen-identity", "--scene-sigma", "1e30", "--out", str(tmp_path)]) == 2
+    _one_line_error(capsys, "non-finite input")
+
+
 def test_zero_scene_sigma_runs(tmp_path, capsys):
     assert main(["analyze", "mask", "--scene-sigma", "0", "--out", str(tmp_path)]) == 0
     assert "mask grid" in capsys.readouterr().out
@@ -381,6 +401,20 @@ def test_gen_frame_refuses_a_hostile_identity_file_in_one_line(
     path.write_bytes(spoil(path.read_bytes()))
     assert main(["gen-frame", "--identity-dir", str(d), "--out", str(tmp_path / "f")]) == 2
     _one_line_error(capsys, message.format(path=path))
+    assert not (tmp_path / "f").exists()
+
+
+def test_gen_frame_budget_refusal_names_the_cache_file(identity_dir, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    message = (f"{identity_dir / 'identity_cache.bvtr'}: cache plan needs 7667712 bytes "
+               "(156 entries of 256x48 rows), budget is 1000")
+    with pytest.raises(CacheBudgetError) as exc:  # the refusal keeps its type
+        pipeline.IdentityBundle.load(identity_dir, default_config("desk8").model_config(), 1000)
+    assert str(exc.value) == message
+    assert main(["gen-frame", "--identity-dir", str(identity_dir), "--out", str(tmp_path / "f"),
+                 "--kv-budget-bytes", "1000"]) == 2
+    _one_line_error(capsys, message)
     assert not (tmp_path / "f").exists()
 
 

@@ -29,7 +29,7 @@ def test_parse_layer_set_rejects():
         parse_layer_set("9-5", 10)
     with pytest.raises(ValueError, match="empty"):
         parse_layer_set("", 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^layer set part 'a' is not a layer or a lo-hi range$"):
         parse_layer_set("a,b", 8)
     with pytest.raises(ValueError, match="^layer set has 1 layer"):
         parse_layer_set("3-8", 8)  # the bound is the depth: layers 0..7
@@ -180,6 +180,8 @@ def test_ini_config_errors_name_the_file(tmp_path):
         ("[model]\nprofile = desk9\n", "unknown profile 'desk9'; choose from ['desk8', 'paper42']"),
         ("[readout]\nkv_layers = 1,99\n",
          "[readout] kv_layers: layer set has 1 layer(s) outside 0..7, the first 99"),
+        ("[readout]\nkv_layers = 1-\n",
+         "[readout] kv_layers: layer set part '1-' is not a layer or a lo-hi range"),
     ]:
         p.write_text(text)
         with pytest.raises(ValueError) as exc:

@@ -28,6 +28,8 @@ from bachkit.dit import (
     init_model,
     initial_latent,
     patch_shape,
+    predict_clean,
+    score_workspace,
 )
 from bachkit.inject import CacheRecorder, Injector, KvCache
 from bachkit.scene import IDENTITY
@@ -118,12 +120,13 @@ def test_skip_equals_model_without_layer(small_model, small_prompt):
 
 def test_forward_validates_shapes_and_skip(small_model, small_prompt):
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
+    scratch = score_workspace(SMALL)
     with pytest.raises(ValueError):
-        forward(small_model, z[:1], small_prompt, 0)
+        forward(small_model, z[:1], small_prompt, 0, scratch=scratch)
     with pytest.raises(ValueError):
-        forward(small_model, z, small_prompt[:2], 0)
+        forward(small_model, z, small_prompt[:2], 0, scratch=scratch)
     with pytest.raises(ValueError):
-        forward(small_model, z, small_prompt, 0, skip=SMALL.depth)
+        forward(small_model, z, small_prompt, 0, skip=SMALL.depth, scratch=scratch)
 
 
 class _BadPlanHook(Hooks):
@@ -142,10 +145,13 @@ def test_forward_rejects_inconsistent_plan(small_model, small_prompt):
     # forward hands the plan to joint_attention, whose checks raise
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
     n = SMALL.joint_len
+    scratch = score_workspace(SMALL)
     with pytest.raises(ValueError, match=rf"mask shape \({n}, {n + 1}\) does not match scores"):
-        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_mask_cols=1))
+        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_mask_cols=1),
+                scratch=scratch)
     with pytest.raises(ValueError, match=f"row mismatch: k has {n}, v has {n + 2}"):
-        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_v_rows=2))
+        forward(small_model, z, small_prompt, 0, hooks=_BadPlanHook(extra_v_rows=2),
+                scratch=scratch)
 
 
 class _LongPlanHook(Hooks):
@@ -165,9 +171,10 @@ def test_forward_refuses_a_plan_longer_than_the_workspace(small_model, small_pro
     most = SMALL.max_keys
     assert most == SMALL.joint_len + SMALL.thw
     message = f"injection plan carries {most + 1} keys; at most {most} "
+    scratch = score_workspace(SMALL)
     with pytest.raises(ValueError, match=message):
-        forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most + 1))
-    forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most))
+        forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most + 1), scratch=scratch)
+    forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most), scratch=scratch)
 
 
 def _desk8_inputs(bench):
@@ -177,7 +184,7 @@ def _desk8_inputs(bench):
 def test_observed_values_never_alias_the_score_workspace(bench):
     model, z, text = _desk8_inputs(bench)
     cfg = model.config
-    scratch = dit.score_workspace(cfg)
+    scratch = score_workspace(cfg)
     seen = []
 
     class Check(Hooks):
@@ -194,7 +201,7 @@ def test_observed_values_never_alias_the_score_workspace(bench):
 def test_warm_forward_with_its_workspace_allocates_less_than_one_score_block(bench):
     model, z, text = _desk8_inputs(bench)
     cfg = model.config
-    scratch = dit.score_workspace(cfg)
+    scratch = score_workspace(cfg)
     forward(model, z, text, 0, scratch=scratch)  # warm
     tracemalloc.start()
     try:
@@ -381,6 +388,15 @@ def test_resumed_denoise_validates_start(small_model, small_prompt):
         denoise(small_model, small_prompt, sched, seed=5, start=(2, z[:1]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_head_refuses_logits_past_float32_range_quietly(small_model, small_prompt):
+    # the prompt logits overflow first; with a zero prompt, the texture logits do
+    hidden = np.full((SMALL.thw, SMALL.channels), np.finfo(DTYPE).max / 4, dtype=DTYPE)
+    for prompt in (small_prompt, np.zeros_like(small_prompt)):
+        with pytest.raises(ValueError, match="non-finite input"):
+            predict_clean(small_model, hidden, prompt, out=score_workspace(SMALL))
+
+
 def test_v2t_rows_are_probabilities(small_model, small_prompt):
     caught = {}
 
@@ -391,7 +407,7 @@ def test_v2t_rows_are_probabilities(small_model, small_prompt):
             caught[(step, layer)] = value
 
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
-    forward(small_model, z, small_prompt, 0, hooks=Grab())
+    forward(small_model, z, small_prompt, 0, hooks=Grab(), scratch=score_workspace(SMALL))
     v2t = caught[(0, 0)]
     # head-averaged slice of a full softmax: rows sum to < 1 (video keys take the rest)
     assert (v2t >= 0).all()

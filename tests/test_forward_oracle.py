@@ -90,8 +90,9 @@ def _parent_order_attention(q, k, v, add_mask):
     return w, (w @ v).astype(DTYPE)
 
 
-def _parent_order_predict_clean(model, hidden_video, z_text):
-    """`predict_clean` with query-major logits, normalized before the product."""
+def _parent_order_predict_clean(model, hidden_video, z_text, *, out):
+    """`predict_clean` with query-major logits, normalized before the product.
+    It allocates its own logits, so the score buffer `out` is unused."""
 
     def softmax(x):
         e = np.exp(x - np.max(x, axis=-1, keepdims=True))
@@ -105,14 +106,15 @@ def _parent_order_predict_clean(model, hidden_video, z_text):
     return (x_text + coeff[:, None] * direction).astype(DTYPE)
 
 
-def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1.0,
-                       scratch=None, attention=_reference_attention, head=predict_clean):
+def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1.0, *,
+                       scratch, attention=_reference_attention, head=predict_clean):
     """`forward` as one attention call per head on strided channel slices.
-    `scratch`, the score workspace `denoise` hands `forward`, is not used."""
+    `scratch`, the score workspace `denoise` hands `forward`, goes to `head` only."""
     cfg = model.config
     thw = cfg.thw
     hd = cfg.channels // cfg.heads
     heads = [slice(h * hd, (h + 1) * hd) for h in range(cfg.heads)]
+    positions = grid_positions(cfg.frames, cfg.height, cfg.width)
     z_flat = z_video.reshape(thw, cfg.channels).astype(DTYPE)
     x = np.concatenate([z_flat, z_text.astype(DTYPE)], axis=0)
     for layer in range(cfg.depth):
@@ -122,7 +124,7 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
         pre_k = x * lw.qk_gain[None, :]
         pre_v = x @ lw.w_value
         roped_k = pre_k.copy()
-        roped_k[:thw] = _reference_rope(pre_k[:thw], model.positions)
+        roped_k[:thw] = _reference_rope(pre_k[:thw], positions)
         plan = hooks.inject(t, layer, pre_k, pre_v, roped_k) if hooks is not None else None
         if plan is None:
             k_eff, v_eff, mask = roped_k, pre_v, None
@@ -143,17 +145,17 @@ def _reference_forward(model, z_video, z_text, t, hooks=None, skip=None, sigma=1
                     hooks.observe(t, layer, name, value)
         x = x + attn @ lw.w_out
         x = x + np.tanh(x @ lw.w_mlp1) @ lw.w_mlp2
-    x0_hat = head(model, x[:thw], z_text)
+    x0_hat = head(model, x[:thw], z_text, out=scratch)
     return ((z_flat - x0_hat) / DTYPE(sigma)).reshape(z_video.shape)
 
 
 class _Injecting(Hooks):
     """Fuses fixed random identity rows into every layer from step 2 on."""
 
-    def __init__(self, model, positions):
+    def __init__(self, model):
         cfg = model.config
         rng = np.random.default_rng(17)
-        self.positions = positions
+        self.rotary = model.rotary
         self.weights = model.layers
         self.cached = [
             rng.standard_normal((cfg.thw, cfg.channels)).astype(DTYPE) for _ in range(cfg.depth)
@@ -168,7 +170,7 @@ class _Injecting(Hooks):
         if step < 2:
             return None
         return build_plan(roped_k, pre_v, self.cached[layer], self.weights[layer],
-                          self.regions, self.positions, self.add_mask)
+                          self.regions, self.rotary, self.add_mask)
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +211,7 @@ def test_observed_run_matches_per_head_loop(small, monkeypatch):
 def test_injected_run_matches_per_head_loop(small, monkeypatch):
     model = small[0]
     # the plan re-encodes rows from the model's table; the reference path uses the same plan
-    _both(monkeypatch, *small, make_hooks=lambda: _Injecting(model, model.rotary))
-    # a plan encoded per position gives the same bits
-    _both(monkeypatch, *small, make_hooks=lambda: _Injecting(model, model.positions))
+    _both(monkeypatch, *small, make_hooks=lambda: _Injecting(model))
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3, 12), (4, 8, 8, 48)])
@@ -223,7 +223,6 @@ def test_rotary_table_equals_per_position_encoding(shape):
     x = np.random.default_rng(3).standard_normal((cfg.thw, channels)).astype(DTYPE)
     want = _reference_rope(x, grid_positions(frames, height, width))
     np.testing.assert_array_equal(rope_encode(x, model.rotary), want)
-    np.testing.assert_array_equal(rope_encode(x, model.positions), want)
     rows = np.array([cfg.thw - 1, 0, 5, 5])
     np.testing.assert_array_equal(rope_encode(x[rows], model.rotary[rows]), want[rows])
 

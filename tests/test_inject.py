@@ -19,8 +19,15 @@ from bachkit.inject import (
     entry_nbytes,
     region_mask,
 )
-from bachkit.dit import ChainedHooks, LayerWeights, forward
-from bachkit.tensorops import DTYPE, NEG, grid_positions, joint_attention, rope_encode
+from bachkit.dit import ChainedHooks, LayerWeights, forward, score_workspace
+from bachkit.tensorops import (
+    DTYPE,
+    NEG,
+    RotaryTable,
+    grid_positions,
+    joint_attention,
+    rope_encode,
+)
 from bachkit.trace import FIELD_V2T, FIELD_X, TraceRecorder
 from refs import write_container_of_entries, write_kv_cache_of_earlier_format
 
@@ -297,7 +304,7 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     thw = frames * h * w
     text = 2
     joint_len = thw + text
-    positions = grid_positions(frames, h, w)
+    rotary = RotaryTable.at(grid_positions(frames, h, w), c)
     roped_k = rng.standard_normal((joint_len, c)).astype(DTYPE)
     pre_v = rng.standard_normal((joint_len, c)).astype(DTYPE)
     cached_x = rng.standard_normal((thw, c)).astype(DTYPE)
@@ -312,15 +319,15 @@ def test_build_plan_reencodes_keys_at_frame_positions():
         fg=np.array([1, 5]), bg=np.array([0, 7]), identity_rows=np.array([2, 6])
     )
     add_mask = region_mask(joint_len, thw, regions.fg, len(regions.fg), len(regions.bg))
-    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, positions, add_mask)
+    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, rotary, add_mask)
     assert plan.k.shape == (joint_len + 4, c)
     np.testing.assert_array_equal(plan.k[:joint_len], roped_k)
     np.testing.assert_array_equal(plan.v[:joint_len], pre_v)
     # fg keys: cached identity rows re-encoded at the *frame* pixels' positions
-    want_fg = rope_encode(cached_k[[2, 6]], positions[[1, 5]])
+    want_fg = rope_encode(cached_k[[2, 6]], rotary[[1, 5]])
     np.testing.assert_allclose(plan.k[joint_len : joint_len + 2], want_fg, atol=1e-6)
     # bg keys: cached rows at their own positions
-    want_bg = rope_encode(cached_k[[0, 7]], positions[[0, 7]])
+    want_bg = rope_encode(cached_k[[0, 7]], rotary[[0, 7]])
     np.testing.assert_allclose(plan.k[joint_len + 2 :], want_bg, atol=1e-6)
     # values are the cached rows' value projections, unencoded
     np.testing.assert_array_equal(plan.v[joint_len : joint_len + 2], cached_v[[2, 6]])
@@ -338,7 +345,8 @@ def test_cache_recorder_plans_the_cache_keys(bench):
     z = np.random.default_rng(5).standard_normal(
         (cfg.frames, cfg.height, cfg.width, cfg.channels)).astype(DTYPE)
     for step in range(3):
-        forward(bench.model, z, bench.prompt(0), step, hooks=ChainedHooks(rec, every))
+        forward(bench.model, z, bench.prompt(0), step, hooks=ChainedHooks(rec, every),
+                scratch=score_workspace(cfg))
     assert sorted(cache.entries) == [(1, 0, "x"), (2, 3, "x")]
     for step, layer in cache.plan:  # the video rows of the layer input, copied
         np.testing.assert_array_equal(cache.get(step, layer), every.trace.get(step, layer, "x"))

@@ -354,9 +354,9 @@ def test_mask_grid_cells_score_single_layer_masks():
             trace.put(s, l, "v2t", _fake_v2t(fg))
     grid = mask_grid(trace, _LAYOUT, 1, 2, 2, reference)
     assert grid.steps == (0, 1) and grid.layers == (0, 1)
-    assert grid.value(0, 0) == 1.0
-    assert grid.value(1, 0) == 1.0
-    assert grid.value(1, 1) == 0.0  # disjoint rectangles
+    assert grid.values[0, 0] == 1.0  # rows are steps 0, 1; columns are layers 0, 1
+    assert grid.values[1, 0] == 1.0
+    assert grid.values[1, 1] == 0.0  # disjoint rectangles
 
 
 def test_match_grid_zero_error_for_identical_traces():

@@ -124,13 +124,15 @@ def test_grid_validation():
         AnalysisGrid(steps=(0, 1), layers=(0,), values=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="non-finite"):
         AnalysisGrid(steps=(0,), layers=(0,), values=np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="^grid holds no cells$"):
+        AnalysisGrid(steps=(), layers=(), values=np.zeros((0, 0)))
 
 
 def test_grid_value_and_curve():
     grid = AnalysisGrid(
         steps=(3, 5), layers=(1, 2), values=np.array([[1.0, 3.0], [5.0, 7.0]])
     )
-    assert grid.value(5, 2) == 7.0
+    assert grid.values[grid.steps.index(5), grid.layers.index(2)] == 7.0
     np.testing.assert_allclose(grid.step_curve(), [2.0, 6.0])
     np.testing.assert_allclose(grid.step_curve([2]), [3.0, 7.0])
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bachkit.tensorops import (
     DTYPE,
     NEG,
+    RotaryTable,
     cosine_normalize_rows,
     grid_positions,
     joint_attention,
@@ -124,6 +125,7 @@ def test_softmax_raises_on_any_non_finite_entry(lead, n, m, bad, masked, seed):
     np.testing.assert_array_equal(x, before)  # nothing written before the check
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(
     lead=st.lists(st.integers(1, 3), max_size=2),
@@ -150,6 +152,17 @@ def test_softmax_accepts_every_finite_input(lead, n, m, masked, data):
     w = softmax_weights(x, forbidden)
     assert np.isfinite(w).all()
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scores_past_float32_range_are_handled_or_refused_quietly():
+    # the max subtraction overflows to -inf, whose exp is the right weight, 0
+    big = np.finfo(DTYPE).max
+    np.testing.assert_array_equal(softmax_weights([[-big, big]]), [[0.0, 1.0]])
+    # a score product past the range is refused by the finiteness check alone
+    x = np.full((2, 3), 1e30, dtype=DTYPE)
+    with pytest.raises(ValueError, match="non-finite input"):
+        joint_attention(x, x, x)
 
 
 def test_softmax_zeroes_forbidden_entries_explicitly():
@@ -336,14 +349,14 @@ def test_rope_zero_position_identity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((10, 12)).astype(DTYPE)
     pos = np.zeros((10, 3), dtype=np.int64)
-    np.testing.assert_allclose(rope_encode(x, pos), x, atol=1e-6)
+    np.testing.assert_allclose(rope_encode(x, RotaryTable.at(pos, 12)), x, atol=1e-6)
 
 
 def test_rope_preserves_norms():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((32, 24)).astype(DTYPE)
     pos = rng.integers(0, 10, size=(32, 3))
-    y = rope_encode(x, pos)
+    y = rope_encode(x, RotaryTable.at(pos, 24))
     np.testing.assert_allclose(
         np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), atol=1e-5
     )
@@ -358,8 +371,13 @@ def test_rope_relative_position_law(seed):
     p1 = rng.integers(0, 8, size=(1, 3))
     p2 = rng.integers(0, 8, size=(1, 3))
     d = rng.integers(0, 5, size=(1, 3))
-    a = (rope_encode(q, p1).astype(np.float64) @ rope_encode(k, p2).astype(np.float64).T).item()
-    b = (rope_encode(q, p1 + d).astype(np.float64) @ rope_encode(k, p2 + d).astype(np.float64).T).item()
+
+    def dot(p_q, p_k):
+        a = rope_encode(q, RotaryTable.at(p_q, 12)).astype(np.float64)
+        b = rope_encode(k, RotaryTable.at(p_k, 12)).astype(np.float64)
+        return (a @ b.T).item()
+
+    a, b = dot(p1, p2), dot(p1 + d, p2 + d)
     assert abs(a - b) < 1e-5
 
 

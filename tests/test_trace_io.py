@@ -294,7 +294,7 @@ def test_trace_accessors():
     tr.put(3, 1, "v2t", np.ones((2, 2), dtype=np.float32))
     tr.put(3, 0, "v2t", np.zeros((2, 2), dtype=np.float32))
     assert tr.steps() == [3] and tr.layers() == [0, 1]
-    assert tr.has(3, 1, "v2t") and not tr.has(3, 1, "attn_out")
+    assert (3, 1, "v2t") in tr.entries and (3, 1, "attn_out") not in tr.entries
     assert len(tr.layer_slices(3, [0, 1], "v2t")) == 2
     assert sum(a.nbytes for a in tr.entries.values()) == 2 * 4 * 4
     with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ def test_store_membership_length_and_iteration_read_no_payload(tmp_path, monkeyp
     for t in (trace, loaded_trace):
         assert len(t.entries) == 12 and (3, 2, "v2t") in t.entries and (3, 2, "x") not in t.entries
         assert sorted(t.entries) == sorted(trace.entries)
-        assert t.steps() == [3, 4] and t.layers() == [0, 2, 5] and t.has(4, 5, "attn_out")
+        assert t.steps() == [3, 4] and t.layers() == [0, 2, 5] and (4, 5, "attn_out") in t.entries
         assert t.entries.shape((3, 2, "v2t")) == (2, 7)
     for c in (cache, loaded_cache):
         assert len(c.entries) == 3 and c.nbytes == 3 * 6 * 4 * 4
