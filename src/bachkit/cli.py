@@ -43,8 +43,7 @@ from .select import (
     COST,
     QUALITY,
     select_layers,
-    select_tau_mask,
-    select_tau_match,
+    select_tau,
     select_vital,
 )
 from .trace import read_container
@@ -225,25 +224,34 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _named(label: str, read, *args):
+    """`read(*args)`, with a ValueError's message prefixed by `label`, the file
+    or flag it read, as `IdentityBundle.load` names a file."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
 def _cmd_select(args) -> int:
     cfg = _run_config(args)
     k = cfg.vital_k if args.k is None else args.k
     if args.what == "vital":
         if not args.report:
             raise ValueError("select vital needs --report")
-        report = LayerReport.read_csv(args.report)
+        report = _named(args.report, LayerReport.read_csv, args.report)
         chosen = select_vital(report.drops(), k)
         print(format_layer_set(chosen))
         return 0
     if not args.grid:
         raise ValueError(f"select {args.what} needs --grid")
-    grid = AnalysisGrid.read_csv(args.grid)
+    grid = _named(args.grid, AnalysisGrid.read_csv, args.grid)
     if args.what == "tau":
         depth = max(grid.layers, default=-1) + 1  # bounds --layers before a range is expanded
-        layers = None if args.layers is None else parse_layer_set(args.layers, depth)
+        layers = None if args.layers is None else _named("--layers", parse_layer_set,
+                                                          args.layers, depth)
         curve = grid.step_curve(layers)
-        step = select_tau_mask(curve) if args.kind == QUALITY else select_tau_match(curve)
-        print(grid.steps[step])
+        print(grid.steps[select_tau(curve, args.kind)])
     else:
         kind = QUALITY if args.what == "mask-layers" else COST
         print(format_layer_set(select_layers(grid, k, kind)))
@@ -251,7 +259,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_dump_trace(args) -> int:
-    entries = read_container(args.path)
+    entries = _named(args.path, read_container, args.path)
     print("step layer field    rows cols")
     for step, layer, name in entries:
         rows, cols = entries.shape((step, layer, name))
@@ -295,6 +303,8 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, KeyError, CacheBudgetError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if str(message) == "non-finite input" and hasattr(args, "scene_sigma"):
+            message = f"{message} at --scene-sigma {args.scene_sigma:g}"  # the latent's scale
         print(f"bachkit: error: {message}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .dit import PROFILES, ModelConfig
 
 
@@ -51,16 +53,9 @@ def parse_layer_set(text: str, depth: int) -> tuple[int, ...]:
 
 def format_layer_set(layers) -> str:
     """Inverse of parse_layer_set, collapsing runs into ranges."""
-    xs = sorted(set(int(l) for l in layers))
-    parts = []
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
-            j += 1
-        parts.append(str(xs[i]) if i == j else f"{xs[i]}-{xs[j]}")
-        i = j + 1
-    return ",".join(parts)
+    xs = np.array(sorted({int(l) for l in layers}), dtype=np.int64)
+    runs = np.split(xs, np.flatnonzero(np.diff(xs) != 1) + 1)
+    return ",".join(f"{r[0]}" if r.size == 1 else f"{r[0]}-{r[-1]}" for r in runs if r.size)
 
 
 def _known_profile(name: str) -> str:

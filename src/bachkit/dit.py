@@ -212,22 +212,14 @@ def channel_plan(channels: int) -> ChannelPlan:
         pairs = (sl.stop - sl.start) // 2
         n_tex = max(1, pairs // 2)
         n_spare = 1 if pairs >= 6 else 0
-        n_sig = pairs - n_tex - n_spare
-        if n_sig < 1:
+        if pairs - n_tex - n_spare < 1:
             raise ValueError(f"too few rotary pairs per axis ({pairs}) for a channel plan")
-        for p in range(pairs):
-            chans = [sl.start + 2 * p, sl.start + 2 * p + 1]
-            if p < n_tex:
-                tex.extend(chans)
-            elif p < n_tex + n_spare:
-                spare.extend(chans)
-            else:
-                sig.extend(chans)
-    return ChannelPlan(
-        texture=np.array(tex, dtype=np.int64),
-        signature=np.array(sig, dtype=np.int64),
-        spare=np.array(spare, dtype=np.int64),
-    )
+        chans = np.arange(sl.start, sl.start + 2 * pairs)
+        tex.append(chans[: 2 * n_tex])
+        spare.append(chans[2 * n_tex : 2 * (n_tex + n_spare)])
+        sig.append(chans[2 * (n_tex + n_spare) :])
+    return ChannelPlan(texture=np.concatenate(tex), signature=np.concatenate(sig),
+                       spare=np.concatenate(spare))
 
 
 def texture_dictionary(frames: int, height: int, width: int, channels: int) -> np.ndarray:
@@ -239,10 +231,7 @@ def texture_dictionary(frames: int, height: int, width: int, channels: int) -> n
     d = len(plan.texture)
     rng = _rng(_TEXTURE_BASIS_SEED, channels, 0)
     n = frames * height * width
-    rows = []
-    while len(rows) * d < n + d:
-        rows.append(_orthogonal(d, rng))
-    block = np.concatenate(rows, axis=0)[:n]
+    block = np.concatenate([_orthogonal(d, rng) for _ in range(-(-n // d))], axis=0)[:n]
     out = np.zeros((n, channels), dtype=DTYPE)
     out[:, plan.texture] = block.astype(DTYPE)
     return out
@@ -256,18 +245,6 @@ def detail_direction(channels: int) -> np.ndarray:
     vec = np.zeros(channels, dtype=DTYPE)
     vec[plan.texture] = rng.standard_normal(len(plan.texture)).astype(DTYPE)
     return (vec / np.linalg.norm(vec)).astype(DTYPE)
-
-
-def texture_bank(frames: int, height: int, width: int, channels: int) -> np.ndarray:
-    """Snap targets of the denoising head: the subject texture dictionary plus
-    the background detail direction as the final row, (T*H*W + 1, C)."""
-    return np.concatenate(
-        [
-            texture_dictionary(frames, height, width, channels),
-            detail_direction(channels)[None, :],
-        ],
-        axis=0,
-    )
 
 
 @dataclass(frozen=True)
@@ -410,12 +387,13 @@ def init_model(config: ModelConfig) -> Model:
             / np.sqrt(2 * c)
         ).astype(DTYPE)
         layers.append(LayerWeights(gain, w_value, w_out, w_mlp1, w_mlp2))
-    positions = grid_positions(config.frames, config.height, config.width)
+    grid = (config.frames, config.height, config.width)
     return Model(
         config=config,
         layers=tuple(layers),
-        texture_bank=texture_bank(config.frames, config.height, config.width, config.channels),
-        rotary=RotaryTable.at(positions, c),
+        # the denoising head's snap targets: the subject textures, then the detail direction
+        texture_bank=np.concatenate([texture_dictionary(*grid, c), detail_direction(c)[None, :]]),
+        rotary=RotaryTable.at(grid_positions(*grid), c),
     )
 
 

@@ -145,30 +145,6 @@ class CacheRecorder(Hooks):
         self.cache.admit(step, layer, value)
 
 
-@dataclass(frozen=True)
-class InjectionRegions:
-    """Index sets driving one injection: frame foreground pixels, joint
-    background pixels (outside both masks), and the matched identity row for
-    each foreground pixel."""
-
-    fg: np.ndarray
-    bg: np.ndarray
-    identity_rows: np.ndarray
-
-    @classmethod
-    def from_masks(cls, mask_frame, mask_identity, lookup) -> "InjectionRegions":
-        mf = np.asarray(mask_frame, dtype=bool).ravel()
-        mi = np.asarray(mask_identity, dtype=bool).ravel()
-        if mf.shape != mi.shape:
-            raise ValueError("frame and identity masks differ in size")
-        fg = np.flatnonzero(mf)
-        bg = np.flatnonzero(~(mf | mi))
-        rows = np.asarray(lookup).ravel()[fg]
-        if rows.size and rows.min() < 0:
-            raise ValueError("a foreground pixel has no matched identity token")
-        return cls(fg=fg, bg=bg, identity_rows=rows.astype(np.int64))
-
-
 def region_mask(joint_len: int, thw: int, fg: np.ndarray, n_fg: int, n_bg: int) -> np.ndarray:
     """Additive attention mask over [joint | injected-fg | injected-bg] keys.
 
@@ -193,27 +169,24 @@ def build_plan(
     pre_v: np.ndarray,
     cached_x: np.ndarray,
     weights: LayerWeights,
-    regions: InjectionRegions,
-    rotary: RotaryTable,
+    cached_rows: np.ndarray,
+    key_table: RotaryTable,
     add_mask: np.ndarray,
 ) -> InjectionPlan:
     """Fuse natural frame keys/values with identity rows derived from the cache.
 
     `cached_x` holds the video rows of the identity's input to this layer and
-    `weights` are the layer's projections. The matched identity rows (for the
-    foreground) and the background rows are projected to pre-rotary keys and
-    values by `layer_kv`, as `forward` projects them; foreground keys are
-    encoded at the frame pixel's grid position so they align with the
-    queries that should pull them,
-    background keys at their own (shared) positions. Values are
-    position-free and enter unencoded.
-
-    `rotary` is the model's `RotaryTable` of the THW video positions, whose
-    rows encode the injected keys. `add_mask` is the `region_mask` of `regions`.
+    `weights` are the layer's projections. Its `cached_rows` (each frame
+    foreground pixel's matched identity row, then the joint background
+    pixels) are projected to pre-rotary keys and values by `layer_kv`, as
+    `forward` projects them. `key_table` holds the model's rotary rows of the
+    frame's foreground pixels, then of the background pixels: foreground keys
+    are encoded at the frame pixel's grid position so they align with the
+    queries that should pull them, background keys at their own (shared)
+    positions. Values are position-free and enter unencoded. `add_mask` is
+    the `region_mask` of those rows.
     """
-    cached_rows = np.concatenate([regions.identity_rows, regions.bg])
     pre_k_id, v_id = layer_kv(cached_x[cached_rows], weights)
-    key_table = rotary[np.concatenate([regions.fg, regions.bg])]
     k = np.concatenate([roped_k, rope_encode(pre_k_id, key_table)], axis=0)
     v = np.concatenate([pre_v, v_id], axis=0)
     return InjectionPlan(k=k, v=v, add_mask=add_mask)
@@ -226,10 +199,11 @@ class Injector(Hooks):
     and readout `trace`) and the frame's `RunConfig`, whose key plans decide
     what it records and where it injects. During the frame run it records
     the frame's own readout entries and, one step before injection begins,
-    derives once the foreground masks, the cross-generation match map, the
-    injection regions and the region mask from them; it then substitutes
-    fused key/value rows at the chosen layers for every later step. The
-    region mask is shared by every injected layer.
+    derives once the foreground masks, the cross-generation match map and,
+    from them, the joint `background` outside both masks, the injected rows
+    (`cached_rows` and `key_table`, see `build_plan`) and the region mask,
+    which every injected layer shares; it then substitutes fused key/value
+    rows at the chosen layers for every later step.
 
     It also keeps `latent_at_inject`, a copy of the latent entering
     `tau_inject`. No step before `tau_inject` is injected, so that latent is
@@ -245,11 +219,13 @@ class Injector(Hooks):
         self.injects = frozenset(run_cfg.cache_keys(model.config.steps))
         self.keys = frozenset(run_cfg.readout_keys())
         self.own = AttentionTrace()
-        self.regions: InjectionRegions | None = None
-        self.add_mask: np.ndarray | None = None
         self.match: MatchMap | None = None
         self.mask_frame: np.ndarray | None = None
         self.mask_identity: np.ndarray | None = None
+        self.background: np.ndarray | None = None
+        self.cached_rows: np.ndarray | None = None
+        self.key_table: RotaryTable | None = None
+        self.add_mask: np.ndarray | None = None
         self.latent_at_inject: np.ndarray | None = None
 
     def observe(self, step, layer, name, value) -> None:
@@ -272,22 +248,23 @@ class Injector(Hooks):
             sim, self.mask_frame, cfg.frames, cfg.height, cfg.width,
             global_match=rc.global_match,
         )
-        self.regions = InjectionRegions.from_masks(
-            self.mask_frame, self.mask_identity, self.match.as_lookup()
-        )
-        fg, bg = self.regions.fg, self.regions.bg
+        fg = np.flatnonzero(self.mask_frame)  # every one matched by `match_foreground`
+        self.background = ~(self.mask_frame | self.mask_identity)
+        bg = np.flatnonzero(self.background)
+        self.cached_rows = np.concatenate([self.match.as_lookup().ravel()[fg], bg])
+        self.key_table = self.model.rotary[np.concatenate([fg, bg])]
         self.add_mask = region_mask(cfg.joint_len, cfg.thw, fg, len(fg), len(bg))
         self.add_mask.flags.writeable = False  # shared by every injected layer
 
     def inject(self, step, layer, pre_k, pre_v, roped_k) -> InjectionPlan | None:
-        if (step, layer) not in self.injects or self.regions is None:
+        if (step, layer) not in self.injects or self.cached_rows is None:
             return None
         return build_plan(
             roped_k,
             pre_v,
             self.identity.cache.get(step, layer),
             self.model.layers[layer],
-            self.regions,
-            self.model.rotary,
+            self.cached_rows,
+            self.key_table,
             self.add_mask,
         )

@@ -20,30 +20,6 @@ from .tensorops import DTYPE
 MASK_HEADER = ("frame", "h", "w", "fg")
 
 
-def verdict_from_v2t(v2t: np.ndarray, layout: PromptLayout) -> np.ndarray:
-    """Per-pixel foreground verdicts from one (THW, L_text) weight slice.
-
-    Ties go to foreground.
-    """
-    if v2t.ndim != 2 or v2t.shape[1] != layout.total:
-        raise ValueError(f"v2t shape {v2t.shape} does not match prompt layout")
-    bg = v2t[:, layout.bg_slice].mean(axis=1)
-    fg = v2t[:, layout.fg_slice].mean(axis=1)
-    return bg <= fg
-
-
-def aggregate_v2t(slices: list[np.ndarray]) -> np.ndarray:
-    """Average weight slices across layers (all shaped (THW, L_text))."""
-    if not slices:
-        raise ValueError("no weight slices to aggregate")
-    acc = np.zeros_like(slices[0], dtype=np.float64)
-    for s in slices:
-        if s.shape != slices[0].shape:
-            raise ValueError("weight slices disagree in shape")
-        acc += s
-    return (acc / len(slices)).astype(DTYPE)
-
-
 def mask_from_slices(
     slices: list[np.ndarray],
     layout: PromptLayout,
@@ -51,9 +27,20 @@ def mask_from_slices(
     height: int,
     width: int,
 ) -> np.ndarray:
-    """Aggregate layer slices and reshape verdicts to (frames, height, width)."""
-    verdicts = verdict_from_v2t(aggregate_v2t(slices), layout)
-    return verdicts.reshape(frames, height, width)
+    """Foreground verdicts, (frames, height, width), from weight slices each
+    shaped (THW, L_text): the layers' average slice, then per pixel the
+    character segment's mean weight against the background segment's. Ties
+    go to foreground."""
+    if not slices:
+        raise ValueError("no weight slices to aggregate")
+    if any(s.shape != slices[0].shape for s in slices):
+        raise ValueError("weight slices disagree in shape")
+    v2t = (np.sum(slices, axis=0, dtype=np.float64) / len(slices)).astype(DTYPE)
+    if v2t.ndim != 2 or v2t.shape[1] != layout.total:
+        raise ValueError(f"v2t shape {v2t.shape} does not match prompt layout")
+    bg = v2t[:, layout.bg_slice].mean(axis=1)
+    fg = v2t[:, layout.fg_slice].mean(axis=1)
+    return (bg <= fg).reshape(frames, height, width)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,8 +10,6 @@ def to_gray(image: np.ndarray) -> np.ndarray:
     a = np.asarray(image)
     if a.ndim != 2:
         raise ValueError(f"need a 2-D image, got shape {a.shape}")
-    if a.dtype == np.uint8:
-        return a
     if a.dtype == bool:
         return a.astype(np.uint8) * 255
     return np.clip(np.rint(a.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)

@@ -291,10 +291,8 @@ def run_group(
             bench, run_cfg, identity,
             seed=seed, action_seed=i + 1, scene_sigma=scene_sigma,
         )
-        if injector is None or injector.mask_frame is None or injector.match is None:
-            raise RuntimeError("injection never engaged: no mask or match was derived")
         mask_identity = injector.mask_identity
-        region = upsample_mask(~(injector.mask_identity | injector.mask_frame), channels)
+        region = upsample_mask(injector.background, channels)
         kw = {}
         if ablate:
             z_van = denoise(

@@ -118,32 +118,33 @@ class AnalysisGrid:
         return cls(steps=steps, layers=layers, values=np.reshape(values, (len(steps), len(layers))))
 
 
-def select_tau_mask(curve) -> int:
-    """First step exceeding 95% of the curve's maximum.
+def select_tau(curve, kind: str) -> int:
+    """The readout step of a per-step curve averaged over a layer set.
 
-    The curve is per-step quality (intersection-over-union) averaged over a
-    layer set. Degenerate curves whose maximum is not positive fall back to
-    the earliest maximum.
+    For a quality curve (intersection-over-union) it is the first step
+    exceeding 95% of the maximum, for a cost curve (matching error) the first
+    within 105% of the minimum. A curve no step passes (a quality maximum
+    that is not positive, a negative cost curve) falls back to its earliest
+    best step.
     """
+    if kind not in (QUALITY, COST):
+        raise ValueError(f"unknown grid kind {kind!r}")
     c = np.asarray(curve, dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("need a nonempty per-step curve")
-    hits = np.flatnonzero(c > 0.95 * c.max())
-    return int(hits[0]) if hits.size else int(np.argmax(c))
+    best = int(np.argmax(c) if kind == QUALITY else np.argmin(c))
+    hits = np.flatnonzero(c > 0.95 * c[best] if kind == QUALITY else c <= 1.05 * c[best])
+    return int(hits[0]) if hits.size else best
+
+
+def select_tau_mask(curve) -> int:
+    """`select_tau` of a mask (quality) curve."""
+    return select_tau(curve, QUALITY)
 
 
 def select_tau_match(curve) -> int:
-    """First step within 105% of the curve's minimum.
-
-    The curve is per-step matching error averaged over a layer set. Negative
-    curves (which the rule's threshold would exclude entirely) fall back to
-    the earliest minimum.
-    """
-    c = np.asarray(curve, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("need a nonempty per-step curve")
-    hits = np.flatnonzero(c <= 1.05 * c.min())
-    return int(hits[0]) if hits.size else int(np.argmin(c))
+    """`select_tau` of a match (cost) curve."""
+    return select_tau(curve, COST)
 
 
 def _top_k(labels, scores, k: int, descending: bool) -> tuple[int, ...]:

@@ -84,12 +84,10 @@ def test_derived_rows_equal_forward_kv_rows(data):
     np.testing.assert_array_equal(v, pre_v[rows])
 
 
-def _kv_build_plan(roped_k, pre_v, cached_k, cached_v, regions, rotary, add_mask):
+def _kv_build_plan(roped_k, pre_v, cached_k, cached_v, cached_rows, key_table, add_mask):
     """The earlier `build_plan`: fused rows taken from cached K and V."""
-    k_fg = rope_encode(cached_k[regions.identity_rows], rotary[regions.fg])
-    k_bg = rope_encode(cached_k[regions.bg], rotary[regions.bg])
-    k = np.concatenate([roped_k, k_fg, k_bg], axis=0)
-    v = np.concatenate([pre_v, cached_v[regions.identity_rows], cached_v[regions.bg]], axis=0)
+    k = np.concatenate([roped_k, rope_encode(cached_k[cached_rows], key_table)], axis=0)
+    v = np.concatenate([pre_v, cached_v[cached_rows]], axis=0)
     return InjectionPlan(k=k, v=v, add_mask=add_mask)
 
 
@@ -101,10 +99,10 @@ class _KvInjector(Injector):
         self.kv = kv
 
     def inject(self, step, layer, pre_k, pre_v, roped_k):
-        if (step, layer) not in self.injects or self.regions is None:
+        if (step, layer) not in self.injects or self.cached_rows is None:
             return None
         k, v = self.kv[(step, layer)]
-        return _kv_build_plan(roped_k, pre_v, k, v, self.regions, self.model.rotary,
+        return _kv_build_plan(roped_k, pre_v, k, v, self.cached_rows, self.key_table,
                               self.add_mask)
 
 
@@ -139,7 +137,7 @@ def test_injected_frame_equals_kv_cache_oracle(bench, desk_cfg, both_caches, mon
     monkeypatch.setattr(pipeline, "make_injector", kv_injector)
     want, want_inj = run_frame(bench, desk_cfg, bundle, seed=21)
     assert isinstance(want_inj, _KvInjector) and not isinstance(got_inj, _KvInjector)
-    assert len(want_inj.regions.fg) and len(want_inj.regions.bg)  # injection really engaged
+    assert want_inj.mask_frame.any() and want_inj.background.any()  # injection really engaged
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got_inj.mask_frame, want_inj.mask_frame)
     np.testing.assert_array_equal(got_inj.match.as_lookup(), want_inj.match.as_lookup())

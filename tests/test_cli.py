@@ -112,7 +112,7 @@ def test_select_tau_rules(grid_csv, capsys):
 
 def test_select_tau_names_the_layers_the_grid_lacks(grid_csv, capsys):
     assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "2,5-6"]) == 2
-    _one_line_error(capsys, "layer set has 2 layer(s) outside 0..3, the first 5")
+    _one_line_error(capsys, "--layers: layer set has 2 layer(s) outside 0..3, the first 5")
 
 
 def test_select_vital_from_report(tmp_path, capsys):
@@ -140,10 +140,11 @@ def test_select_k_zero_is_one_line(tmp_path, grid_csv, capsys):
 
 def test_select_tau_empty_layer_set_is_one_line(grid_csv, capsys):
     assert main(["select", "tau", "--grid", str(grid_csv), "--layers", ""]) == 2
-    _one_line_error(capsys, "empty layer set")
+    _one_line_error(capsys, "--layers: empty layer set")
     for text in ("1-", "-1", "2-3-4"):
         assert main(["select", "tau", "--grid", str(grid_csv), "--layers", text]) == 2
-        _one_line_error(capsys, f"layer set part {text!r} is not a layer or a lo-hi range")
+        _one_line_error(capsys,
+                        f"--layers: layer set part {text!r} is not a layer or a lo-hi range")
 
 
 def test_select_on_a_grid_of_only_its_header_is_one_line(tmp_path, capsys):
@@ -151,7 +152,7 @@ def test_select_on_a_grid_of_only_its_header_is_one_line(tmp_path, capsys):
     p.write_text("step,layer,value\n")
     for argv in (["tau"], ["mask-layers", "-k", "2"], ["match-layers"]):
         assert main(["select", *argv, "--grid", str(p)]) == 2
-        _one_line_error(capsys, "grid holds no cells")
+        _one_line_error(capsys, f"{p}: grid holds no cells")
 
 
 @pytest.mark.parametrize("what, flag, text", [
@@ -168,18 +169,39 @@ def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
     assert "line 3: 1 fields" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["select", "tau", "--grid"], "step,layer,value\n", "{path}: grid holds no cells"),
+    (["select", "tau", "--grid"], "step,layer,value\n1,2,0.5\n1,2,0.5\n",
+     "{path}: grid line 3: a second row for step 1 layer 2"),
+    (["select", "vital", "--report"], "layer,score_skip,baseline,drop\n",
+     "{path}: layer report holds no rows"),
+    (["dump-trace"], "# bachkit\n", "{path}: not a trace container (bad magic)"),
+    (["select", "tau", "--layers", "99", "--grid"], None,
+     "--layers: layer set has 1 layer(s) outside 0..7, the first 99"),
+], ids=["grid-header-only", "grid-repeated-row", "report-header-only", "not-a-container",
+        "layers-outside-the-grid"])
+def test_select_and_dump_trace_errors_name_their_source(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "README.md"
+    if text is None:  # a complete grid of 8 layers
+        AnalysisGrid(steps=(0, 1), layers=tuple(range(8)), values=np.ones((2, 8))).write_csv(path)
+    else:
+        path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    _one_line_error(capsys, message.format(path=path))
+
+
 def test_select_tau_field_over_the_csv_limit_is_one_line(tmp_path, capsys):
     p = tmp_path / "grid.csv"
     p.write_text("step,layer,value\n0,0," + "9" * 200_000 + "\n")
     assert main(["select", "tau", "--grid", str(p)]) == 2
-    _one_line_error(capsys, "grid line 2: field larger than field limit (131072)")
+    _one_line_error(capsys, f"{p}: grid line 2: field larger than field limit (131072)")
 
 
 def test_select_tau_integer_past_the_float_range_is_one_line(tmp_path, capsys):
     p = tmp_path / "grid.csv"
     p.write_text("step,layer,value\n0," + "9" * 400 + ",1.0\n")
     assert main(["select", "tau", "--grid", str(p)]) == 2
-    _one_line_error(capsys, "grid line 2: int too large to convert to float")
+    _one_line_error(capsys, f"{p}: grid line 2: int too large to convert to float")
 
 
 def test_config_that_is_not_utf8_is_one_line_naming_it(tmp_path, monkeypatch, capsys):
@@ -325,9 +347,10 @@ def test_bad_scene_sigma_is_a_usage_error(value, monkeypatch, capsys):
 
 
 def test_scene_sigma_past_the_score_range_is_one_line(tmp_path, capsys):
-    # the scores overflow float32; the finiteness check refuses them, with no numpy warning
+    # the scores overflow float32; the finiteness check refuses them, with no numpy warning,
+    # and the message names the flag the run's scale came from
     assert main(["gen-identity", "--scene-sigma", "1e30", "--out", str(tmp_path)]) == 2
-    _one_line_error(capsys, "non-finite input")
+    _one_line_error(capsys, "non-finite input at --scene-sigma 1e+30")
 
 
 def test_zero_scene_sigma_runs(tmp_path, capsys):
@@ -420,7 +443,7 @@ def test_gen_frame_budget_refusal_names_the_cache_file(identity_dir, tmp_path, m
 
 def test_select_tau_huge_layer_range_is_one_short_line(grid_csv, capsys):
     assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "0-2000000"]) == 2
-    _one_line_error(capsys, "layer set has 1999997 layer(s) outside 0..3, the first 4")
+    _one_line_error(capsys, "--layers: layer set has 1999997 layer(s) outside 0..3, the first 4")
 
 
 def test_gen_frame_without_injection_reads_no_identity(tmp_path, bench, desk_cfg):
@@ -452,7 +475,7 @@ def test_dump_trace_rejects_unknown_tag_in_one_line(tmp_path, capsys):
     assert main(["dump-trace", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""  # rejected before the table header is printed
-    assert err == "bachkit: error: entry 0 has unknown field tag 9\n"
+    assert err == f"bachkit: error: {p}: entry 0 has unknown field tag 9\n"
 
 
 def test_dump_trace_rejects_repeated_key_in_one_line(tmp_path, capsys):
@@ -466,7 +489,7 @@ def test_dump_trace_rejects_repeated_key_in_one_line(tmp_path, capsys):
     assert main(["dump-trace", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("bachkit: error: entry 1 key (3, 1, 1) does not follow entry 0 key "
+    assert err == (f"bachkit: error: {p}: entry 1 key (3, 1, 1) does not follow entry 0 key "
                    "(3, 1, 1): keys must be strictly increasing\n")
 
 

@@ -1,6 +1,7 @@
 """Each decision the package makes is written in one place in its source:
-the CSV table format, the layer key/value projection, the identity
-directory's files and the video artifact, and the CLI's defaults."""
+the CSV table format, the layer key/value projection, the joint background,
+the identity directory's files and the video artifact, and the CLI's
+defaults."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,29 @@ def _functions_multiplying_by(name: str) -> set[str]:
 @pytest.mark.parametrize("weight", ["qk_gain", "w_value"])
 def test_one_key_value_projection(weight):
     assert _functions_multiplying_by(weight) == {"dit.layer_kv"}
+
+
+def _is_complement_of_union(node) -> bool:
+    """`~(a | b)`, or its other spelling `~a & ~b`."""
+    def inverted(n):
+        return isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Invert)
+
+    if inverted(node):
+        return isinstance(node.operand, ast.BinOp) and isinstance(node.operand.op, ast.BitOr)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and inverted(node.left) and inverted(node.right))
+
+
+def test_one_background_rule():
+    """The joint background, outside both the frame's and the identity's
+    foreground mask, is formed by one function; everything else reads it."""
+    found = {
+        f"{module}.{fn.name}"
+        for module, text in SOURCES.items()
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, ast.FunctionDef) and any(map(_is_complement_of_union, ast.walk(fn)))
+    }
+    assert found == {"inject.step_end"}
 
 
 @pytest.mark.parametrize("name", IDENTITY_FILES)

@@ -27,7 +27,7 @@ from bachkit.dit import (
     init_model,
     predict_clean,
 )
-from bachkit.inject import InjectionRegions, build_plan, region_mask
+from bachkit.inject import build_plan, region_mask
 from bachkit.scene import IDENTITY
 from bachkit.tensorops import (
     DTYPE,
@@ -155,22 +155,20 @@ class _Injecting(Hooks):
     def __init__(self, model):
         cfg = model.config
         rng = np.random.default_rng(17)
-        self.rotary = model.rotary
         self.weights = model.layers
         self.cached = [
             rng.standard_normal((cfg.thw, cfg.channels)).astype(DTYPE) for _ in range(cfg.depth)
         ]
-        fg = np.array([1, 2, 4, 10, 13])
-        self.regions = InjectionRegions(
-            fg=fg, bg=np.array([0, 6, 8, 9, 17]), identity_rows=np.array([3, 2, 5, 10, 12])
-        )
+        fg, bg = np.array([1, 2, 4, 10, 13]), np.array([0, 6, 8, 9, 17])
+        self.cached_rows = np.concatenate([[3, 2, 5, 10, 12], bg])  # matched rows, then bg
+        self.key_table = model.rotary[np.concatenate([fg, bg])]
         self.add_mask = region_mask(cfg.joint_len, cfg.thw, fg, 5, 5)
 
     def inject(self, step, layer, pre_k, pre_v, roped_k):
         if step < 2:
             return None
         return build_plan(roped_k, pre_v, self.cached[layer], self.weights[layer],
-                          self.regions, self.rotary, self.add_mask)
+                          self.cached_rows, self.key_table, self.add_mask)
 
 
 @pytest.fixture(scope="module")

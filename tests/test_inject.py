@@ -11,7 +11,6 @@ import pytest
 from bachkit.inject import (
     CacheBudgetError,
     CacheRecorder,
-    InjectionRegions,
     Injector,
     KvCache,
     build_plan,
@@ -20,6 +19,7 @@ from bachkit.inject import (
     region_mask,
 )
 from bachkit.dit import ChainedHooks, LayerWeights, forward, score_workspace
+from bachkit.pipeline import run_frame
 from bachkit.tensorops import (
     DTYPE,
     NEG,
@@ -229,25 +229,23 @@ def test_cache_load_rejects_kv_record_format(tmp_path, monkeypatch):
         KvCache.load(p)
 
 
-def test_regions_from_masks_planted_example():
-    mask_identity = np.array([1, 0, 0, 1], dtype=bool)
-    mask_frame = np.array([0, 1, 0, 1], dtype=bool)
-    lookup = np.array([-1, 0, -1, 3])
-    regions = InjectionRegions.from_masks(mask_frame, mask_identity, lookup)
-    assert regions.fg.tolist() == [1, 3]
-    assert regions.bg.tolist() == [2]
-    assert regions.identity_rows.tolist() == [0, 3]
-
-
-def test_regions_require_matched_foreground():
-    with pytest.raises(ValueError, match="no matched identity token"):
-        InjectionRegions.from_masks(
-            np.array([1, 0], dtype=bool), np.array([0, 1], dtype=bool), np.array([-1, -1])
-        )
-    with pytest.raises(ValueError, match="differ in size"):
-        InjectionRegions.from_masks(
-            np.ones(3, dtype=bool), np.ones(4, dtype=bool), np.zeros(3)
-        )
+def test_regions_from_masks_planted_example(bench, desk_cfg, identity):
+    _, injector = run_frame(bench, desk_cfg, identity, seed=21)
+    mask_frame, mask_identity = injector.mask_frame, injector.mask_identity
+    np.testing.assert_array_equal(injector.background, ~(mask_frame | mask_identity))
+    fg = np.flatnonzero(mask_frame)
+    bg = np.flatnonzero(~mask_frame & ~mask_identity)
+    cfg = bench.model.config
+    assert fg.size and bg.size and fg.size + bg.size < cfg.thw
+    identity_rows = injector.match.as_lookup().ravel()[fg]
+    assert (identity_rows >= 0).all()  # every foreground pixel has a matched identity token
+    np.testing.assert_array_equal(injector.cached_rows, np.concatenate([identity_rows, bg]))
+    # foreground keys at the frame pixels' positions, background keys at their own
+    want = bench.model.rotary[np.concatenate([fg, bg])]
+    np.testing.assert_array_equal(injector.key_table.cos, want.cos)
+    np.testing.assert_array_equal(injector.key_table.sin, want.sin)
+    np.testing.assert_array_equal(
+        injector.add_mask, region_mask(cfg.joint_len, cfg.thw, fg, len(fg), len(bg)))
 
 
 def test_region_mask_layout():
@@ -315,11 +313,11 @@ def test_build_plan_reencodes_keys_at_frame_positions():
     )
     cached_k = cached_x * weights.qk_gain[None, :]
     cached_v = cached_x @ weights.w_value
-    regions = InjectionRegions(
-        fg=np.array([1, 5]), bg=np.array([0, 7]), identity_rows=np.array([2, 6])
-    )
-    add_mask = region_mask(joint_len, thw, regions.fg, len(regions.fg), len(regions.bg))
-    plan = build_plan(roped_k, pre_v, cached_x, weights, regions, rotary, add_mask)
+    fg, bg, identity_rows = np.array([1, 5]), np.array([0, 7]), np.array([2, 6])
+    cached_rows = np.concatenate([identity_rows, bg])
+    key_table = rotary[np.concatenate([fg, bg])]
+    add_mask = region_mask(joint_len, thw, fg, len(fg), len(bg))
+    plan = build_plan(roped_k, pre_v, cached_x, weights, cached_rows, key_table, add_mask)
     assert plan.k.shape == (joint_len + 4, c)
     np.testing.assert_array_equal(plan.k[:joint_len], roped_k)
     np.testing.assert_array_equal(plan.v[:joint_len], pre_v)

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from bachkit.dit import PromptLayout
-from bachkit.masks import (
-    MASK_HEADER,
-    aggregate_v2t,
-    mask_from_slices,
-    mask_iou,
-    verdict_from_v2t,
-    write_mask_csv,
-    write_mask_pgms,
-)
+from bachkit.masks import MASK_HEADER, mask_from_slices, mask_iou, write_mask_csv, write_mask_pgms
 from bachkit.select import read_csv_records
 
 LAYOUT = PromptLayout(bg=2, fg=2, action=1, pad=1)
@@ -26,33 +18,44 @@ def slice_for(bg_w, fg_w, rows=1):
     return v
 
 
+def verdicts(slices):
+    """`mask_from_slices` of (rows, LAYOUT.total) slices, as one flat row of verdicts."""
+    return mask_from_slices(slices, LAYOUT, 1, 1, len(slices[0])).ravel()
+
+
 def test_verdict_compares_segment_means():
     v = np.vstack([slice_for(0.3, 0.1), slice_for(0.1, 0.3), slice_for(0.2, 0.2)])
-    got = verdict_from_v2t(v, LAYOUT)
+    got = verdicts([v])
     assert got.tolist() == [False, True, True]  # tie goes to foreground
 
 
 def test_verdict_ignores_action_and_pad():
     v = slice_for(0.2, 0.3)
     v[:, 4:] = 99.0
-    assert verdict_from_v2t(v, LAYOUT).tolist() == [True]
+    assert verdicts([v]).tolist() == [True]
 
 
 def test_verdict_shape_check():
-    with pytest.raises(ValueError):
-        verdict_from_v2t(np.zeros((4, LAYOUT.total + 1)), LAYOUT)
+    with pytest.raises(ValueError, match="does not match prompt layout"):
+        verdicts([np.zeros((4, LAYOUT.total + 1))])
 
 
 def test_aggregate_is_mean_of_slices():
     rng = np.random.default_rng(0)
     slices = [rng.random((5, 6)).astype(np.float32) for _ in range(4)]
-    np.testing.assert_allclose(
-        aggregate_v2t(slices), np.mean(slices, axis=0), atol=1e-6
-    )
-    with pytest.raises(ValueError):
-        aggregate_v2t([])
-    with pytest.raises(ValueError):
-        aggregate_v2t([slices[0], slices[0][:3]])
+    mean = np.zeros((5, 6))
+    for s in slices:  # the reference: float64 sums, layer by layer
+        mean += s
+    mean = (mean / len(slices)).astype(np.float32)
+    want = mean[:, LAYOUT.bg_slice].mean(axis=1) <= mean[:, LAYOUT.fg_slice].mean(axis=1)
+    assert 0 < want.sum() < len(want)  # both verdicts occur
+    assert verdicts(slices).tolist() == want.tolist()
+    # the layers' mean, not one layer's verdicts: a slice alone may disagree with it
+    assert any(verdicts([s]).tolist() != want.tolist() for s in slices)
+    with pytest.raises(ValueError, match="no weight slices"):
+        mask_from_slices([], LAYOUT, 1, 1, 5)
+    with pytest.raises(ValueError, match="disagree in shape"):
+        verdicts([slices[0], slices[0][:3]])
 
 
 def test_aggregate_order_invariant():

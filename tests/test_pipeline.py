@@ -158,7 +158,7 @@ def test_runs_check_the_config_against_the_model_before_compute(bench, desk_cfg,
     short_identity = run_identity(short, cfg, seed=11)
     assert len(short_identity.cache.plan) == 3 * len(cfg.kv_layers)
     _, injector = run_frame(short, cfg, short_identity, seed=21)
-    assert injector.regions is not None and injector.match is not None
+    assert injector.cached_rows is not None and injector.match is not None
 
 
 def test_frame_run_reads_each_saved_cache_entry_once(bench, desk_cfg, identity, tmp_path,
