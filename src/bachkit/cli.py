@@ -236,12 +236,12 @@ def _named(label: str, read, *args):
 def _cmd_select(args) -> int:
     cfg = _run_config(args)
     k = cfg.vital_k if args.k is None else args.k
+    k_flag = "-k" if args.k is not None else f"-k (default {k})"
     if args.what == "vital":
         if not args.report:
             raise ValueError("select vital needs --report")
         report = _named(args.report, LayerReport.read_csv, args.report)
-        chosen = select_vital(report.drops(), k)
-        print(format_layer_set(chosen))
+        print(format_layer_set(_named(f"{args.report}: {k_flag}", select_vital, report.drops(), k)))
         return 0
     if not args.grid:
         raise ValueError(f"select {args.what} needs --grid")
@@ -250,11 +250,11 @@ def _cmd_select(args) -> int:
         depth = max(grid.layers, default=-1) + 1  # bounds --layers before a range is expanded
         layers = None if args.layers is None else _named("--layers", parse_layer_set,
                                                           args.layers, depth)
-        curve = grid.step_curve(layers)
+        curve = _named(f"{args.grid}: --layers", grid.step_curve, layers)
         print(grid.steps[select_tau(curve, args.kind)])
     else:
         kind = QUALITY if args.what == "mask-layers" else COST
-        print(format_layer_set(select_layers(grid, k, kind)))
+        print(format_layer_set(_named(f"{args.grid}: {k_flag}", select_layers, grid, k, kind)))
     return 0
 
 

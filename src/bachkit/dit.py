@@ -278,16 +278,22 @@ class InjectionPlan:
 OBSERVED_FIELDS = ("v2t", "attn_out", "x")
 
 
+def observed_shape(config: ModelConfig, name: str) -> tuple[int, int]:
+    """The shape of the `name` entry `forward` forms: (THW, text_len) for
+    "v2t", (THW, C) for "attn_out" and "x"."""
+    return config.thw, config.text_len if name == "v2t" else config.channels
+
+
 class Hooks:
     """Observation / injection callbacks for `forward` and `denoise`.
 
     `keys` is the hook's plan: the (step, layer, field) entries it observes.
     `forward` forms an entry only when `keys` holds it and hands it to
     `observe(step, layer, name, value)`, one call per entry, as a view (copy
-    to retain). The fields are "v2t", the head-averaged video-to-text weights
-    (THW, text_len); "attn_out", the attention output's video rows (THW, C);
-    and "x", the layer input's video rows (THW, C), from which `layer_kv`
-    gives the layer's pre-rotary keys and values.
+    to retain). The fields are "v2t", the head-averaged video-to-text
+    weights; "attn_out", the attention output's video rows; and "x", the
+    layer input's video rows, from which `layer_kv` gives the layer's
+    pre-rotary keys and values. `observed_shape` gives each one's shape.
     `inject` may return an InjectionPlan to substitute fused key/value rows
     before attention; returning None leaves the layer untouched. A plan
     carries at most `ModelConfig.max_keys` keys (joint_len + THW), the most

@@ -91,12 +91,6 @@ class KvCache:
         """Write one layer input's (rows, channels) video rows to the cache."""
         self.entries.put(self._key(step, layer, x_rows.shape), x_rows)
 
-    def get(self, step: int, layer: int) -> np.ndarray:
-        key = (int(step), int(layer), "x")
-        if key not in self.entries:
-            raise KeyError(f"cache holds no rows for step {step} layer {layer}")
-        return self.entries[key]
-
     def save(self, path) -> None:
         write_container(self.entries, path)
 
@@ -105,7 +99,7 @@ class KvCache:
         """Open a saved cache; its plan is the saved (step, layer) pairs.
 
         Only the checked entry table is held: each entry is read from the
-        file when `get` or `entries[key]` asks for it, as a fresh read-only
+        file when `entries[key]` asks for it, as a fresh read-only
         array, while `in`, `len` and iteration use the table only. A frame
         run reads each entry once, so holds one entry at a time.
 
@@ -262,7 +256,7 @@ class Injector(Hooks):
         return build_plan(
             roped_k,
             pre_v,
-            self.identity.cache.get(step, layer),
+            self.identity.cache.entries[step, layer, "x"],
             self.model.layers[layer],
             self.cached_rows,
             self.key_table,

@@ -29,6 +29,7 @@ from .dit import (
     denoise,
     embed_prompt,
     init_model,
+    observed_shape,
     patch_shape,
 )
 from .inject import CacheBudgetError, CacheRecorder, Injector, KvCache
@@ -160,25 +161,24 @@ def make_injector(bench: Workbench, run_cfg: RunConfig, identity: IdentityBundle
 
     Raises:
         ValueError: if a layer or step of `run_cfg` lies outside the model
-            (`RunConfig.check_fits`), if the identity cache's rows are not
-            this model's (THW, C) video rows, or naming the first entry the
-            run would read that the identity lacks: the cache plan's rows,
-            then the readout entries. The checks run before any compute.
+            (`RunConfig.check_fits`), or naming the identity file, field,
+            step and layer of the first entry the run would read that the
+            identity lacks or holds in another shape than `forward` forms
+            (`observed_shape`): the cache plan's rows, then the readout
+            entries. The checks run before any compute.
     """
     cfg = bench.model.config
     run_cfg.check_fits(cfg.depth, cfg.steps)
-    cache = identity.cache
-    if (cache.rows, cache.channels) != (cfg.thw, cfg.channels):
-        raise ValueError(
-            f"identity cache holds {cache.rows}x{cache.channels} rows per entry, "
-            f"the model's video rows are {cfg.thw}x{cfg.channels}"
-        )
-    for step, layer in run_cfg.cache_keys(cfg.steps):
-        if (step, layer, "x") not in cache.entries:
-            raise ValueError(f"identity cache holds no rows at step {step} layer {layer}")
-    for step, layer, name in run_cfg.readout_keys():
-        if (step, layer, name) not in identity.trace.entries:
-            raise ValueError(f"identity trace holds no {name!r} at step {step} layer {layer}")
+    cache_keys = [(step, layer, "x") for step, layer in run_cfg.cache_keys(cfg.steps)]
+    for file, entries, keys in ((IDENTITY_CACHE, identity.cache.entries, cache_keys),
+                                (IDENTITY_TRACE, identity.trace.entries, run_cfg.readout_keys())):
+        for step, layer, name in keys:
+            if (step, layer, name) not in entries:
+                raise ValueError(f"{file} holds no {name!r} at step {step} layer {layer}")
+            got, want = entries.shape((step, layer, name)), observed_shape(cfg, name)
+            if got != want:
+                raise ValueError(f"{file} holds {name!r} at step {step} layer {layer} as {got}, "
+                                 f"the model's is {want}")
     return Injector(model=bench.model, layout=bench.layout, identity=identity, run_cfg=run_cfg)
 
 
@@ -221,7 +221,7 @@ def psnr_bg(video_a: np.ndarray, video_b: np.ndarray, bg_region: np.ndarray) -> 
 def upsample_mask(mask: np.ndarray, channels: int) -> np.ndarray:
     """Expand a latent-pixel mask to decoded-video resolution."""
     ph, pw = patch_shape(channels)
-    return np.stack([np.kron(m, np.ones((ph, pw), dtype=bool)) for m in mask])
+    return mask.repeat(ph, 1).repeat(pw, 2)
 
 
 @dataclass(frozen=True)
@@ -293,23 +293,21 @@ def run_group(
         )
         mask_identity = injector.mask_identity
         region = upsample_mask(injector.background, channels)
-        kw = {}
+        z_van = psnr_van = None
         if ablate:
             z_van = denoise(
                 bench.model, bench.prompt(i + 1), bench.schedule, seed,
                 start=(run_cfg.tau_inject, injector.latent_at_inject),
             )
-            kw = dict(
-                z_vanilla=z_van,
-                psnr_bg_vanilla=psnr_bg(decode_video(z_van), vid_identity, region),
-            )
+            psnr_van = psnr_bg(decode_video(z_van), vid_identity, region)
         results.append(FrameResult(
             index=i,
             z_injected=z_inj,
             mask_frame=injector.mask_frame,
             match=injector.match,
             psnr_bg_injected=psnr_bg(decode_video(z_inj), vid_identity, region),
-            **kw,
+            z_vanilla=z_van,
+            psnr_bg_vanilla=psnr_van,
         ))
     return GroupReport(identity=identity, mask_identity=mask_identity, frames=tuple(results))
 
@@ -382,7 +380,7 @@ def mask_grid(
     values = np.empty((len(steps), len(layers)))
     for i, s in enumerate(steps):
         for j, l in enumerate(layers):
-            m = mask_from_slices([trace.get(s, l, "v2t")], layout, frames, height, width)
+            m = mask_from_slices([trace.entries[s, l, "v2t"]], layout, frames, height, width)
             values[i, j] = mask_iou(m, reference)
     return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values)
 
@@ -406,10 +404,8 @@ def match_grid(
     values = np.empty((len(steps), len(layers)))
     for i, s in enumerate(steps):
         for j, l in enumerate(layers):
-            sim = similarity(
-                [trace_frame.get(s, l, "attn_out")],
-                [trace_identity.get(s, l, "attn_out")],
-            )
+            sim = similarity([trace_frame.entries[s, l, "attn_out"]],
+                             [trace_identity.entries[s, l, "attn_out"]])
             found = match_foreground(sim, fg_mask, frames, height, width, global_match=global_match)
             values[i, j] = match_mse(found, true_lookup)
     return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values)

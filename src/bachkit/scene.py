@@ -100,9 +100,9 @@ class Scene:
     def mask(self, variant: str) -> np.ndarray:
         """Planted foreground mask, (frames, height, width) bool."""
         out = np.zeros((self.frames, self.height, self.width), dtype=bool)
-        sh, sw = SUBJECT_SHAPE
-        for t, (oh, ow) in enumerate(self._origins(variant)):
-            out[t, oh : oh + sh, ow : ow + sw] = True
+        t, dh, dw = self._offsets()
+        o = self._origins(variant)
+        out[t, o[t, 0] + dh, o[t, 1] + dw] = True
         return out
 
     def detail_field(self, variant: str) -> np.ndarray:

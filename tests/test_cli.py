@@ -133,9 +133,9 @@ def test_select_k_zero_is_one_line(tmp_path, grid_csv, capsys):
     p = tmp_path / "layers.csv"
     report.write_csv(p)
     assert main(["select", "vital", "--report", str(p), "-k", "0"]) == 2
-    _one_line_error(capsys, "k=0 out of range for 4 layers")
+    _one_line_error(capsys, f"{p}: -k: k=0 out of range for 4 layers")
     assert main(["select", "mask-layers", "--grid", str(grid_csv), "-k", "0"]) == 2
-    _one_line_error(capsys, "k=0 out of range for 4 layers")
+    _one_line_error(capsys, f"{grid_csv}: -k: k=0 out of range for 4 layers")
 
 
 def test_select_tau_empty_layer_set_is_one_line(grid_csv, capsys):
@@ -169,6 +169,9 @@ def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
     assert "line 3: 1 fields" in err
 
 
+LAYERS_0_2 = "step,layer,value\n0,0,1.0\n0,2,0.5\n"  # a grid whose layers are 0 and 2
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["select", "tau", "--grid"], "step,layer,value\n", "{path}: grid holds no cells"),
     (["select", "tau", "--grid"], "step,layer,value\n1,2,0.5\n1,2,0.5\n",
@@ -178,8 +181,17 @@ def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
     (["dump-trace"], "# bachkit\n", "{path}: not a trace container (bad magic)"),
     (["select", "tau", "--layers", "99", "--grid"], None,
      "--layers: layer set has 1 layer(s) outside 0..7, the first 99"),
+    (["select", "tau", "--layers", "1", "--grid"], LAYERS_0_2,
+     "{path}: --layers: grid has no layer 1 (1 layer(s) missing) among its 2 layers"),
+    (["select", "mask-layers", "-k", "5", "--grid"], LAYERS_0_2,
+     "{path}: -k: k=5 out of range for 2 layers"),
+    (["select", "match-layers", "--grid"], LAYERS_0_2,  # desk8's 4 kv layers
+     "{path}: -k (default 4): k=4 out of range for 2 layers"),
+    (["select", "vital", "--report"], "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n",
+     "{path}: -k (default 4): k=4 out of range for 1 layers"),
 ], ids=["grid-header-only", "grid-repeated-row", "report-header-only", "not-a-container",
-        "layers-outside-the-grid"])
+        "layers-outside-the-grid", "layer-the-grid-lacks", "k-over-the-grid",
+        "default-k-over-the-grid", "default-k-over-the-report"])
 def test_select_and_dump_trace_errors_name_their_source(tmp_path, capsys, argv, text, message):
     path = tmp_path / "README.md"
     if text is None:  # a complete grid of 8 layers
@@ -438,6 +450,23 @@ def test_gen_frame_budget_refusal_names_the_cache_file(identity_dir, tmp_path, m
     assert main(["gen-frame", "--identity-dir", str(identity_dir), "--out", str(tmp_path / "f"),
                  "--kv-budget-bytes", "1000"]) == 2
     _one_line_error(capsys, message)
+    assert not (tmp_path / "f").exists()
+
+
+def test_gen_frame_refuses_a_readout_of_the_wrong_shape_before_compute(
+    identity_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(pipeline, "denoise", _no_compute)
+    d = tmp_path / "identity"
+    shutil.copytree(identity_dir, d)
+    trace = AttentionTrace.load(identity_dir / "identity_trace.bvtr")
+    narrow = AttentionTrace()
+    for key, a in trace.entries.items():
+        narrow.put(*key, a[:, :8] if key == (10, 3, "v2t") else a)
+    narrow.save(d / "identity_trace.bvtr")
+    assert main(["gen-frame", "--identity-dir", str(d), "--out", str(tmp_path / "f")]) == 2
+    _one_line_error(capsys, "identity_trace.bvtr holds 'v2t' at step 10 layer 3 as (256, 8), "
+                            "the model's is (256, 16)")
     assert not (tmp_path / "f").exists()
 
 

@@ -1,7 +1,7 @@
 """Each decision the package makes is written in one place in its source:
 the CSV table format, the layer key/value projection, the joint background,
-the identity directory's files and the video artifact, and the CLI's
-defaults."""
+the lookup of a stored entry, the identity directory's files and the video
+artifact, and the CLI's defaults."""
 
 import ast
 from pathlib import Path
@@ -77,6 +77,31 @@ def test_one_background_rule():
         if isinstance(fn, ast.FunctionDef) and any(map(_is_complement_of_union, ast.walk(fn)))
     }
     assert found == {"inject.step_end"}
+
+
+def test_one_entry_lookup():
+    """A missing (step, layer, field) entry is refused by the one store
+    lookup, `EntryStore.__getitem__`; the trace and cache classes define no
+    lookup of their own."""
+    raising = {
+        f"{module}.{fn.name}"
+        for module, text in SOURCES.items()
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+            and getattr(n.exc.func, "id", None) == "KeyError"
+            for n in ast.walk(fn)
+        )
+    }
+    assert raising == {"trace.__getitem__"}
+    getters = [
+        f"{module}.{cls.name}"
+        for module in ("trace", "inject")
+        for cls in ast.walk(ast.parse(SOURCES[module]))
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "get" for f in cls.body)
+    ]
+    assert getters == []
 
 
 @pytest.mark.parametrize("name", IDENTITY_FILES)

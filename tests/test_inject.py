@@ -52,11 +52,11 @@ def test_cache_admit_get_and_counter():
     assert cache.nbytes == entry_nbytes(6, 4)
     cache.admit(2, 1, x)  # overwrite, not double-count
     assert cache.nbytes == entry_nbytes(6, 4)
-    np.testing.assert_array_equal(cache.get(2, 1), x)
+    np.testing.assert_array_equal(cache.entries[2, 1, "x"], x)
     x[0, 0] = -1  # cache stores copies
-    assert cache.get(2, 1)[0, 0] == 0
-    with pytest.raises(KeyError):
-        cache.get(0, 0)
+    assert cache.entries[2, 1, "x"][0, 0] == 0
+    with pytest.raises(KeyError, match="^\"no 'x' entry at step 0 layer 0\"$"):
+        cache.entries[0, 0, "x"]
     with pytest.raises(ValueError, match="cache rows must be"):
         cache.admit(0, 0, x[:3])
     with pytest.raises(ValueError, match="step 3 layer 1 is outside the cache plan"):
@@ -87,8 +87,8 @@ def test_cache_entries_share_one_buffer():
     held = np.frombuffer(os.pread(fd, st.st_size, 0), DTYPE).reshape(len(plan), 5, 4)
     for i, key in enumerate(rows):  # each key's rows sit where it was admitted
         np.testing.assert_array_equal(held[i], rows[key])
-        np.testing.assert_array_equal(cache.get(*key), rows[key])
-    a, b = cache.get(11, 0), cache.entries[(11, 0, "x")]
+        np.testing.assert_array_equal(cache.entries[(*key, "x")], rows[key])
+    a, b = cache.entries[(11, 0, "x")], cache.entries[(11, 0, "x")]
     assert a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
 
@@ -159,7 +159,7 @@ def test_cache_save_load(tmp_path):
         assert back.entries[key].dtype == DTYPE and not back.entries[key].flags.writeable
 
     # each read is a fresh array of its own: the loaded cache holds no payload
-    a, b = back.get(11, 0), back.entries[(11, 0, "x")]
+    a, b = back.entries[(11, 0, "x")], back.entries[(11, 0, "x")]
     assert a is not b and a.flags.owndata and b.flags.owndata and not np.shares_memory(a, b)
 
 
@@ -186,18 +186,16 @@ def test_loaded_cache_reads_entries_only_when_asked(tmp_path):
 
     table_only()
     for i, key in enumerate(plan):  # read from the file as it is now
-        np.testing.assert_array_equal(back.get(*key), new[i])
+        np.testing.assert_array_equal(back.entries[(*key, "x")], new[i])
     with open(p, "r+b") as fh:  # cut inside the second payload
         fh.truncate(payload_at + one + 8)
     table_only()
-    np.testing.assert_array_equal(back.get(11, 0), new[0])
+    np.testing.assert_array_equal(back.entries[11, 0, "x"], new[0])
     for key in plan[1:]:
         with pytest.raises(ValueError, match="^container truncated$"):
-            back.get(*key)
-        with pytest.raises(ValueError, match="^container truncated$"):
             back.entries[(*key, "x")]
-    with pytest.raises(KeyError, match="no rows for step 12 layer 2"):
-        back.get(12, 2)
+    with pytest.raises(KeyError, match="no 'x' entry at step 12 layer 2"):
+        back.entries[12, 2, "x"]
 
 
 def test_cache_load_checks_shape_and_budget(tmp_path):
@@ -347,9 +345,10 @@ def test_cache_recorder_plans_the_cache_keys(bench):
                 scratch=score_workspace(cfg))
     assert sorted(cache.entries) == [(1, 0, "x"), (2, 3, "x")]
     for step, layer in cache.plan:  # the video rows of the layer input, copied
-        np.testing.assert_array_equal(cache.get(step, layer), every.trace.get(step, layer, "x"))
+        np.testing.assert_array_equal(cache.entries[step, layer, "x"],
+                                      every.trace.entries[step, layer, "x"])
     with pytest.raises(ValueError, match="step 1 layer 1 is outside the cache plan"):
-        rec.observe(1, 1, "x", cache.get(1, 0))
+        rec.observe(1, 1, "x", cache.entries[1, 0, "x"])
 
 
 def test_injector_rejects_bad_schedule(identity, bench, desk_cfg):

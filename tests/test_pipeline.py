@@ -1,6 +1,7 @@
 """Group drivers: budgeted identity runs, background PSNR, artifact layout."""
 
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 
@@ -106,25 +107,43 @@ def test_run_frame_deterministic(bench, desk_cfg, identity):
     np.testing.assert_array_equal(inj_a.match.as_lookup(), inj_b.match.as_lookup())
 
 
+def _with_entry(store, key, value):
+    """A recorded copy of the trace or cache `store` holding `value` at `key`."""
+    copy = EntryStore()
+    for k, a in store.items():
+        copy.put(k, a)
+    copy.put(key, value)
+    return copy
+
+
 def test_frame_run_checks_identity_coverage_before_compute(bench, desk_cfg, identity, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("denoising started before the coverage check")
 
     monkeypatch.setattr(pipeline, "denoise", no_compute)
-    uncached = next(l for l in range(bench.model.config.depth) if l not in desk_cfg.kv_layers)
+    mc = bench.model.config
+    uncached = next(l for l in range(mc.depth) if l not in desk_cfg.kv_layers)
     early_mask, early_match = desk_cfg.tau_mask - 1, desk_cfg.tau_match - 1
+    tau = desk_cfg.tau_inject
     cases = [
-        (dict(kv_layers=tuple(sorted(desk_cfg.kv_layers + (uncached,)))),
-         f"cache holds no rows at step {desk_cfg.tau_inject} layer {uncached}"),
-        (dict(tau_mask=early_mask),
-         f"trace holds no 'v2t' at step {early_mask} layer {desk_cfg.mask_layers[0]}"),
-        (dict(tau_match=early_match),
-         f"trace holds no 'attn_out' at step {early_match} layer {desk_cfg.match_layers[0]}"),
+        (dict(kv_layers=tuple(sorted(desk_cfg.kv_layers + (uncached,)))), identity,
+         f"identity_cache.bvtr holds no 'x' at step {tau} layer {uncached}"),
+        (dict(tau_mask=early_mask), identity,
+         f"identity_trace.bvtr holds no 'v2t' at step {early_mask} layer "
+         f"{desk_cfg.mask_layers[0]}"),
+        (dict(tau_match=early_match), identity,
+         f"identity_trace.bvtr holds no 'attn_out' at step {early_match} layer "
+         f"{desk_cfg.match_layers[0]}"),
     ]
-    for change, message in cases:
+    narrow = _with_entry(identity.trace.entries, (desk_cfg.tau_mask, 3, "v2t"),
+                         np.zeros((mc.thw, 8), dtype=np.float32))
+    cases.append(({}, dataclasses.replace(identity, trace=AttentionTrace(narrow)),
+                  f"identity_trace.bvtr holds 'v2t' at step {desk_cfg.tau_mask} layer 3 "
+                  f"as (256, 8), the model's is (256, 16)"))
+    for change, bundle, message in cases:
         cfg = dataclasses.replace(desk_cfg, **change)
-        with pytest.raises(ValueError, match=message):
-            run_frame(bench, cfg, identity, seed=31)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_frame(bench, cfg, bundle, seed=31)
     injector = make_injector(bench, desk_cfg, identity)
     assert injector.injects == set(desk_cfg.cache_keys(bench.model.config.steps))
     assert injector.keys == set(desk_cfg.readout_keys())
@@ -220,10 +239,15 @@ def test_frame_run_rejects_cache_of_other_rows(bench, desk_cfg, identity, monkey
 
     monkeypatch.setattr(pipeline, "denoise", no_compute)
     cfg = bench.model.config
+    tau, first_kv = desk_cfg.tau_inject, desk_cfg.kv_layers[0]
     for rows, channels in [(cfg.joint_len, cfg.channels), (cfg.thw, cfg.channels + 2)]:
-        other = dataclasses.replace(identity, cache=KvCache(rows, channels, plan=()))
-        with pytest.raises(ValueError, match=f"identity cache holds {rows}x{channels} rows "
-                           f"per entry, the model's video rows are 256x48"):
+        cache = KvCache(rows, channels, plan=[(tau, first_kv)])  # the first entry read
+        cache.admit(tau, first_kv, np.zeros((rows, channels), dtype=np.float32))
+        other = dataclasses.replace(identity, cache=cache)
+        with pytest.raises(ValueError, match=re.escape(
+            f"identity_cache.bvtr holds 'x' at step {tau} layer {first_kv} "
+            f"as ({rows}, {channels}), the model's is (256, 48)"
+        )):
             run_frame(bench, desk_cfg, other, seed=31)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refs import seeded_prompt, write_container_of_entries
 
+import bachkit.dit as dit
 from bachkit.dit import (
     ChainedHooks,
     ModelConfig,
@@ -275,18 +276,22 @@ def test_recorder_keeps_exactly_its_keys():
     assert sorted(rec.trace.entries) == sorted(keys)
     assert len(every.trace.entries) == SMALL.steps * SMALL.depth * len(FIELD_TAGS)
     for key in keys:
-        got = rec.trace.get(*key)
+        got = rec.trace.entries[key]
         assert got.base is None  # a copy, not the hook's view
-        assert got is not every.trace.get(*key)
-        np.testing.assert_array_equal(got, every.trace.get(*key))
+        assert got is not every.trace.entries[key]
+        np.testing.assert_array_equal(got, every.trace.entries[key])
     assert not TraceRecorder([]).keys
 
 
-def test_recorder_refuses_a_field_nobody_forms():
-    with pytest.raises(ValueError, match=r"trace key \(0, 0, 'v2T'\) names no field"):
-        TraceRecorder([(0, 0, "v2t"), (0, 0, "v2T"), (1, 0, "k")])
-    with pytest.raises(ValueError, match=r"\(3, 1, 'k'\)"):
-        TraceRecorder(iter([(3, 1, "k")]))
+def test_recorder_refuses_a_field_nobody_forms(monkeypatch):
+    model = init_model(SMALL)
+    prompt = seeded_prompt(LAYOUT, SMALL.channels, seed=0)
+    monkeypatch.setattr(dit, "forward", lambda *a, **k: pytest.fail("a step ran"))
+    # refused by `denoise` before step 0, also from a recorder given an iterator
+    for rec, key in [(TraceRecorder([(0, 0, "v2t"), (0, 0, "v2T"), (1, 0, "k")]), (0, 0, "v2T")),
+                     (TraceRecorder(iter([(3, 1, "k")])), (3, 1, "k"))]:
+        with pytest.raises(ValueError, match=re.escape(f"hook key {key} is outside the run")):
+            denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1, hooks=rec)
 
 
 def test_trace_accessors():
@@ -299,8 +304,8 @@ def test_trace_accessors():
     assert sum(a.nbytes for a in tr.entries.values()) == 2 * 4 * 4
     with pytest.raises(ValueError):
         tr.put(0, 0, "nope", np.ones((1, 1)))
-    with pytest.raises(KeyError):
-        tr.get(9, 9, "v2t")
+    with pytest.raises(KeyError, match="^\"no 'v2t' entry at step 9 layer 9\"$"):
+        tr.entries[9, 9, "v2t"]
 
 
 def test_recorder_capture_and_save(tmp_path):
@@ -310,8 +315,8 @@ def test_recorder_capture_and_save(tmp_path):
     denoise(model, prompt, StepSchedule.linear(SMALL.steps), seed=1, hooks=rec)
     keys = sorted(rec.trace.entries)
     assert keys == [(0, 1, "attn_out"), (0, 1, "v2t"), (3, 1, "attn_out"), (3, 1, "v2t")]
-    assert rec.trace.get(0, 1, "v2t").shape == (SMALL.thw, SMALL.text_len)
-    assert rec.trace.get(0, 1, "attn_out").shape == (SMALL.thw, SMALL.channels)
+    assert rec.trace.entries[0, 1, "v2t"].shape == (SMALL.thw, SMALL.text_len)
+    assert rec.trace.entries[0, 1, "attn_out"].shape == (SMALL.thw, SMALL.channels)
     p = tmp_path / "rec.bvtr"
     rec.trace.save(p)
     back = AttentionTrace.load(p)
@@ -409,7 +414,7 @@ def test_loaded_trace_entry_cut_from_its_file_raises_container_truncated(tmp_pat
     os.truncate(p, p.stat().st_size - 4)
     assert len(back.entries) == 12  # the table was checked when it was opened
     with pytest.raises(ValueError, match="^container truncated$"):
-        back.get(*last)
+        back.entries[last]
     with pytest.raises(ValueError, match="^container truncated$"):
         back.save(tmp_path / "copy.bvtr")
 
