@@ -3,7 +3,8 @@
 A quality grid (mask IoU, higher is better) picks its layer set by
 top-k step-averaged score and its readout step as the first step within
 5% of the curve's peak. The cost-grid and vital-layer rules mirror these;
-`bachkit select` applies all five to stored tables.
+`bachkit select {layers|tau} TABLE` applies them to stored tables, and a
+table's header says which rule and which direction apply.
 """
 
 from bachkit import default_config, make_workbench

@@ -38,16 +38,9 @@ from .pipeline import (
     write_video,
 )
 from .scene import FRAME, IDENTITY
-from .select import (
-    AnalysisGrid,
-    COST,
-    QUALITY,
-    select_layers,
-    select_tau,
-    select_vital,
-)
+from .select import AnalysisGrid, select_layers, select_tau, select_vital
 from .trace import read_container
-from .vital import LayerReport, sweep_layers_embed
+from .vital import REPORT_HEADER, LayerReport, sweep_layers_embed
 
 
 def _seed(text: str) -> int:
@@ -120,12 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("select", help="apply a selection rule to a stored table")
     _add_shared_flags(sp, "--seed", "--kv-budget-bytes", "--global-match", "--scene-seed",
                       "--scene-sigma")
-    sp.add_argument("what", choices=["mask-layers", "match-layers", "tau", "vital"])
-    sp.add_argument("--grid", help="analysis grid csv (mask-layers, match-layers, tau)")
-    sp.add_argument("--report", help="layer report csv (vital)")
+    sp.add_argument("rule", choices=["layers", "tau"])
+    sp.add_argument("table", help="analysis grid or layer report csv; its header picks the rule")
     sp.add_argument("-k", type=int, help="layer count (defaults to the profile's)")
-    sp.add_argument("--kind", choices=[QUALITY, COST], default=QUALITY,
-                    help="grid orientation for tau: quality peaks, cost bottoms out")
     sp.add_argument("--layers", help="layer subset for the tau curve, e.g. 1,3,5-9")
 
     sp = sub.add_parser("dump-trace", help="list the entries of a trace container")
@@ -236,25 +226,21 @@ def _named(label: str, read, *args):
 def _cmd_select(args) -> int:
     cfg = _run_config(args)
     k = cfg.vital_k if args.k is None else args.k
-    k_flag = "-k" if args.k is not None else f"-k (default {k})"
-    if args.what == "vital":
-        if not args.report:
-            raise ValueError("select vital needs --report")
-        report = _named(args.report, LayerReport.read_csv, args.report)
-        print(format_layer_set(_named(f"{args.report}: {k_flag}", select_vital, report.drops(), k)))
+    path, k_flag = args.table, "-k" if args.k is not None else f"-k (default {k})"
+    with open(path, "rb") as fh:  # a layer report's header, else a grid's
+        is_report = fh.readline(1024).rstrip(b"\r\n") == ",".join(REPORT_HEADER).encode()
+    if is_report and args.rule == "tau":
+        raise ValueError(f"{path}: select tau needs a grid, not a layer report")
+    table = _named(path, LayerReport.read_csv if is_report else AnalysisGrid.read_csv, path)
+    if args.rule == "layers":  # a report ranks by score drop, a grid by its measure
+        rule = (select_vital, table.drops(), k) if is_report else (
+            select_layers, table, k, table.kind)
+        print(format_layer_set(_named(f"{path}: {k_flag}", *rule)))
         return 0
-    if not args.grid:
-        raise ValueError(f"select {args.what} needs --grid")
-    grid = _named(args.grid, AnalysisGrid.read_csv, args.grid)
-    if args.what == "tau":
-        depth = max(grid.layers, default=-1) + 1  # bounds --layers before a range is expanded
-        layers = None if args.layers is None else _named("--layers", parse_layer_set,
-                                                          args.layers, depth)
-        curve = _named(f"{args.grid}: --layers", grid.step_curve, layers)
-        print(grid.steps[select_tau(curve, args.kind)])
-    else:
-        kind = QUALITY if args.what == "mask-layers" else COST
-        print(format_layer_set(_named(f"{args.grid}: {k_flag}", select_layers, grid, k, kind)))
+    label = f"{path}: --layers"  # the grid's largest layer bounds the set before expansion
+    layers = None if args.layers is None else _named(label, parse_layer_set, args.layers,
+                                                     max(table.layers) + 1)
+    print(table.steps[select_tau(_named(label, table.step_curve, layers), table.kind)])
     return 0
 
 

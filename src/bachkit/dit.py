@@ -297,7 +297,7 @@ class Hooks:
     `inject` may return an InjectionPlan to substitute fused key/value rows
     before attention; returning None leaves the layer untouched. A plan
     carries at most `ModelConfig.max_keys` keys (joint_len + THW), the most
-    the score workspace holds; `forward` refuses a longer one. The layer's
+    the score workspace holds; `joint_attention` refuses a longer one. The layer's
     attention scores live in that workspace, which the next layer reuses,
     but no observed value aliases it: "v2t" is formed fresh by
     `Attention.head_mean`, "attn_out" and "x" are rows of arrays `forward`
@@ -464,7 +464,8 @@ def forward(
 
     Raises:
         ValueError: on a latent or prompt of another shape, a skip layer out
-            of range, or an injection plan of more than `max_keys` keys.
+            of range, or (from `joint_attention`, before any product) an
+            injection plan of more keys than `scratch` holds scores for.
     """
     cfg = model.config
     if z_video.shape != (cfg.frames, cfg.height, cfg.width, cfg.channels):
@@ -489,13 +490,8 @@ def forward(
         plan = hooks.inject(t, layer, pre_k, pre_v, roped_k) if hooks is not None else None
         if plan is None:
             k_eff, v_eff, mask = roped_k, pre_v, None
-        else:  # joint_attention checks the plan's row counts and mask shape
+        else:  # joint_attention checks the plan's rows and mask against the workspace
             k_eff, v_eff, mask = plan.k, plan.v, plan.add_mask
-            if len(k_eff) > cfg.max_keys:
-                raise ValueError(
-                    f"injection plan carries {len(k_eff)} keys; at most {cfg.max_keys} "
-                    f"(joint_len + THW) fit the score workspace"
-                )
 
         att = joint_attention(roped_k, k_eff, v_eff, mask, heads=cfg.heads, out=scratch)
         attn = att.out

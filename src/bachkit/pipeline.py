@@ -382,7 +382,7 @@ def mask_grid(
         for j, l in enumerate(layers):
             m = mask_from_slices([trace.entries[s, l, "v2t"]], layout, frames, height, width)
             values[i, j] = mask_iou(m, reference)
-    return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values)
+    return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values, measure="iou")
 
 
 def match_grid(
@@ -408,4 +408,5 @@ def match_grid(
                              [trace_identity.entries[s, l, "attn_out"]])
             found = match_foreground(sim, fg_mask, frames, height, width, global_match=global_match)
             values[i, j] = match_mse(found, true_lookup)
-    return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values)
+    return AnalysisGrid(steps=tuple(steps), layers=tuple(layers), values=values,
+                        measure="match_mse")

@@ -2,11 +2,12 @@
 
 The harness sweeps a per-(step, layer) score table for each capability,
 ranks layers by their step-averaged score, and picks the readout step from
-the per-step curve averaged over a layer set. Mask grids hold
-intersection-over-union (higher is better): the chosen step is the first
-one exceeding 95% of the curve's maximum. Match grids hold matching error
-(lower is better): the chosen step is the first one within 105% of the
-curve's minimum.
+the per-step curve averaged over a layer set. A grid names its measure,
+and `GRID_MEASURES` says which way it is better. Mask grids hold
+intersection-over-union (`iou`, higher is better): the chosen step is the
+first one exceeding 95% of the curve's maximum. Match grids hold matching
+error (`match_mse`, lower is better): the chosen step is the first one
+within 105% of the curve's minimum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 QUALITY = "quality"
 COST = "cost"
-GRID_HEADER = ("step", "layer", "value")
+GRID_MEASURES = {"iou": QUALITY, "match_mse": COST}  # a grid's measure -> which way is better
+GRID_AXES = ("step", "layer")  # a grid's header: these, then its measure
 
 
 def write_csv_records(path, header: tuple[str, ...], rows) -> None:
@@ -33,22 +35,25 @@ def write_csv_records(path, header: tuple[str, ...], rows) -> None:
 
 
 def read_csv_records(path, header: tuple[str, ...], types, what: str, key_columns: int):
-    """Yield (line number, values) for each record of a CSV table with `header`,
-    field i parsed by `types[i]`; ValueError naming the line of a bad record,
-    also of one the csv module refuses (a field over its size limit), and of
-    a record repeating an earlier one's first `key_columns` values (its key),
-    which is checked after the caller's own checks of that record."""
+    """Yield the header row's names past `header`, its first names (an empty
+    tuple when `header` names every column), then (line number, values) for
+    each record, field i parsed by `types[i]`. ValueError on a header row
+    that does not start with `header` or is not as wide as `types`, naming
+    the line of a bad record, also of one the csv module refuses (a field
+    over its size limit), and of a record repeating an earlier one's first
+    `key_columns` values (its key), checked after the caller's own checks."""
     seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            got = next(reader, None)
-            if got != list(header):
+            got = next(reader, [])
+            if got[:len(header)] != list(header) or len(got) != len(types):
                 raise ValueError(f"unexpected {what} header {got}")
+            yield tuple(got[len(header):])
             for rec in reader:
                 where = f"{what} line {reader.line_num}"
-                if len(rec) != len(header):
-                    raise ValueError(f"{where}: {len(rec)} fields, the header has {len(header)}")
+                if len(rec) != len(types):
+                    raise ValueError(f"{where}: {len(rec)} fields, the header has {len(types)}")
                 try:
                     values = tuple(t(f) for t, f in zip(types, rec))
                     finite = all(math.isfinite(v) for v in values)
@@ -68,13 +73,17 @@ def read_csv_records(path, header: tuple[str, ...], types, what: str, key_column
 
 @dataclass(frozen=True)
 class AnalysisGrid:
-    """A (steps x layers) score table with explicit axis labels."""
+    """A (steps x layers) table of one measure, a key of `GRID_MEASURES`,
+    with explicit axis labels."""
 
     steps: tuple[int, ...]
     layers: tuple[int, ...]
     values: np.ndarray
+    measure: str
 
     def __post_init__(self):
+        if self.measure not in GRID_MEASURES:
+            raise ValueError(f"grid measure {self.measure!r} is none of {sorted(GRID_MEASURES)}")
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (len(self.steps), len(self.layers)):
             raise ValueError(
@@ -86,6 +95,11 @@ class AnalysisGrid:
         if not np.isfinite(v).all():
             raise ValueError("grid holds non-finite entries")
         object.__setattr__(self, "values", v)
+
+    @property
+    def kind(self) -> str:
+        """QUALITY if the measure is better higher, COST if lower."""
+        return GRID_MEASURES[self.measure]
 
     def step_curve(self, layers=None) -> np.ndarray:
         """Per-step mean over a layer subset (default: all layers). A
@@ -104,18 +118,19 @@ class AnalysisGrid:
 
     def write_csv(self, path) -> None:
         cells = zip(itertools.product(self.steps, self.layers), self.values.ravel().tolist())
-        write_csv_records(path, GRID_HEADER, ((step, layer, v) for (step, layer), v in cells))
+        write_csv_records(path, (*GRID_AXES, self.measure), ((*c, v) for c, v in cells))
 
     @classmethod
     def read_csv(cls, path) -> "AnalysisGrid":
-        cells = {(step, layer): value for _, (step, layer, value)
-                 in read_csv_records(path, GRID_HEADER, (int, int, float), "grid", 2)}
+        records = read_csv_records(path, GRID_AXES, (int, int, float), "grid", 2)
+        (measure,) = next(records)
+        cells = {(step, layer): value for _, (step, layer, value) in records}
         steps = tuple(sorted({s for s, _ in cells}))
         layers = tuple(sorted({l for _, l in cells}))
         if len(cells) != len(steps) * len(layers):  # the reader refuses a repeated cell
             raise ValueError("grid csv is not a complete step x layer table")
-        values = [cells[s, l] for s in steps for l in layers]
-        return cls(steps=steps, layers=layers, values=np.reshape(values, (len(steps), len(layers))))
+        values = np.reshape([cells[s, l] for s in steps for l in layers], (len(steps), len(layers)))
+        return cls(steps=steps, layers=layers, values=values, measure=measure)
 
 
 def select_tau(curve, kind: str) -> int:
@@ -157,7 +172,7 @@ def _top_k(labels, scores, k: int, descending: bool) -> tuple[int, ...]:
     return tuple(sorted(int(l) for l in labels[order[:k]]))
 
 
-def select_layers(grid: AnalysisGrid, k: int, kind: str = QUALITY) -> tuple[int, ...]:
+def select_layers(grid: AnalysisGrid, k: int, kind: str) -> tuple[int, ...]:
     """Top-k layers by step-averaged score; ties go to the lower layer index.
 
     Quality grids rank descending, cost grids ascending.

@@ -103,9 +103,10 @@ class LayerReport:
     @classmethod
     def read_csv(cls, path) -> "LayerReport":
         scores, baseline = {}, None
-        for line, (layer, score_skip, b, drop) in read_csv_records(
-            path, REPORT_HEADER, (int, float, float, float), "layer report", 1
-        ):
+        records = read_csv_records(path, REPORT_HEADER, (int, float, float, float),
+                                   "layer report", 1)
+        next(records)  # REPORT_HEADER names every column
+        for line, (layer, score_skip, b, drop) in records:
             if baseline is not None and baseline != b:
                 raise ValueError(f"layer report line {line} disagrees on the baseline score")
             baseline = b

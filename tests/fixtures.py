@@ -32,7 +32,7 @@ def paper_mask_grid() -> AnalysisGrid:
             g[l] = 0.95 - 0.001 * abs(l - 12)
         else:
             g[l] = 0.40 - 0.002 * l
-    return AnalysisGrid(steps=steps, layers=layers, values=f[:, None] * g[None, :])
+    return AnalysisGrid(steps=steps, layers=layers, values=f[:, None] * g[None, :], measure="iou")
 
 
 def paper_match_grid() -> AnalysisGrid:
@@ -46,7 +46,8 @@ def paper_match_grid() -> AnalysisGrid:
             c[l] = 0.05 + 0.001 * abs(l - 8)
         else:
             c[l] = 0.60 + 0.002 * l
-    return AnalysisGrid(steps=steps, layers=layers, values=d[:, None] + c[None, :])
+    return AnalysisGrid(steps=steps, layers=layers, values=d[:, None] + c[None, :],
+                        measure="match_mse")
 
 
 def paper_vital_drops() -> dict[int, float]:

@@ -130,12 +130,14 @@ def write_container_of_entries(entries, path) -> None:
 
 
 def random_grid(seed: int, n_steps: int = 12, n_layers: int = 9) -> AnalysisGrid:
-    """Uniform random score table on the unit interval."""
+    """Uniform random score table on the unit interval; its measure is "iou",
+    and the selection rules are checked on it in both directions."""
     rng = _rng(seed, 0xF1)
     return AnalysisGrid(
         steps=tuple(range(n_steps)),
         layers=tuple(range(n_layers)),
         values=rng.random((n_steps, n_layers)),
+        measure="iou",
     )
 
 

@@ -83,39 +83,62 @@ def test_run_group_then_report(tmp_path, capsys):
     _one_line_error(capsys, f"no report at {tmp_path / 'nowhere' / 'report.txt'}")
 
 
-@pytest.fixture()
-def grid_csv(tmp_path):
+def _scores():
     values = np.tile([0.9, 0.1, 0.8, 0.3], (5, 1))
     values[2, :] += 0.05
     values[4, 1] += 0.5
-    grid = AnalysisGrid(steps=tuple(range(5)), layers=tuple(range(4)), values=values)
-    p = tmp_path / "grid.csv"
-    grid.write_csv(p)
-    return p
+    return values
 
 
-def test_select_layer_rules(grid_csv, capsys):
-    assert main(["select", "mask-layers", "--grid", str(grid_csv), "-k", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "0,2"
-    assert main(["select", "match-layers", "--grid", str(grid_csv), "-k", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "1,3"
+def _write_grid(path, measure, values):
+    steps, layers = values.shape
+    AnalysisGrid(steps=tuple(range(steps)), layers=tuple(range(layers)), values=values,
+                 measure=measure).write_csv(path)
+    return path
 
 
-def test_select_tau_rules(grid_csv, capsys):
-    assert main(["select", "tau", "--grid", str(grid_csv)]) == 0
+@pytest.fixture()
+def grid_csv(tmp_path):
+    return _write_grid(tmp_path / "grid.csv", "iou", _scores())
+
+
+def test_select_layer_rules(tmp_path, grid_csv, capsys):
+    """One table of scores, written as a mask grid and as a match grid: the
+    header alone, with no flag, decides which way the rule ranks."""
+    assert main(["select", "layers", str(grid_csv), "-k", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "0,2"  # highest IoU
+    match_csv = _write_grid(tmp_path / "match.csv", "match_mse", _scores())
+    assert main(["select", "layers", str(match_csv), "-k", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1,3"  # lowest matching error
+
+
+def test_select_tau_rules(tmp_path, grid_csv, capsys):
+    assert main(["select", "tau", str(grid_csv)]) == 0
     assert capsys.readouterr().out.strip() == "4"  # late bump dominates the full curve
-    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "0,2"]) == 0
+    assert main(["select", "tau", str(grid_csv), "--layers", "0,2"]) == 0
     assert capsys.readouterr().out.strip() == "2"  # restricted curve peaks earlier
-    assert main(["select", "tau", "--grid", str(grid_csv), "--kind", "cost"]) == 0
-    assert capsys.readouterr().out.strip() == "0"
+    match_csv = _write_grid(tmp_path / "match.csv", "match_mse", _scores())
+    assert main(["select", "tau", str(match_csv)]) == 0
+    assert capsys.readouterr().out.strip() == "0"  # the cost rule, with no flag
+
+
+def test_select_refuses_a_grid_of_the_unnamed_format(tmp_path, capsys):
+    path = tmp_path / "grid_match.csv"
+    path.write_text("step,layer,value\r\n0,0,0.25\r\n0,1,0.5\r\n")  # no measure in its header
+    for rule in ("layers", "tau"):
+        assert main(["select", rule, str(path)]) == 2
+        _one_line_error(capsys, f"{path}: grid measure 'value' is none of ['iou', 'match_mse']")
 
 
 def test_select_tau_names_the_layers_the_grid_lacks(grid_csv, capsys):
-    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "2,5-6"]) == 2
-    _one_line_error(capsys, "--layers: layer set has 2 layer(s) outside 0..3, the first 5")
+    assert main(["select", "tau", str(grid_csv), "--layers", "2,5-6"]) == 2
+    _one_line_error(capsys,
+                    f"{grid_csv}: --layers: layer set has 2 layer(s) outside 0..3, the first 5")
 
 
 def test_select_vital_from_report(tmp_path, capsys):
+    """`select layers REPORT` is the vital-layer rule, the top k layers by
+    score drop with ties to the lower layer, at the default k and others."""
     report = LayerReport(baseline=2.0, scores=(
         LayerScore(0, 2.0, 0.0),
         LayerScore(1, 0.5, 1.5),
@@ -124,70 +147,85 @@ def test_select_vital_from_report(tmp_path, capsys):
     ))
     p = tmp_path / "layers.csv"
     report.write_csv(p)
-    assert main(["select", "vital", "--report", str(p), "-k", "2"]) == 0
+    assert main(["select", "layers", str(p), "-k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1,3"
+    drops = [0.25, -0.5, 1.5, 0.75, 1.5, 0.0, 2.0, 0.75]
+    LayerReport(baseline=3.0, scores=tuple(
+        LayerScore(l, 3.0 - d, d) for l, d in enumerate(drops))).write_csv(p)
+    for k, want in (([], "2-4,6"), (["-k", "1"], "6"), (["-k", "3"], "2,4,6"),
+                    (["-k", "5"], "2-4,6-7"), (["-k", "8"], "0-7")):
+        assert main(["select", "layers", str(p), *k]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_select_tau_of_a_report_is_refused_naming_it(tmp_path, capsys):
+    p = tmp_path / "layer_report.csv"
+    LayerReport(baseline=1.0, scores=(LayerScore(0, 0.5, 0.5),)).write_csv(p)
+    assert main(["select", "tau", str(p)]) == 2
+    _one_line_error(capsys, f"{p}: select tau needs a grid, not a layer report")
 
 
 def test_select_k_zero_is_one_line(tmp_path, grid_csv, capsys):
     report = LayerReport(baseline=2.0, scores=tuple(LayerScore(i, 1.0, 1.0) for i in range(4)))
     p = tmp_path / "layers.csv"
     report.write_csv(p)
-    assert main(["select", "vital", "--report", str(p), "-k", "0"]) == 2
+    assert main(["select", "layers", str(p), "-k", "0"]) == 2
     _one_line_error(capsys, f"{p}: -k: k=0 out of range for 4 layers")
-    assert main(["select", "mask-layers", "--grid", str(grid_csv), "-k", "0"]) == 2
+    assert main(["select", "layers", str(grid_csv), "-k", "0"]) == 2
     _one_line_error(capsys, f"{grid_csv}: -k: k=0 out of range for 4 layers")
 
 
 def test_select_tau_empty_layer_set_is_one_line(grid_csv, capsys):
-    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", ""]) == 2
-    _one_line_error(capsys, "--layers: empty layer set")
+    assert main(["select", "tau", str(grid_csv), "--layers", ""]) == 2
+    _one_line_error(capsys, f"{grid_csv}: --layers: empty layer set")
     for text in ("1-", "-1", "2-3-4"):
-        assert main(["select", "tau", "--grid", str(grid_csv), "--layers", text]) == 2
-        _one_line_error(capsys,
-                        f"--layers: layer set part {text!r} is not a layer or a lo-hi range")
+        assert main(["select", "tau", str(grid_csv), "--layers", text]) == 2
+        _one_line_error(capsys, f"{grid_csv}: --layers: layer set part {text!r} is not a layer "
+                                "or a lo-hi range")
 
 
 def test_select_on_a_grid_of_only_its_header_is_one_line(tmp_path, capsys):
     p = tmp_path / "grid.csv"
-    p.write_text("step,layer,value\n")
-    for argv in (["tau"], ["mask-layers", "-k", "2"], ["match-layers"]):
-        assert main(["select", *argv, "--grid", str(p)]) == 2
-        _one_line_error(capsys, f"{p}: grid holds no cells")
+    for measure in ("iou", "match_mse"):
+        p.write_text(f"step,layer,{measure}\n")
+        for argv in (["tau"], ["layers", "-k", "2"], ["layers"]):
+            assert main(["select", *argv, str(p)]) == 2
+            _one_line_error(capsys, f"{p}: grid holds no cells")
 
 
-@pytest.mark.parametrize("what, flag, text", [
-    ("vital", "--report", "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n1\n"),
-    ("tau", "--grid", "step,layer,value\n0,0,1.0\n0\n"),
-])
-def test_select_bad_row_is_one_line(tmp_path, capsys, what, flag, text):
+@pytest.mark.parametrize("rule, text", [
+    ("layers", "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n1\n"),
+    ("tau", "step,layer,iou\n0,0,1.0\n0\n"),
+], ids=["report", "grid"])
+def test_select_bad_row_is_one_line(tmp_path, capsys, rule, text):
     p = tmp_path / "table.csv"
     p.write_text(text)
-    assert main(["select", what, flag, str(p)]) == 2
+    assert main(["select", rule, str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("bachkit: error: ") and err.count("\n") == 1
     assert "line 3: 1 fields" in err
 
 
-LAYERS_0_2 = "step,layer,value\n0,0,1.0\n0,2,0.5\n"  # a grid whose layers are 0 and 2
+LAYERS_0_2 = "step,layer,match_mse\n0,0,1.0\n0,2,0.5\n"  # a grid whose layers are 0 and 2
 
 
 @pytest.mark.parametrize("argv, text, message", [
-    (["select", "tau", "--grid"], "step,layer,value\n", "{path}: grid holds no cells"),
-    (["select", "tau", "--grid"], "step,layer,value\n1,2,0.5\n1,2,0.5\n",
+    (["select", "tau"], "step,layer,iou\n", "{path}: grid holds no cells"),
+    (["select", "tau"], "step,layer,iou\n1,2,0.5\n1,2,0.5\n",
      "{path}: grid line 3: a second row for step 1 layer 2"),
-    (["select", "vital", "--report"], "layer,score_skip,baseline,drop\n",
+    (["select", "layers"], "layer,score_skip,baseline,drop\n",
      "{path}: layer report holds no rows"),
     (["dump-trace"], "# bachkit\n", "{path}: not a trace container (bad magic)"),
-    (["select", "tau", "--layers", "99", "--grid"], None,
-     "--layers: layer set has 1 layer(s) outside 0..7, the first 99"),
-    (["select", "tau", "--layers", "1", "--grid"], LAYERS_0_2,
+    (["select", "tau", "--layers", "99"], None,
+     "{path}: --layers: layer set has 1 layer(s) outside 0..7, the first 99"),
+    (["select", "tau", "--layers", "1"], LAYERS_0_2,
      "{path}: --layers: grid has no layer 1 (1 layer(s) missing) among its 2 layers"),
-    (["select", "mask-layers", "-k", "5", "--grid"], LAYERS_0_2,
+    (["select", "layers", "-k", "5"], LAYERS_0_2,
      "{path}: -k: k=5 out of range for 2 layers"),
-    (["select", "match-layers", "--grid"], LAYERS_0_2,  # desk8's 4 kv layers
+    (["select", "layers"], LAYERS_0_2,  # desk8's 4 kv layers
      "{path}: -k (default 4): k=4 out of range for 2 layers"),
-    (["select", "vital", "--report"], "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n",
+    (["select", "layers"], "layer,score_skip,baseline,drop\n0,0.5,1.0,0.5\n",
      "{path}: -k (default 4): k=4 out of range for 1 layers"),
 ], ids=["grid-header-only", "grid-repeated-row", "report-header-only", "not-a-container",
         "layers-outside-the-grid", "layer-the-grid-lacks", "k-over-the-grid",
@@ -195,7 +233,7 @@ LAYERS_0_2 = "step,layer,value\n0,0,1.0\n0,2,0.5\n"  # a grid whose layers are 0
 def test_select_and_dump_trace_errors_name_their_source(tmp_path, capsys, argv, text, message):
     path = tmp_path / "README.md"
     if text is None:  # a complete grid of 8 layers
-        AnalysisGrid(steps=(0, 1), layers=tuple(range(8)), values=np.ones((2, 8))).write_csv(path)
+        _write_grid(path, "iou", np.ones((2, 8)))
     else:
         path.write_text(text)
     assert main([*argv, str(path)]) == 2
@@ -204,15 +242,15 @@ def test_select_and_dump_trace_errors_name_their_source(tmp_path, capsys, argv, 
 
 def test_select_tau_field_over_the_csv_limit_is_one_line(tmp_path, capsys):
     p = tmp_path / "grid.csv"
-    p.write_text("step,layer,value\n0,0," + "9" * 200_000 + "\n")
-    assert main(["select", "tau", "--grid", str(p)]) == 2
+    p.write_text("step,layer,iou\n0,0," + "9" * 200_000 + "\n")
+    assert main(["select", "tau", str(p)]) == 2
     _one_line_error(capsys, f"{p}: grid line 2: field larger than field limit (131072)")
 
 
 def test_select_tau_integer_past_the_float_range_is_one_line(tmp_path, capsys):
     p = tmp_path / "grid.csv"
-    p.write_text("step,layer,value\n0," + "9" * 400 + ",1.0\n")
-    assert main(["select", "tau", "--grid", str(p)]) == 2
+    p.write_text("step,layer,iou\n0," + "9" * 400 + ",1.0\n")
+    assert main(["select", "tau", str(p)]) == 2
     _one_line_error(capsys, f"{p}: grid line 2: int too large to convert to float")
 
 
@@ -242,7 +280,7 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
         "gen-frame": run | {"--identity-dir", "--out", "--action-seed", "--no-inject"},
         "run-group": run | {"--out", "--frames", "--ablate"},
         "analyze": run - {"--kv-budget-bytes"} | {"--out"},
-        "select": {"--config", "--profile", "--grid", "--report", "-k", "--kind", "--layers"},
+        "select": {"--config", "--profile", "-k", "--layers"},
         "dump-trace": set(),
         "report": {"--dir"},
     }
@@ -252,19 +290,23 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
     assert got == want
     for command, flag in ((["gen-identity"], ["--global-match"]),
                           (["analyze", "mask"], ["--kv-budget-bytes", "1"]),
-                          (["select", "vital"], ["--seed", "3"]),
-                          (["select", "tau"], ["--scene-sigma", "0"])):
+                          (["select", "layers", "t.csv"], ["--seed", "3"]),
+                          (["select", "tau", "t.csv"], ["--scene-sigma", "0"])):
         with pytest.raises(SystemExit) as exc:
             main(command + flag)  # a usage error, before any command runs
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_select_requires_its_input(capsys):
-    assert main(["select", "vital"]) == 2
-    _one_line_error(capsys, "select vital needs --report")
-    assert main(["select", "tau"]) == 2
-    _one_line_error(capsys, "select tau needs --grid")
+def test_select_requires_its_input(tmp_path, capsys):
+    for rule in ("layers", "tau"):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", rule])  # a usage error
+        assert exc.value.code == 2
+        assert "the following arguments are required: table" in capsys.readouterr().err
+    missing = tmp_path / "nowhere.csv"
+    assert main(["select", "tau", str(missing)]) == 2
+    _one_line_error(capsys, f"[Errno 2] No such file or directory: '{missing}'")
 
 
 def _no_compute(*args, **kwargs):
@@ -471,8 +513,9 @@ def test_gen_frame_refuses_a_readout_of_the_wrong_shape_before_compute(
 
 
 def test_select_tau_huge_layer_range_is_one_short_line(grid_csv, capsys):
-    assert main(["select", "tau", "--grid", str(grid_csv), "--layers", "0-2000000"]) == 2
-    _one_line_error(capsys, "--layers: layer set has 1999997 layer(s) outside 0..3, the first 4")
+    assert main(["select", "tau", str(grid_csv), "--layers", "0-2000000"]) == 2
+    _one_line_error(capsys, f"{grid_csv}: --layers: layer set has 1999997 layer(s) outside 0..3, "
+                            "the first 4")
 
 
 def test_gen_frame_without_injection_reads_no_identity(tmp_path, bench, desk_cfg):

@@ -1,7 +1,8 @@
 """Each decision the package makes is written in one place in its source:
-the CSV table format, the layer key/value projection, the joint background,
-the lookup of a stored entry, the identity directory's files and the video
-artifact, and the CLI's defaults."""
+the CSV table format, which way a grid's measure is better, the layer
+key/value projection, the joint background, the lookup of a stored entry,
+the identity directory's files and the video artifact, and the CLI's
+defaults."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ from bachkit.dit import PROFILES
 from bachkit.masks import MASK_HEADER
 from bachkit.matching import MATCH_HEADER
 from bachkit.pipeline import IDENTITY_FILES, SCENE_SIGMA_DEFAULT
-from bachkit.select import GRID_HEADER
+from bachkit.select import COST, GRID_AXES, GRID_MEASURES, QUALITY
 from bachkit.vital import REPORT_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bachkit"
@@ -25,9 +26,24 @@ def test_one_csv_writer():
     assert TEXT.count("csv.writer(") == 1
 
 
-@pytest.mark.parametrize("header", [GRID_HEADER, REPORT_HEADER, MASK_HEADER, MATCH_HEADER])
+@pytest.mark.parametrize("header", [GRID_AXES, REPORT_HEADER, MASK_HEADER, MATCH_HEADER])
 def test_each_table_header_is_written_once(header):
     assert TEXT.count("(" + ", ".join(f'"{c}"' for c in header) + ")") == 1
+
+
+def test_one_measure_to_kind_map():
+    """Which way a grid's measure is better is written once, in
+    `GRID_MEASURES`: no module but select names QUALITY or COST, and select
+    maps measures to them in that one dict; a grid's header is GRID_AXES and
+    the grid's own measure."""
+    kinds = {"QUALITY", "COST"}
+    naming = {module for module, text in SOURCES.items() for n in ast.walk(ast.parse(text))
+              if isinstance(n, ast.Name) and n.id in kinds}
+    assert naming == {"select"}
+    maps = [n for n in ast.walk(ast.parse(SOURCES["select"])) if isinstance(n, ast.Dict)
+            and any(isinstance(v, ast.Name) and v.id in kinds for v in n.values)]
+    assert len(maps) == 1 and GRID_MEASURES == {"iou": QUALITY, "match_mse": COST}
+    assert TEXT.count("(*GRID_AXES, self.measure)") == 1
 
 
 def _functions_multiplying_by(name: str) -> set[str]:

@@ -170,9 +170,11 @@ def test_forward_refuses_a_plan_longer_than_the_workspace(small_model, small_pro
     z = np.zeros((2, 3, 3, 12), dtype=DTYPE)
     most = SMALL.max_keys
     assert most == SMALL.joint_len + SMALL.thw
-    message = f"injection plan carries {most + 1} keys; at most {most} "
     scratch = score_workspace(SMALL)
-    with pytest.raises(ValueError, match=message):
+    # joint_attention refuses the plan before any product, in the one workspace check
+    message = (f"score buffer of {scratch.size} float32 entries cannot hold "
+               f"({SMALL.heads}, {most + 1}, {SMALL.joint_len}) float32 scores")
+    with pytest.raises(ValueError, match=re.escape(message)):
         forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most + 1), scratch=scratch)
     forward(small_model, z, small_prompt, 0, hooks=_LongPlanHook(most), scratch=scratch)
 

@@ -105,7 +105,9 @@ def test_mask_csv_roundtrip(tmp_path):
     header = p.read_text().splitlines()[0]
     assert header == "frame,h,w,fg"
     back = np.zeros(mask.shape, dtype=bool)
-    for _, (t, i, j, fg) in read_csv_records(p, MASK_HEADER, (int,) * 4, "mask table", 3):
+    records = read_csv_records(p, MASK_HEADER, (int,) * 4, "mask table", 3)
+    assert next(records) == ()  # MASK_HEADER names every column
+    for _, (t, i, j, fg) in records:
         back[t, i, j] = fg
     np.testing.assert_array_equal(back, mask)
 

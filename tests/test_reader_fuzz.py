@@ -74,7 +74,8 @@ _CSV = dict(max_examples=100, deadline=None)
 def test_hostile_grid_reads_a_whole_finite_table_or_raises_value_error(fuzz_dir, edits):
     p = fuzz_dir / "grid.csv"
     AnalysisGrid(steps=(0, 1, 2), layers=(0, 3),
-                 values=np.array([[0.5, 0.25], [1.0, -2.0], [3.5, 0.0]])).write_csv(p)
+                 values=np.array([[0.5, 0.25], [1.0, -2.0], [3.5, 0.0]]),
+                 measure="match_mse").write_csv(p)
     got = _read_hostile(p, p.read_bytes(), edits, AnalysisGrid.read_csv)
     if got is not None:
         assert got.values.shape == (len(got.steps), len(got.layers))

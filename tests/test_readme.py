@@ -56,6 +56,15 @@ def test_readme_bullet_documents_every_command_flag(command):
     assert flags <= set(re.findall(r"--[a-z-]+", BULLETS[command]))
 
 
+@pytest.mark.parametrize("command", ["analyze", "select"])
+def test_readme_usage_names_exactly_the_parsers_verbs(command):
+    (verbs,) = re.findall(r"^\{([a-z|-]+)\}", USAGES[command])
+    sub = next(a for a in _build_parser()._actions if a.choices and command in a.choices)
+    (positional,) = [a for a in sub.choices[command]._actions
+                     if a.choices and not a.option_strings]
+    assert verbs.split("|") == list(positional.choices)
+
+
 QUOTED = {
     "joint_attention": tensorops.joint_attention,
     "softmax_average": tensorops.softmax_average,

@@ -1,14 +1,16 @@
 """Selection rules against explicit-scan references and shipped fixtures."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from bachkit.select import (
-    AnalysisGrid,
     COST,
+    GRID_MEASURES,
     QUALITY,
+    AnalysisGrid,
     select_layers,
     select_tau_mask,
     select_tau_match,
@@ -69,7 +71,7 @@ def test_tau_rules_match_scan_on_random_curves():
 def test_select_layers_by_step_mean():
     grid = AnalysisGrid(
         steps=(0, 1), layers=(4, 7, 9),
-        values=np.array([[0.2, 0.9, 0.5], [0.4, 0.7, 0.5]]),
+        values=np.array([[0.2, 0.9, 0.5], [0.4, 0.7, 0.5]]), measure="iou",
     )
     assert select_layers(grid, 1, QUALITY) == (7,)
     assert select_layers(grid, 2, QUALITY) == (7, 9)
@@ -85,7 +87,7 @@ def test_select_layers_by_step_mean():
 
 def test_select_layers_tie_to_lower_index():
     grid = AnalysisGrid(
-        steps=(0,), layers=(2, 5, 8), values=np.array([[0.5, 0.5, 0.5]])
+        steps=(0,), layers=(2, 5, 8), values=np.array([[0.5, 0.5, 0.5]]), measure="iou"
     )
     assert select_layers(grid, 2, QUALITY) == (2, 5)
     assert select_layers(grid, 2, COST) == (2, 5)
@@ -121,16 +123,26 @@ def test_select_vital_shift_invariant():
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="shape"):
-        AnalysisGrid(steps=(0, 1), layers=(0,), values=np.zeros((1, 1)))
+        AnalysisGrid(steps=(0, 1), layers=(0,), values=np.zeros((1, 1)), measure="iou")
     with pytest.raises(ValueError, match="non-finite"):
-        AnalysisGrid(steps=(0,), layers=(0,), values=np.array([[np.nan]]))
+        AnalysisGrid(steps=(0,), layers=(0,), values=np.array([[np.nan]]), measure="iou")
     with pytest.raises(ValueError, match="^grid holds no cells$"):
-        AnalysisGrid(steps=(), layers=(), values=np.zeros((0, 0)))
+        AnalysisGrid(steps=(), layers=(), values=np.zeros((0, 0)), measure="match_mse")
+
+
+def test_grid_kind_is_its_measures():
+    assert GRID_MEASURES == {"iou": QUALITY, "match_mse": COST}
+    for measure, kind in GRID_MEASURES.items():
+        assert AnalysisGrid(steps=(0,), layers=(0,), values=[[1.0]], measure=measure).kind == kind
+    for measure in ("value", QUALITY, "IOU", ""):
+        with pytest.raises(ValueError, match=rf"^grid measure {measure!r} is none of "
+                                             r"\['iou', 'match_mse'\]$"):
+            AnalysisGrid(steps=(0,), layers=(0,), values=[[1.0]], measure=measure)
 
 
 def test_grid_value_and_curve():
     grid = AnalysisGrid(
-        steps=(3, 5), layers=(1, 2), values=np.array([[1.0, 3.0], [5.0, 7.0]])
+        steps=(3, 5), layers=(1, 2), values=np.array([[1.0, 3.0], [5.0, 7.0]]), measure="iou"
     )
     assert grid.values[grid.steps.index(5), grid.layers.index(2)] == 7.0
     np.testing.assert_allclose(grid.step_curve(), [2.0, 6.0])
@@ -140,7 +152,7 @@ def test_grid_value_and_curve():
 
 
 def test_step_curve_names_the_layers_the_grid_lacks():
-    grid = AnalysisGrid(steps=(0, 1), layers=(0, 1), values=np.zeros((2, 2)))
+    grid = AnalysisGrid(steps=(0, 1), layers=(0, 1), values=np.zeros((2, 2)), measure="iou")
     with pytest.raises(ValueError,
                        match=r"^grid has no layer 5 \(1 layer\(s\) missing\) among its 2 layers$"):
         grid.step_curve([1, 5])
@@ -149,21 +161,35 @@ def test_step_curve_names_the_layers_the_grid_lacks():
 
 
 def test_grid_csv_roundtrip(tmp_path):
-    grid = random_grid(7)
     p = tmp_path / "grid.csv"
-    grid.write_csv(p)
-    assert p.read_text().splitlines()[0] == "step,layer,value"
-    back = AnalysisGrid.read_csv(p)
-    assert back.steps == grid.steps and back.layers == grid.layers
-    np.testing.assert_array_equal(back.values, grid.values)
+    for measure in GRID_MEASURES:
+        grid = dataclasses.replace(random_grid(7), measure=measure)
+        grid.write_csv(p)
+        assert p.read_text().splitlines()[0] == f"step,layer,{measure}"
+        back = AnalysisGrid.read_csv(p)
+        assert back.steps == grid.steps and back.layers == grid.layers
+        assert back.measure == measure and back.kind == grid.kind
+        np.testing.assert_array_equal(back.values, grid.values)
+
+
+def test_grid_csv_of_the_unnamed_format_is_refused(tmp_path):
+    p = tmp_path / "grid.csv"
+    p.write_text("step,layer,value\r\n0,0,0.5\r\n")  # as grids were written before measures
+    with pytest.raises(ValueError,
+                       match=r"^grid measure 'value' is none of \['iou', 'match_mse'\]$"):
+        AnalysisGrid.read_csv(p)
+    for header in ("step,layer", "step,layer,iou,iou", "layer,step,iou", ""):
+        p.write_text(header + "\n0,0,0.5\n")
+        with pytest.raises(ValueError, match=r"^unexpected grid header \["):
+            AnalysisGrid.read_csv(p)
 
 
 def test_grid_csv_rejects_holes(tmp_path):
     p = tmp_path / "holey.csv"
-    p.write_text("step,layer,value\n0,0,1.0\n0,1,2.0\n1,0,3.0\n")
+    p.write_text("step,layer,iou\n0,0,1.0\n0,1,2.0\n1,0,3.0\n")
     with pytest.raises(ValueError, match="complete"):
         AnalysisGrid.read_csv(p)
-    p.write_text("stop,layer,value\n")
+    p.write_text("stop,layer,iou\n")
     with pytest.raises(ValueError, match="header"):
         AnalysisGrid.read_csv(p)
 
@@ -177,7 +203,7 @@ def test_grid_csv_names_the_bad_line(tmp_path):
         ("0,0,nan\n", "grid line 2: non-finite value"),
         ("0,x,1.0\n", "grid line 2: invalid literal for int"),
     ):
-        p.write_text("step,layer,value\n" + body)
+        p.write_text("step,layer,match_mse\n" + body)
         with pytest.raises(ValueError, match=message):
             AnalysisGrid.read_csv(p)
 
@@ -187,8 +213,8 @@ def test_csv_field_over_the_csv_limit_names_the_table_and_line(tmp_path):
     long = "9" * 200_000
     limit = "field larger than field limit (131072)"
     for text, message in (
-        (f"step,layer,value{long}\n0,0,1.0\n", f"grid line 1: {limit}"),
-        (f"step,layer,value\n0,0,1.0\n0,1,{long}\n", f"grid line 3: {limit}"),
+        (f"step,layer,iou{long}\n0,0,1.0\n", f"grid line 1: {limit}"),
+        (f"step,layer,iou\n0,0,1.0\n0,1,{long}\n", f"grid line 3: {limit}"),
     ):
         p.write_text(text)
         with pytest.raises(ValueError) as exc:
